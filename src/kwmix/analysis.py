@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import optimize
@@ -98,15 +97,13 @@ def lsc_search(
     restarts: int = 200,
     tol: float = 1e-10,
     seed: int = 0,
-    threads: int = 1,
 ) -> SearchResult:
     """Multi-start descent minimizing the log-Sobolev ratio.
 
     Parameterizes f = g^2 and runs L-BFGS on g from multiplicatively
-    perturbed starts (one Philox stream per restart, so the outcome does
-    not depend on thread scheduling). Returns the smallest ratio found
-    and its witness; the value is a certified upper bound on the
-    log-Sobolev constant.
+    perturbed starts (one Philox stream per restart). Returns the
+    smallest ratio found and its witness; the value is a certified upper
+    bound on the log-Sobolev constant.
     """
     if kernel.size > 10_000:
         raise ValueError("search is limited to kernels with at most 10^4 states")
@@ -171,11 +168,7 @@ def lsc_search(
         return lsc_ratio(kernel, f), f, tracker[2]
 
     streams = split_rngs(seed, restarts)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_restart, range(restarts)))
-    else:
-        outcomes = [run_restart(r) for r in range(restarts)]
+    outcomes = [run_restart(r) for r in range(restarts)]
 
     best: tuple[float, np.ndarray] | None = None
     evaluations = 0

@@ -13,18 +13,24 @@ Families:
                   mixed half/half with per-block recoloring.
 * ``complete`` -- jump to a uniform state (the complete-graph kernel).
 
-Kernels are stored row-sparse with probabilities accumulated as integer
-draw counts divided once by the draw total, so rows sum to 1 up to a few
-ulps. Gate randomness has two documented measures: ``parameter`` (uniform
+Every exact builder takes one path. States are an (S, k) int64 array,
+and successor tuples are ranked by sorted base-N keys. A builder emits
+its moves as arrays (src, dst, count), count being the integer number of
+draws of one step that move src to dst (the product chain passes its
+factors' entries instead). One helper sums the moves into a CSR matrix
+and divides each entry once: by the draw total, or for grev by the row's
+generic-successor total. Rows therefore sum to 1 up to a few ulps.
+
+Gate randomness has two documented measures: ``parameter`` (uniform
 over the 16 n (n-1)^2 parameter tuples, the default) and ``set`` (uniform
 over the deduplicated set of induced permutations, small n only).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -116,28 +122,6 @@ class Kernel:
 
     def transpose_csr(self) -> sparse.csr_matrix:
         return self.matrix.transpose().tocsr()
-
-
-def _kernel_from_counts(
-    rows: list[dict[int, int]], denom: int, stationary: np.ndarray,
-    meta: dict, states: tuple | None,
-) -> Kernel:
-    size = len(rows)
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    indices: list[int] = []
-    data: list[float] = []
-    for r, row in enumerate(rows):
-        for c in sorted(row):
-            indices.append(c)
-            data.append(row[c] / denom)
-        indptr[r + 1] = len(indices)
-    matrix = sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), indptr),
-        shape=(size, size),
-    )
-    kernel = Kernel(matrix=matrix, stationary=stationary, meta=meta, states=states)
-    kernel.validate()
-    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +231,19 @@ def _check_tgrev_partition(partition: Partition) -> None:
 # Exact kernel builders
 # ---------------------------------------------------------------------------
 
+# Cap on gate-table x state entries mapped at once by the gate chains; it
+# bounds the assembly buffers and so the peak memory of a build.
+CHUNK_ENTRIES = 1 << 14
+
+# (src, dst, count) arrays emitted by a builder; a scalar count is broadcast
+Moves = Iterable[tuple[np.ndarray, np.ndarray, "np.ndarray | int"]]
+
 
 def build_kernel(spec: ChainSpec) -> Kernel:
     """Exact kernel for the requested chain. Raises StateCapExceeded when
     the state space is larger than the configured cap."""
-    if spec.family == "ucc":
-        return _build_ucc(spec.k, spec.ncolors)
-    if spec.family == "cc":
-        return _build_cc(spec.k, spec.ncolors)
+    if spec.family in ("ucc", "cc"):
+        return _build_coloring(spec.family, spec.k, spec.ncolors)
     if spec.family == "complete":
         return _build_complete(spec.ncolors)
     if spec.family == "rev":
@@ -266,55 +255,99 @@ def build_kernel(spec: ChainSpec) -> Kernel:
     raise ValueError(f"unknown family {spec.family!r}")
 
 
-def _coloring_states(k: int, N: int, what: str):
-    size = tuple_space_size(k, N)
-    check_state_cap(size, what)
+def _assemble(moves: Moves, size: int, denom: int | None) -> sparse.csr_matrix:
+    """Sum the moves into a CSR matrix, then divide its entries once: by
+    `denom`, or by each row's total when `denom` is None.
+
+    Each emitted piece is summed on arrival, so buffers stay near the
+    final nnz. The division acts on ``.data``: dividing the matrix by a
+    scalar would multiply by the rounded reciprocal instead.
+    """
+    rows, cols, counts = [], [], []
+    for src, dst, count in moves:
+        piece = sparse.coo_matrix((np.broadcast_to(count, src.shape), (src, dst)),
+                                  shape=(size, size))
+        piece.sum_duplicates()
+        rows.append(piece.row)
+        cols.append(piece.col)
+        counts.append(piece.data)
+    summed = sparse.coo_matrix(
+        (np.concatenate(counts), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size))
+    summed.sum_duplicates()
+    matrix = summed.tocsr().astype(np.float64)
+    if denom is None:
+        denom = np.repeat(np.asarray(matrix.sum(axis=1)).ravel(), np.diff(matrix.indptr))
+    matrix.data /= denom
+    return matrix
+
+
+def _kernel(matrix: sparse.csr_matrix, meta: dict, states: tuple | None = None,
+            stationary: np.ndarray | None = None) -> Kernel:
+    """Validated kernel; the stationary law defaults to uniform."""
+    size = matrix.shape[0]
+    if stationary is None:
+        stationary = np.full(size, 1.0 / size)
+    kernel = Kernel(matrix=matrix, stationary=stationary, meta=meta, states=states)
+    kernel.validate()
+    return kernel
+
+
+def _state_index(states: np.ndarray, base: int):
+    """Ranker of k-tuples among the rows of an (S, k) state array.
+
+    Tuples are read as base-`base` numbers and looked up in the sorted
+    keys of the states; the ranker maps (..., k) to (...) ranks, with -1
+    for a tuple that is not a state.
+    """
+    weights = base ** np.arange(states.shape[1] - 1, -1, -1, dtype=np.int64)
+    keys = states @ weights
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
+    def rank(tuples: np.ndarray) -> np.ndarray:
+        keys = tuples @ weights
+        pos = np.searchsorted(sorted_keys, keys).clip(max=len(order) - 1)
+        return np.where(sorted_keys[pos] == keys, order[pos], -1)
+
+    return rank
+
+
+def _tuple_states(k: int, N: int, what: str) -> tuple[tuple, np.ndarray]:
+    check_state_cap(tuple_space_size(k, N), what)
     states = tuple(enumerate_tuples(k, N))
-    index = {s: i for i, s in enumerate(states)}
-    return states, index
+    return states, np.array(states, dtype=np.int64)
 
 
-def _build_ucc(k: int, N: int) -> Kernel:
-    states, index = _coloring_states(k, N, f"ucc(k={k},N={N})")
-    size = len(states)
-    rows = []
-    for x in states:
-        row: Counter = Counter()
-        for i in range(k):
-            for color in range(N):
-                row[index[recolor(x, i, color)]] += 1
-        rows.append(row)
-    pi = np.full(size, 1.0 / size)
-    meta = {"family": "ucc", "k": k, "N": N}
-    return _kernel_from_counts(rows, k * N, pi, meta, states)
+def _recolor_moves(states: np.ndarray, N: int, index, swaps: bool) -> Moves:
+    """One move per (state, coordinate, color) under ``recolor``. Without
+    swaps only the colors available to the coordinate (unused, or its
+    own) are drawn."""
+    src = np.arange(len(states))
+    for color in range(N):
+        holder = states == color
+        held = holder.any(axis=1)
+        for i in range(states.shape[1]):
+            y = np.where(holder, states[:, i:i + 1], states)
+            y[:, i] = color
+            keep = slice(None) if swaps else ~held | holder[:, i]
+            yield src[keep], index(y[keep]), 1
 
 
-def _build_cc(k: int, N: int) -> Kernel:
-    states, index = _coloring_states(k, N, f"cc(k={k},N={N})")
-    size = len(states)
-    rows = []
-    for x in states:
-        used = set(x)
-        unused = [c for c in range(N) if c not in used]
-        row: Counter = Counter()
-        for i in range(k):
-            for color in unused + [x[i]]:
-                row[index[recolor(x, i, color)]] += 1
-        rows.append(row)
-    pi = np.full(size, 1.0 / size)
-    meta = {"family": "cc", "k": k, "N": N}
-    return _kernel_from_counts(rows, k * (N - k + 1), pi, meta, states)
+def _build_coloring(family: str, k: int, N: int) -> Kernel:
+    states, x = _tuple_states(k, N, f"{family}(k={k},N={N})")
+    swaps = family == "ucc"
+    moves = _recolor_moves(x, N, _state_index(x, N), swaps)
+    denom = k * N if swaps else k * (N - k + 1)
+    return _kernel(_assemble(moves, len(x), denom),
+                   {"family": family, "k": k, "N": N}, states)
 
 
 def _build_complete(N: int) -> Kernel:
-    check_state_cap(N * N, f"complete(N={N}) dense kernel")
-    matrix = sparse.csr_matrix(np.full((N, N), 1.0 / N))
-    pi = np.full(N, 1.0 / N)
-    kernel = Kernel(matrix=matrix, stationary=pi,
-                    meta={"family": "complete", "N": N},
-                    states=tuple((c,) for c in range(N)))
-    kernel.validate()
-    return kernel
+    check_state_cap(N * N, f"complete(N={N}) kernel entries")
+    c = np.arange(N)
+    matrix = _assemble([(np.repeat(c, N), np.tile(c, N), 1)], N, N)
+    return _kernel(matrix, {"family": "complete", "N": N}, tuple((v,) for v in range(N)))
 
 
 def _gate_tables(n: int, gate_mode: str) -> np.ndarray:
@@ -325,21 +358,26 @@ def _gate_tables(n: int, gate_mode: str) -> np.ndarray:
     raise ValueError(f"unknown gate mode {gate_mode!r}")
 
 
+def _gate_moves(states: np.ndarray, tables: np.ndarray, index) -> Moves:
+    """One move per (state, gate table), tables that act alike merged into
+    one move counting their multiplicity. Successors outside the state
+    set (index -1) are dropped."""
+    tables, mult = np.unique(tables, axis=0, return_counts=True)
+    step = max(1, CHUNK_ENTRIES // (len(tables) * states.shape[1]))
+    for a in range(0, len(states), step):
+        dst = index(tables[:, states[a:a + step]])
+        src = np.broadcast_to(np.arange(a, a + dst.shape[1]), dst.shape)
+        hit = dst >= 0
+        yield src[hit], dst[hit], np.broadcast_to(mult[:, None], dst.shape)[hit]
+
+
 def _build_rev(k: int, n: int, gate_mode: str) -> Kernel:
-    N = 1 << n
-    states, index = _coloring_states(k, N, f"rev(k={k},n={n})")
-    size = len(states)
+    states, x = _tuple_states(k, 1 << n, f"rev(k={k},n={n})")
     tables = _gate_tables(n, gate_mode)
-    rows = []
-    for x in states:
-        row: Counter = Counter()
-        arr = np.array(x)
-        for table in tables:
-            row[index[tuple(int(v) for v in table[arr])]] += 1
-        rows.append(row)
-    pi = np.full(size, 1.0 / size)
-    meta = {"family": "rev", "k": k, "n": n, "gate_mode": gate_mode}
-    return _kernel_from_counts(rows, len(tables), pi, meta, states)
+    matrix = _assemble(_gate_moves(x, tables, _state_index(x, 1 << n)),
+                       len(x), len(tables))
+    return _kernel(matrix, {"family": "rev", "k": k, "n": n, "gate_mode": gate_mode},
+                   states)
 
 
 def enumerate_generic_states(k: int, partition: Partition) -> tuple[tuple[int, ...], ...]:
@@ -377,55 +415,40 @@ def _check_partition_rows(k: int, partition: Partition) -> None:
 
 
 def build_tgrev_kernel(k: int, partition: Partition) -> Kernel:
-    """Exact kernel of the product chain on generic states."""
+    """Exact kernel of the product chain on generic states.
+
+    Counts share the denominator 4 k |C| p (2^w - k + 1), C the remainder:
+    the hold (probability 1/4) counts k |C| p (2^w - k + 1), each
+    remainder-bit flip p (2^w - k + 1) and each block move 2 |C|.
+    """
     _check_tgrev_partition(partition)
     states = enumerate_generic_states(k, partition)
-    index = {s: i for i, s in enumerate(states)}
-    size = len(states)
-    rem = partition.remainder
-    flip_denom = 4 * k * len(rem)
-    block_avail = (1 << partition.w) - k + 1
-    block_denom = 2 * partition.p * k * block_avail
+    x = np.array(states, dtype=np.int64)
+    index = _state_index(x, 1 << partition.n)
+    rem, p = len(partition.remainder), partition.p
+    avail = (1 << partition.w) - k + 1
+    src = np.arange(len(x))
 
-    rows: list[dict[int, float]] = []
-    for x in states:
-        row: dict[int, float] = {index[x]: 0.25}
+    def moves() -> Moves:
+        yield src, src, k * rem * p * avail
         for r in range(k):
-            for pos in rem:
-                y = list(x)
-                y[r] = x[r] ^ (1 << pos)
-                yi = index[tuple(y)]
-                row[yi] = row.get(yi, 0.0) + 1.0 / flip_denom
-        for t, block in enumerate(partition.blocks):
+            for pos in partition.remainder:
+                y = x.copy()
+                y[:, r] ^= 1 << pos
+                yield src, index(y), p * avail
+        for block in partition.blocks:
+            values = np.stack([extract_block(x[:, i], block) for i in range(k)], axis=1)
             for r in range(k):
-                taken = {extract_block(x[i], block) for i in range(k) if i != r}
+                others = np.delete(values, r, axis=1)
                 for u in range(1 << partition.w):
-                    if u in taken:
-                        continue
-                    y = list(x)
-                    y[r] = insert_block(x[r], block, u)
-                    yi = index[tuple(y)]
-                    row[yi] = row.get(yi, 0.0) + 1.0 / block_denom
-        rows.append(row)
+                    free = ~(others == u).any(axis=1)
+                    y = x[free]
+                    y[:, r] = insert_block(y[:, r], block, u)
+                    yield src[free], index(y), 2 * rem
 
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    indices: list[int] = []
-    data: list[float] = []
-    for r, row in enumerate(rows):
-        for c in sorted(row):
-            indices.append(c)
-            data.append(row[c])
-        indptr[r + 1] = len(indices)
-    matrix = sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), indptr),
-        shape=(size, size),
-    )
-    pi = np.full(size, 1.0 / size)
     meta = {"family": "tgrev", "k": k, "n": partition.n,
             "partition": partition.descriptor()}
-    kernel = Kernel(matrix=matrix, stationary=pi, meta=meta, states=states)
-    kernel.validate()
-    return kernel
+    return _kernel(_assemble(moves(), len(x), 4 * k * rem * p * avail), meta, states)
 
 
 def build_grev_kernel(
@@ -440,43 +463,12 @@ def build_grev_kernel(
     if partition.n != n:
         raise ValueError(f"partition covers n={partition.n}, chain has n={n}")
     states = enumerate_generic_states(k, partition)
-    index = {s: i for i, s in enumerate(states)}
-    size = len(states)
+    x = np.array(states, dtype=np.int64)
     tables = _gate_tables(n, gate_mode)
-
-    rows = []
-    for x in states:
-        row: Counter = Counter()
-        arr = np.array(x)
-        for table in tables:
-            y = tuple(int(v) for v in table[arr])
-            yi = index.get(y)
-            if yi is not None:
-                row[yi] += 1
-        total = sum(row.values())
-        if total == 0:
-            raise InvariantViolation(
-                f"state {x} has no generic successors; restriction undefined")
-        rows.append({c: cnt / total for c, cnt in row.items()})
-
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    indices: list[int] = []
-    data: list[float] = []
-    for r, row in enumerate(rows):
-        for c in sorted(row):
-            indices.append(c)
-            data.append(row[c])
-        indptr[r + 1] = len(indices)
-    matrix = sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), indptr),
-        shape=(size, size),
-    )
-    pi = _power_iteration_stationary(matrix)
+    matrix = _assemble(_gate_moves(x, tables, _state_index(x, 1 << n)), len(x), None)
     meta = {"family": "grev", "k": k, "n": n, "gate_mode": gate_mode,
             "partition": partition.descriptor()}
-    kernel = Kernel(matrix=matrix, stationary=pi, meta=meta, states=states)
-    kernel.validate()
-    return kernel
+    return _kernel(matrix, meta, states, _power_iteration_stationary(matrix))
 
 
 def _power_iteration_stationary(
@@ -499,53 +491,27 @@ def _power_iteration_stationary(
 
 
 def product_kernel(factors: Sequence[Kernel]) -> Kernel:
-    """Uniform mixture of single-factor moves on the product state space."""
+    """Uniform mixture of single-factor moves on the product state space
+    (first factor most significant): each factor entry, in every context
+    of the other coordinates, over the denominator t = len(factors)."""
     if not factors:
         raise ValueError("need at least one factor")
-    t = len(factors)
-    sizes = [f.size for f in factors]
-    total = 1
-    for s in sizes:
-        total *= s
+    total = math.prod(f.size for f in factors)
     check_state_cap(total, "product chain")
 
-    strides = [1] * t
-    for i in range(t - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
+    def moves() -> Moves:
+        stride = total
+        for f in factors:
+            stride //= f.size
+            m = f.matrix.tocoo()
+            span = f.size * stride
+            context = (np.arange(total // span)[:, None] * span + np.arange(stride)).ravel()
+            yield ((context[:, None] + stride * m.row.astype(np.int64)).ravel(),
+                   (context[:, None] + stride * m.col.astype(np.int64)).ravel(),
+                   np.tile(m.data, len(context)))
 
-    csr = [f.matrix for f in factors]
-    rows: list[dict[int, float]] = []
-    digits = [0] * t
-    for idx in range(total):
-        rem = idx
-        for i in range(t):
-            digits[i], rem = divmod(rem, strides[i])
-        row: dict[int, float] = {}
-        for i in range(t):
-            m = csr[i]
-            s = digits[i]
-            base = idx - s * strides[i]
-            for ptr in range(m.indptr[s], m.indptr[s + 1]):
-                col = base + int(m.indices[ptr]) * strides[i]
-                row[col] = row.get(col, 0.0) + m.data[ptr] / t
-        rows.append(row)
-
-    indptr = np.zeros(total + 1, dtype=np.int64)
-    indices: list[int] = []
-    data: list[float] = []
-    for r, row in enumerate(rows):
-        for c in sorted(row):
-            indices.append(c)
-            data.append(row[c])
-        indptr[r + 1] = len(indices)
-    matrix = sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), indptr),
-        shape=(total, total),
-    )
     pi = factors[0].stationary
     for f in factors[1:]:
         pi = np.outer(pi, f.stationary).ravel()
     meta = {"family": "product", "factors": [f.meta for f in factors]}
-    kernel = Kernel(matrix=matrix, stationary=pi, meta=meta)
-    kernel.validate()
-    return kernel
+    return _kernel(_assemble(moves(), total, len(factors)), meta, stationary=pi)

@@ -7,7 +7,9 @@ command line, and the wall time. Result files contain no timestamps, so
 identical configuration and seed give byte-identical bytes.
 
 Exit codes: 0 success, 2 invalid configuration, 3 state-space cap
-exceeded, 4 internal invariant violation.
+exceeded, 4 internal invariant violation. Exit 2 also covers a mix-exact
+run that does not mix within --max-steps and a mix-mc run that expects
+fewer than 5 samples per state (too few for its chi-square test).
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 import argparse
 import io
 import math
-import os
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .generic import (
     make_partition,
     verify_tgrev_product_structure,
 )
-from .mixing import kwise_stat_mc, tv_curve
+from .mixing import _worst_tv_series, kwise_stat_mc, tv_curve
 from .reports import csv_lines, dump_kernel, json_dumps
 from .rng import make_rng
 
@@ -62,7 +64,6 @@ def _common_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
 
 def _spec_from_args(args: argparse.Namespace) -> ChainSpec:
@@ -219,7 +220,7 @@ def _run_lsc_search(args):
     spec = _spec_from_args(args)
     kernel = build_kernel(spec)
     result = lsc_search(kernel, restarts=args.restarts, tol=args.tol,
-                        seed=args.seed, threads=args.threads)
+                        seed=args.seed)
     bound_ln = _paper_alpha_bound(spec, math.e)
     bound_lg2 = _paper_alpha_bound(spec, 2.0)
     obj = {
@@ -303,7 +304,10 @@ def _run_mix_exact(args):
     kernel = build_kernel(spec)
     from .mixing import TRANSITIVE_FAMILIES, mixing_time_exact
 
-    tau = mixing_time_exact(kernel, args.eps, max_steps=args.max_steps)
+    try:
+        tau = mixing_time_exact(kernel, args.eps, max_steps=args.max_steps)
+    except RuntimeError as exc:
+        raise ValueError(f"{exc}; raise --max-steps") from exc
     # report the worst-start TV decay out to 2*tau
     t_max = max(2 * tau, 1)
     if spec.family in TRANSITIVE_FAMILIES:
@@ -316,6 +320,10 @@ def _run_mix_exact(args):
     obj = {"kernel": spec.label(), "epsilon": args.eps, "tau": tau,
            "series": [{"t": t, "tv": v} for t, v in series]}
     return obj, ("t", "tv"), series
+
+
+# smallest expected count per state at which mix-mc runs its chi-square test
+MIN_EXPECTED_COUNT = 5
 
 
 def _run_mix_mc(args):
@@ -332,6 +340,11 @@ def _run_mix_mc(args):
 
         space = count_generic_states(spec.partition)
         start = enumerate_generic_states(spec.k, spec.partition)[0]
+    if args.samples < MIN_EXPECTED_COUNT * space:
+        raise ValueError(
+            f"{args.samples} samples over {space} states expect "
+            f"{args.samples / space:.3g} per state; the chi-square test "
+            f"needs at least {MIN_EXPECTED_COUNT}")
 
     rng = make_rng(args.seed)
     counts: dict[tuple[int, ...], int] = {}
@@ -377,15 +390,7 @@ def _run_mix_mc(args):
 def _run_kwise_exact(args):
     spec = ChainSpec(family="rev", k=args.k, n=args.n, gate_mode=args.gate_mode)
     kernel = build_kernel(spec)
-    pt = kernel.transpose_csr()
-    dists = np.eye(kernel.size)
-    pi = kernel.stationary[:, None]
-    series = []
-    for t in range(args.t + 1):
-        tv = float(np.max(0.5 * np.abs(dists - pi).sum(axis=0)))
-        series.append((t, tv))
-        if t < args.t:
-            dists = pt @ dists
+    series = list(enumerate(islice(_worst_tv_series(kernel, all_starts=True), args.t + 1)))
     obj = {"n": args.n, "k": args.k, "gate_mode": args.gate_mode,
            "series": [{"t": t, "tv": v} for t, v in series],
            "final_tv": series[-1][1]}

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 from scipy import stats as sps
 
 from .chains import ChainSpec, Kernel, build_kernel
-from .core import tuple_space_size
-from .errors import check_state_cap
 from .rng import split_rngs
 
 # chains whose color-permutation symmetry makes every start equivalent
@@ -83,6 +83,24 @@ def pointwise_relative_error(kernel: Kernel, start: int, t: int) -> float:
     return float(np.max(np.abs(p - pi) / pi))
 
 
+def _worst_tv_series(kernel: Kernel, all_starts: bool) -> Iterator[float]:
+    """Worst-start TV(p_x^t, pi) for t = 0, 1, 2, ... (without end).
+
+    Every start is tracked as one column of a dense matrix of
+    distributions; with ``all_starts`` false only state 0 is.
+    """
+    pt = kernel.transpose_csr()
+    if all_starts:
+        dists = np.eye(kernel.size)
+    else:
+        dists = np.zeros((kernel.size, 1))
+        dists[0, 0] = 1.0
+    pi = kernel.stationary[:, None]
+    while True:
+        yield float(np.max(0.5 * np.abs(dists - pi).sum(axis=0)))
+        dists = pt @ dists
+
+
 def mixing_time_exact(
     kernel: Kernel,
     epsilon: float,
@@ -96,33 +114,23 @@ def mixing_time_exact(
     """
     if not 0 < epsilon < 1:
         raise ValueError("need 0 < epsilon < 1")
+    if max_steps < 0:
+        raise ValueError("need max_steps >= 0")
     if all_starts is None:
         all_starts = kernel.meta.get("family") not in TRANSITIVE_FAMILIES
-    pt = kernel.transpose_csr()
-    if all_starts:
-        dists = np.eye(kernel.size)
-    else:
-        dists = np.zeros((kernel.size, 1))
-        dists[0, 0] = 1.0
-    pi = kernel.stationary[:, None]
-    for t in range(max_steps + 1):
-        worst = float(np.max(0.5 * np.abs(dists - pi).sum(axis=0)))
+    for t, worst in zip(range(max_steps + 1), _worst_tv_series(kernel, all_starts)):
         if worst <= epsilon:
             return t
-        dists = pt @ dists
     raise RuntimeError(f"no mixing within {max_steps} steps (TV still {worst:.3g})")
 
 
 def kwise_tv_exact(n: int, k: int, t: int, gate_mode: str = "parameter") -> float:
     """Exact approximation error of the t-gate circuit distribution:
     max over start tuples of TV(p_x^t, uniform on distinct tuples)."""
+    if t < 0:
+        raise ValueError("need t >= 0")
     kernel = build_kernel(ChainSpec(family="rev", k=k, n=n, gate_mode=gate_mode))
-    pt = kernel.transpose_csr()
-    dists = np.eye(kernel.size)
-    for _ in range(t):
-        dists = pt @ dists
-    pi = kernel.stationary[:, None]
-    return float(np.max(0.5 * np.abs(dists - pi).sum(axis=0)))
+    return next(islice(_worst_tv_series(kernel, all_starts=True), t, None))
 
 
 # ---------------------------------------------------------------------------
@@ -298,31 +306,3 @@ def kwise_stat_mc(
         sampler=sampler,
     )
 
-
-def empirical_step_frequencies(
-    spec: ChainSpec, start: tuple[int, ...], steps: int, seed: int = 0
-) -> dict[tuple[int, ...], int]:
-    """Occurrences of each successor over `steps` single-step samples from
-    `start`; used to cross-check step samplers against exact kernels."""
-    from . import chains
-
-    rng = split_rngs(seed, 1)[0]
-    counts: dict[tuple[int, ...], int] = {}
-    tables = None
-    if spec.family == "rev" and spec.gate_mode == "set":
-        from .core import dedupe_gates
-
-        tables = dedupe_gates(spec.n)
-    for _ in range(steps):
-        if spec.family == "ucc":
-            y = chains.step_ucc(start, spec.ncolors, rng)
-        elif spec.family == "cc":
-            y = chains.step_cc(start, spec.ncolors, rng)
-        elif spec.family == "rev":
-            y = chains.step_rev(start, spec.n, rng, spec.gate_mode, tables)
-        elif spec.family == "tgrev":
-            y = chains.step_tgrev(start, spec.partition, rng)
-        else:
-            raise ValueError(f"no step sampler for family {spec.family!r}")
-        counts[y] = counts.get(y, 0) + 1
-    return counts

@@ -185,6 +185,24 @@ def test_exit_code_invariant_violation(capsys, monkeypatch):
     assert "invariant" in err
 
 
+def test_mix_exact_without_mixing_exits_2(capsys):
+    code, out, err = run_cli(capsys, "mix-exact", "--chain", "rev", "--n", "3",
+                             "--k", "2", "--max-steps", "0")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "no mixing within 0 steps" in err and "--max-steps" in err
+
+
+def test_mix_mc_refuses_too_few_samples_per_state(capsys):
+    # 50 samples over the 240 states of rev(k=2, n=4): 0.21 expected each
+    code, out, err = run_cli(capsys, "mix-mc", "--chain", "rev", "--n", "4",
+                             "--k", "2", "--t", "10", "--samples", "50")
+    assert code == 2
+    assert out == ""
+    assert "invalid configuration" in err and "at least 5" in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])

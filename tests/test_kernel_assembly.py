@@ -1,0 +1,194 @@
+"""Vectorized kernel assembly against short per-state loop references.
+
+Each reference walks the states one at a time, lists the draws of one
+step with the scalar helpers (core.recolor, core.gate_table,
+generic.is_generic), and divides the counts once. The exact families
+must match entry for entry; the product chains carry float weights.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kwmix import chains
+from kwmix.chains import ChainSpec, build_kernel, product_kernel
+from kwmix.core import dedupe_gates, enumerate_gates, enumerate_tuples, gate_table, recolor
+from kwmix.generic import extract_block, insert_block, is_generic, make_partition
+
+
+def _divided(counts: Counter) -> dict:
+    total = sum(counts.values())
+    return {y: c / total for y, c in counts.items()}
+
+
+def _dense(rows: dict, states: tuple) -> np.ndarray:
+    index = {s: i for i, s in enumerate(states)}
+    out = np.zeros((len(states), len(states)))
+    for x, row in rows.items():
+        for y, prob in row.items():
+            out[index[x], index[y]] = prob
+    return out
+
+
+def reference_gate_rows(states, n: int, gate_mode: str) -> dict:
+    """Gate successors that stay in `states`, counted per state."""
+    if gate_mode == "set":
+        tables = [t.tolist() for t in dedupe_gates(n)]
+    else:
+        tables = [gate_table(g, n).tolist() for g in enumerate_gates(n)]
+    inside = set(states)
+    rows = {}
+    for x in states:
+        images = (tuple(t[v] for v in x) for t in tables)
+        rows[x] = _divided(Counter(y for y in images if y in inside))
+    return rows
+
+
+def reference_coloring_rows(k: int, N: int, swaps: bool) -> dict:
+    rows = {}
+    for x in enumerate_tuples(k, N):
+        counts = Counter()
+        for i in range(k):
+            for color in range(N):
+                if swaps or color == x[i] or color not in x:
+                    counts[recolor(x, i, color)] += 1
+        rows[x] = _divided(counts)
+    return rows
+
+
+def reference_tgrev_rows(states, partition) -> dict:
+    """Exact rationals of the step_tgrev description, rounded once."""
+    k, rem = partition.k, partition.remainder
+    rows = {}
+    for x in states:
+        row = Counter({x: Fraction(1, 4)})
+        for r in range(k):
+            for pos in rem:
+                y = list(x)
+                y[r] ^= 1 << pos
+                row[tuple(y)] += Fraction(1, 4 * k * len(rem))
+        for block in partition.blocks:
+            for r in range(k):
+                taken = {extract_block(x[i], block) for i in range(k) if i != r}
+                avail = [u for u in range(1 << partition.w) if u not in taken]
+                for u in avail:
+                    y = list(x)
+                    y[r] = insert_block(x[r], block, u)
+                    row[tuple(y)] += Fraction(1, 2 * partition.p * k * len(avail))
+        rows[x] = {y: float(p) for y, p in row.items()}
+    return rows
+
+
+def _generic_states(kernel, k: int, partition) -> tuple:
+    generic = {t for t in enumerate_tuples(k, 1 << partition.n) if is_generic(t, partition)}
+    assert set(kernel.states) == generic
+    assert len(kernel.states) == len(generic)
+    return kernel.states
+
+
+@settings(max_examples=20, deadline=None)
+@given(nk=st.sampled_from([(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]),
+       gate_mode=st.sampled_from(["parameter", "set"]))
+def test_rev_matches_loop_reference(nk, gate_mode):
+    n, k = nk
+    kernel = build_kernel(ChainSpec(family="rev", k=k, n=n, gate_mode=gate_mode))
+    assert kernel.states == tuple(enumerate_tuples(k, 1 << n))
+    ref = _dense(reference_gate_rows(kernel.states, n, gate_mode), kernel.states)
+    assert np.abs(kernel.dense() - ref).max() == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from(["ucc", "cc"]), k=st.integers(1, 3), extra=st.integers(0, 4))
+def test_coloring_matches_loop_reference(family, k, extra):
+    N = k + extra
+    kernel = build_kernel(ChainSpec(family=family, k=k, ncolors=N))
+    assert kernel.states == tuple(enumerate_tuples(k, N))
+    ref = _dense(reference_coloring_rows(k, N, swaps=family == "ucc"), kernel.states)
+    assert np.abs(kernel.dense() - ref).max() == 0
+
+
+@given(N=st.integers(1, 9))
+def test_complete_matches_uniform_rows(N):
+    kernel = build_kernel(ChainSpec(family="complete", ncolors=N))
+    assert kernel.states == tuple((c,) for c in range(N))
+    assert np.abs(kernel.dense() - np.full((N, N), 1.0 / N)).max() == 0
+
+
+@st.composite
+def generic_specs(draw, max_n: int, max_k: int, product_chain: bool):
+    """(n, k, partition) with at least one block; the product chain also
+    needs a nonempty remainder."""
+    n = draw(st.integers(3, max_n))
+    w = draw(st.integers(1, 2))
+    k = draw(st.integers(1, min(max_k, 1 << w)))
+    p = draw(st.integers(1, (n - 1) // w if product_chain else n // w))
+    return n, k, make_partition(n, k, w=w, p=p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=generic_specs(max_n=4, max_k=2, product_chain=False),
+       gate_mode=st.sampled_from(["parameter", "set"]))
+def test_grev_matches_loop_reference(spec, gate_mode):
+    n, k, partition = spec
+    kernel = build_kernel(ChainSpec(family="grev", k=k, n=n, partition=partition,
+                                    gate_mode=gate_mode))
+    states = _generic_states(kernel, k, partition)
+    ref = _dense(reference_gate_rows(states, n, gate_mode), states)
+    assert np.abs(kernel.dense() - ref).max() == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=generic_specs(max_n=5, max_k=3, product_chain=True))
+def test_tgrev_matches_loop_reference(spec):
+    n, k, partition = spec
+    kernel = build_kernel(ChainSpec(family="tgrev", k=k, n=n, partition=partition))
+    states = _generic_states(kernel, k, partition)
+    ref = _dense(reference_tgrev_rows(states, partition), states)
+    assert np.abs(kernel.dense() - ref).max() <= 1e-16
+
+
+def test_product_matches_loop_reference():
+    factors = [build_kernel(ChainSpec(family="cc", k=2, ncolors=3)),
+               build_kernel(ChainSpec(family="complete", ncolors=2)),
+               build_kernel(ChainSpec(family="ucc", k=1, ncolors=3))]
+    sizes = [f.size for f in factors]
+    dense = [f.dense() for f in factors]
+    prod = product_kernel(factors)
+    digits = list(np.ndindex(*sizes))  # first factor most significant
+    ref = np.zeros((len(digits), len(digits)))
+    for a, x in enumerate(digits):
+        for b, y in enumerate(digits):
+            moved = [i for i in range(len(sizes)) if x[i] != y[i]]
+            if not moved:
+                ref[a, b] = sum(dense[i][x[i], x[i]] for i in range(len(sizes))) / 3
+            elif len(moved) == 1:
+                i = moved[0]
+                ref[a, b] = dense[i][x[i], y[i]] / 3
+    assert np.abs(prod.dense() - ref).max() <= 1e-16
+    assert np.array_equal(prod.stationary, np.full(len(digits), 1.0 / len(digits)))
+
+
+def test_chunk_size_does_not_change_the_kernel(monkeypatch):
+    spec = ChainSpec(family="rev", k=2, n=4)
+    default = build_kernel(spec).matrix
+    monkeypatch.setattr(chains, "CHUNK_ENTRIES", 1)
+    single = build_kernel(spec).matrix
+    assert np.array_equal(default.indptr, single.indptr)
+    assert np.array_equal(default.indices, single.indices)
+    assert np.array_equal(default.data, single.data)
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(family="ucc", k=3, ncolors=6),
+    ChainSpec(family="rev", k=2, n=4, gate_mode="set"),
+    ChainSpec(family="tgrev", k=2, n=4, partition=make_partition(4, 2, w=1, p=2)),
+])
+def test_assembled_matrices_are_canonical(spec):
+    matrix = build_kernel(spec).matrix
+    assert matrix.has_canonical_format
+    assert matrix.data.dtype == np.float64
+    assert (matrix.data > 0).all()
