@@ -31,10 +31,7 @@ from .chains import (
     build_tgrev_kernel,
     enumerate_generic_states,
     product_kernel,
-    step_cc,
-    step_rev,
-    step_tgrev,
-    step_ucc,
+    sample_chain,
 )
 from .comparison import (
     CongestionResult,

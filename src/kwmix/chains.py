@@ -1,4 +1,4 @@
-"""Step samplers and exact transition kernels for the five chains.
+"""Exact transition kernels and a batch step sampler for the chains.
 
 Families:
 
@@ -21,6 +21,13 @@ factors' entries instead). One helper sums the moves into a CSR matrix
 and divides each entry once: by the draw total, or for grev by the row's
 generic-successor total. Rows therefore sum to 1 up to a few ulps.
 
+``sample_chain`` runs rev, cc, ucc and tgrev on a batch: an (S, k) state
+array, one move drawn per row and step, drawn from the same moves the
+builders count. rev draws a gate (or, in ``set`` mode, a deduplicated
+table), ucc a coordinate and a color (swapping on collision), cc the
+r-th color available to the coordinate, and tgrev a hold, a remainder-bit
+flip or the r-th block value free for its row.
+
 Gate randomness has two documented measures: ``parameter`` (uniform
 over the 16 n (n-1)^2 parameter tuples, the default) and ``set`` (uniform
 over the deduplicated set of induced permutations, small n only).
@@ -36,12 +43,10 @@ import numpy as np
 from scipy import sparse
 
 from .core import (
-    Gate,
     dedupe_gates,
     enumerate_gates,
     enumerate_tuples,
     gate_table,
-    recolor,
     tuple_space_size,
 )
 from .errors import InvariantViolation, check_state_cap
@@ -125,106 +130,84 @@ class Kernel:
 
 
 # ---------------------------------------------------------------------------
-# Step samplers
+# Batch step sampler
 # ---------------------------------------------------------------------------
 
 
-def step_ucc(x: tuple[int, ...], N: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """One uniform-recoloring move: i ~ [k], color ~ [N], swap on collision."""
-    i = int(rng.integers(len(x)))
-    color = int(rng.integers(N))
-    return recolor(x, i, color)
+def sample_chain(spec: ChainSpec, x: np.ndarray, t: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Run t steps of the chain from every row of an (S, k) state array.
 
-
-def step_cc(x: tuple[int, ...], N: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """One standard-recoloring move: i ~ [k], color uniform over the
-    N-k+1 colors available to vertex i (its current color included)."""
-    k = len(x)
-    i = int(rng.integers(k))
-    used = set(x)
-    choices = [c for c in range(N) if c not in used]
-    choices.append(x[i])
-    color = choices[int(rng.integers(len(choices)))]
-    return recolor(x, i, color)
-
-
-def random_gate(n: int, rng: np.random.Generator) -> Gate:
-    """Parameter-uniform gate: target uniform, controls uniform off-target."""
-    target = int(rng.integers(n))
-    j1 = (target + 1 + int(rng.integers(n - 1))) % n
-    j2 = (target + 1 + int(rng.integers(n - 1))) % n
-    h = int(rng.integers(16))
-    return Gate(target, j1, j2, h)
-
-
-def step_rev(
-    x: tuple[int, ...],
-    n: int,
-    rng: np.random.Generator,
-    gate_mode: str = "parameter",
-    tables: np.ndarray | None = None,
-) -> tuple[int, ...]:
-    """Apply one random gate to every coordinate simultaneously.
-
-    ``set`` mode draws uniformly from precomputed deduplicated tables
-    (pass the dedupe_gates output to avoid recomputing it per step).
+    Each step draws one move per row, the moves the kernel builders count.
+    Returns a new array, uint64 for rev (n <= 64) and int64 otherwise.
     """
-    if gate_mode == "parameter":
-        g = random_gate(n, rng)
-        a_shift, b_shift, t_shift = g.j1, g.j2, g.target
-        out = []
-        for v in x:
-            a = (v >> a_shift) & 1
-            b = (v >> b_shift) & 1
-            out.append(v ^ (((g.h >> ((a << 1) | b)) & 1) << t_shift))
-        return tuple(out)
-    if gate_mode == "set":
-        if tables is None:
-            tables = dedupe_gates(n)
-        table = tables[int(rng.integers(len(tables)))]
-        return tuple(int(table[v]) for v in x)
-    raise ValueError(f"unknown gate mode {gate_mode!r}")
+    if spec.family not in ("rev", "cc", "ucc", "tgrev"):
+        raise ValueError(f"no step sampler for {spec.family!r}")
+    if t < 0:
+        raise ValueError("need t >= 0")
+    if spec.family == "rev" and spec.n > 64:
+        raise ValueError(f"rev sampling needs n <= 64, got {spec.n}")
+    x = np.array(x, dtype=np.uint64 if spec.family == "rev" else np.int64)
+    if x.ndim != 2 or x.shape[1] != spec.k:
+        raise ValueError(f"need an (S, {spec.k}) state array, got shape {x.shape}")
+    size, k, n, N = len(x), spec.k, spec.n, spec.ncolors
+    rows = np.arange(size)
+    if spec.family == "rev" and spec.gate_mode == "set":
+        tables = dedupe_gates(n).astype(np.uint64)
+    if spec.family == "tgrev":
+        part = spec.partition
+        _check_tgrev_partition(k, part)
+        remainder = np.array(part.remainder)
+    for _ in range(t):
+        if spec.family == "rev" and spec.gate_mode == "set":
+            x = tables[rng.integers(len(tables), size=size)[:, None], x]
+        elif spec.family == "rev":
+            target = rng.integers(0, n, size=size, dtype=np.uint64)
+            j1 = (target + 1 + rng.integers(0, n - 1, size=size, dtype=np.uint64)) % n
+            j2 = (target + 1 + rng.integers(0, n - 1, size=size, dtype=np.uint64)) % n
+            h = rng.integers(0, 16, size=size, dtype=np.uint64)
+            a = (x >> j1[:, None]) & 1
+            b = (x >> j2[:, None]) & 1
+            x ^= ((h[:, None] >> ((a << 1) | b)) & 1) << target[:, None]
+        elif spec.family == "ucc":  # recolor, swapping on collision
+            i = rng.integers(k, size=size)
+            color = rng.integers(N, size=size)
+            x = np.where(x == color[:, None], x[rows, i][:, None], x)
+            x[rows, i] = color
+        elif spec.family == "cc":
+            i = rng.integers(k, size=size)
+            x[rows, i] = _nth_free(x, i, rng.integers(N - k + 1, size=size))
+        else:  # tgrev: hold 1/4, remainder flip 1/4, block recoloring 1/2
+            kind = rng.integers(4, size=size)
+            i = rng.integers(k, size=size)
+            flip = kind == 1
+            bit = remainder[rng.integers(len(remainder), size=size)]
+            x[rows[flip], i[flip]] ^= 1 << bit[flip]
+            ell = rng.integers(part.p, size=size)
+            r = rng.integers((1 << part.w) - k + 1, size=size)
+            for j, block in enumerate(part.blocks):
+                m = np.flatnonzero((kind >= 2) & (ell == j))
+                u = _nth_free(extract_block(x[m], block), i[m], r[m])
+                x[m, i[m]] = insert_block(x[m, i[m]], block, u)
+    return x
 
 
-def step_tgrev(
-    x: tuple[int, ...], partition: Partition, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """One product-chain move on generic states.
-
-    Half the time: hold with probability 1/2, else flip one uniformly
-    random remainder bit of one row. Otherwise: pick a block and a row
-    uniformly and resample that row's block value uniformly among values
-    not held by any other row in that block (the current value stays
-    available).
-    """
-    _check_tgrev_partition(partition)
-    k = len(x)
-    if rng.integers(2) == 0:
-        if rng.integers(2) == 0:
-            return x
-        r = int(rng.integers(k))
-        c = partition.remainder[int(rng.integers(len(partition.remainder)))]
-        y = list(x)
-        y[r] = x[r] ^ (1 << c)
-        return tuple(y)
-    ell = int(rng.integers(partition.p))
-    r = int(rng.integers(k))
-    block = partition.blocks[ell]
-    taken = {extract_block(x[i], block) for i in range(k) if i != r}
-    avail = [u for u in range(1 << partition.w) if u not in taken]
-    u = avail[int(rng.integers(len(avail)))]
-    y = list(x)
-    y[r] = insert_block(x[r], block, u)
-    return tuple(y)
+def _nth_free(values: np.ndarray, i: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per row, the r-th smallest value >= 0 held by no column other than i:
+    a walk over the row sorted with column i moved past the end."""
+    others = values.copy()
+    others[np.arange(len(values)), i] = np.iinfo(values.dtype).max
+    others.sort(axis=1)
+    free = r.copy()
+    for column in others.T:
+        free += column <= free
+    return free
 
 
-def _check_tgrev_partition(partition: Partition) -> None:
-    if partition.p < 1:
-        raise ValueError("product chain needs at least one block")
+def _check_tgrev_partition(k: int, partition: Partition) -> None:
+    _check_partition_rows(k, partition)
     if not partition.remainder:
         raise ValueError("product chain needs a nonempty remainder")
-    if partition.k > (1 << partition.w):
-        raise ValueError("more rows than block values; no state is generic")
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +393,8 @@ def enumerate_generic_states(k: int, partition: Partition) -> tuple[tuple[int, .
 def _check_partition_rows(k: int, partition: Partition) -> None:
     if k != partition.k:
         raise ValueError(f"partition was built for k={partition.k}, got k={k}")
+    if partition.p < 1:
+        raise ValueError("generic states need at least one block")
     if k > (1 << partition.w):
         raise ValueError("more rows than block values; no state is generic")
 
@@ -421,7 +406,7 @@ def build_tgrev_kernel(k: int, partition: Partition) -> Kernel:
     the hold (probability 1/4) counts k |C| p (2^w - k + 1), each
     remainder-bit flip p (2^w - k + 1) and each block move 2 |C|.
     """
-    _check_tgrev_partition(partition)
+    _check_tgrev_partition(k, partition)
     states = enumerate_generic_states(k, partition)
     x = np.array(states, dtype=np.int64)
     index = _state_index(x, 1 << partition.n)

@@ -22,6 +22,7 @@ import time
 from itertools import islice
 
 import numpy as np
+from scipy import stats as sps
 
 from . import __version__
 from .analysis import (
@@ -31,7 +32,7 @@ from .analysis import (
     spectral_gap,
     ucc_alpha_lower_bound,
 )
-from .chains import ChainSpec, build_kernel
+from .chains import ChainSpec, build_kernel, enumerate_generic_states, sample_chain
 from .comparison import (
     UNIVERSAL_CONGESTION_BOUND,
     congestion_delta,
@@ -40,12 +41,13 @@ from .comparison import (
 from .core import tuple_space_size
 from .errors import InvariantViolation, StateCapExceeded
 from .generic import (
+    count_generic_states,
     generic_fraction_exact,
     generic_fraction_mc,
     make_partition,
     verify_tgrev_product_structure,
 )
-from .mixing import _worst_tv_series, kwise_stat_mc, tv_curve
+from .mixing import _worst_tv_series, kwise_stat_mc, mixing_time_exact
 from .reports import csv_lines, dump_kernel, json_dumps
 from .rng import make_rng
 
@@ -302,21 +304,12 @@ def _run_compare_check(args):
 def _run_mix_exact(args):
     spec = _spec_from_args(args)
     kernel = build_kernel(spec)
-    from .mixing import TRANSITIVE_FAMILIES, mixing_time_exact
-
     try:
         tau = mixing_time_exact(kernel, args.eps, max_steps=args.max_steps)
     except RuntimeError as exc:
         raise ValueError(f"{exc}; raise --max-steps") from exc
     # report the worst-start TV decay out to 2*tau
-    t_max = max(2 * tau, 1)
-    if spec.family in TRANSITIVE_FAMILIES:
-        starts = [0]
-    else:
-        starts = range(kernel.size)
-    curves = np.array([tv_curve(kernel, s, t_max) for s in starts])
-    worst = curves.max(axis=0)
-    series = [(t, float(v)) for t, v in enumerate(worst)]
+    series = list(enumerate(islice(_worst_tv_series(kernel), max(2 * tau, 1) + 1)))
     obj = {"kernel": spec.label(), "epsilon": args.eps, "tau": tau,
            "series": [{"t": t, "tv": v} for t, v in series]}
     return obj, ("t", "tv"), series
@@ -328,56 +321,28 @@ MIN_EXPECTED_COUNT = 5
 
 def _run_mix_mc(args):
     spec = _spec_from_args(args)
-    if spec.family == "rev":
-        space = tuple_space_size(spec.k, 1 << spec.n)
-        start = tuple(range(spec.k))
-    elif spec.family in ("ucc", "cc"):
-        space = tuple_space_size(spec.k, spec.ncolors)
-        start = tuple(range(spec.k))
-    else:  # tgrev
-        from .chains import enumerate_generic_states
-        from .generic import count_generic_states
-
+    if spec.family == "tgrev":
         space = count_generic_states(spec.partition)
         start = enumerate_generic_states(spec.k, spec.partition)[0]
+    else:
+        ground = 1 << spec.n if spec.family == "rev" else spec.ncolors
+        space = tuple_space_size(spec.k, ground)
+        start = tuple(range(spec.k))
     if args.samples < MIN_EXPECTED_COUNT * space:
         raise ValueError(
             f"{args.samples} samples over {space} states expect "
             f"{args.samples / space:.3g} per state; the chi-square test "
             f"needs at least {MIN_EXPECTED_COUNT}")
 
-    rng = make_rng(args.seed)
-    counts: dict[tuple[int, ...], int] = {}
-    from . import chains as ch
-
-    tables = None
-    if spec.family == "rev" and spec.gate_mode == "set":
-        from .core import dedupe_gates
-
-        tables = dedupe_gates(spec.n)
-    for _ in range(args.samples):
-        x = start
-        for _ in range(args.t):
-            if spec.family == "ucc":
-                x = ch.step_ucc(x, spec.ncolors, rng)
-            elif spec.family == "cc":
-                x = ch.step_cc(x, spec.ncolors, rng)
-            elif spec.family == "rev":
-                x = ch.step_rev(x, spec.n, rng, spec.gate_mode, tables)
-            else:
-                x = ch.step_tgrev(x, spec.partition, rng)
-        counts[x] = counts.get(x, 0) + 1
-
     m = args.samples
+    ends = sample_chain(spec, np.tile(start, (m, 1)), args.t, make_rng(args.seed))
+    counts = np.unique(ends, axis=0, return_counts=True)[1]
     expected = m / space
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    chi2 += (space - len(counts)) * expected
+    unvisited = space - len(counts)
+    chi2 = float(((counts - expected) ** 2 / expected).sum() + unvisited * expected)
     dof = space - 1
-    from scipy import stats as sps
-
     p_value = float(sps.chi2.sf(chi2, dof))
-    emp_tv = 0.5 * (sum(abs(c / m - 1.0 / space) for c in counts.values())
-                    + (space - len(counts)) / space)
+    emp_tv = float(0.5 * (np.abs(counts / m - 1.0 / space).sum() + unvisited / space))
     obj = {"kernel": spec.label(), "t": args.t, "samples": m, "states": space,
            "distinct_visited": len(counts), "chi2": chi2, "dof": dof,
            "p_value": p_value, "empirical_tv": emp_tv, "seed": args.seed}

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 from scipy import stats as sps
 
-from .chains import ChainSpec, Kernel, build_kernel
+from .chains import ChainSpec, Kernel, build_kernel, sample_chain
 from .rng import split_rngs
 
 # chains whose color-permutation symmetry makes every start equivalent
@@ -83,12 +83,15 @@ def pointwise_relative_error(kernel: Kernel, start: int, t: int) -> float:
     return float(np.max(np.abs(p - pi) / pi))
 
 
-def _worst_tv_series(kernel: Kernel, all_starts: bool) -> Iterator[float]:
+def _worst_tv_series(kernel: Kernel, all_starts: bool | None = None) -> Iterator[float]:
     """Worst-start TV(p_x^t, pi) for t = 0, 1, 2, ... (without end).
 
     Every start is tracked as one column of a dense matrix of
-    distributions; with ``all_starts`` false only state 0 is.
+    distributions; with ``all_starts`` false only state 0 is. By default
+    a chain marked transitive tracks state 0 alone, any other every start.
     """
+    if all_starts is None:
+        all_starts = kernel.meta.get("family") not in TRANSITIVE_FAMILIES
     pt = kernel.transpose_csr()
     if all_starts:
         dists = np.eye(kernel.size)
@@ -116,8 +119,6 @@ def mixing_time_exact(
         raise ValueError("need 0 < epsilon < 1")
     if max_steps < 0:
         raise ValueError("need max_steps >= 0")
-    if all_starts is None:
-        all_starts = kernel.meta.get("family") not in TRANSITIVE_FAMILIES
     for t, worst in zip(range(max_steps + 1), _worst_tv_series(kernel, all_starts)):
         if worst <= epsilon:
             return t
@@ -210,26 +211,12 @@ def sample_circuit_outputs(
 ) -> np.ndarray:
     """Apply `samples` independent random circuits to one start tuple.
 
-    Returns a (samples, k) array of output strings. Vectorized over the
-    sample axis: each step draws one parameter-uniform gate per circuit
-    and applies it to all k coordinates.
+    Returns a (samples, k) uint64 array of output strings: `gates` steps
+    of the parameter-uniform rev chain from every row of a tiled start.
     """
-    if n < 3 or n > 64:
-        raise ValueError(f"need 3 <= n <= 64, got {n}")
-    if not 1 <= k <= (1 << n):
-        raise ValueError("need 1 <= k <= 2^n")
     x = np.tile(_default_start(n, k) if start is None else
                 np.asarray(start, dtype=np.uint64), (samples, 1))
-    for _ in range(gates):
-        target = rng.integers(0, n, size=samples, dtype=np.uint64)
-        j1 = (target + 1 + rng.integers(0, n - 1, size=samples, dtype=np.uint64)) % n
-        j2 = (target + 1 + rng.integers(0, n - 1, size=samples, dtype=np.uint64)) % n
-        h = rng.integers(0, 16, size=samples, dtype=np.uint64)
-        a = (x >> j1[:, None]) & 1
-        b = (x >> j2[:, None]) & 1
-        hbit = (h[:, None] >> ((a << 1) | b)) & 1
-        x ^= hbit << target[:, None]
-    return x
+    return sample_chain(ChainSpec(family="rev", k=k, n=n), x, gates, rng)
 
 
 def sample_uniform_tuples(

@@ -1,8 +1,5 @@
 """Exact kernels: closed-form entries, symmetry, and sampler agreement."""
 
-import itertools
-import math
-
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -15,10 +12,7 @@ from kwmix.chains import (
     build_tgrev_kernel,
     enumerate_generic_states,
     product_kernel,
-    step_cc,
-    step_rev,
-    step_tgrev,
-    step_ucc,
+    sample_chain,
 )
 from kwmix.core import apply_gate_to_int, enumerate_gates, enumerate_tuples
 from kwmix.errors import StateCapExceeded
@@ -229,71 +223,85 @@ def test_grev_reversible_under_measured_stationary(toy_partition):
 
 
 # ---------------------------------------------------------------------------
-# step samplers agree with kernel rows
+# the batch step sampler agrees with kernel rows
 # ---------------------------------------------------------------------------
 
+SAMPLED_SPECS = {
+    "ucc": ChainSpec(family="ucc", k=2, ncolors=4),
+    "cc": ChainSpec(family="cc", k=2, ncolors=4),
+    "cc-k3": ChainSpec(family="cc", k=3, ncolors=6),
+    "rev": ChainSpec(family="rev", k=2, n=3),
+    "rev-set": ChainSpec(family="rev", k=2, n=3, gate_mode="set"),
+    "tgrev": ChainSpec(family="tgrev", k=2, n=3, partition=make_partition(3, 2, w=2, p=1)),
+    "tgrev-k3": ChainSpec(family="tgrev", k=3, n=5,
+                          partition=make_partition(5, 3, w=2, p=2)),
+}
 
-def _chi_square_vs_row(counts, kernel, start_state, steps):
-    index = {s: i for i, s in enumerate(kernel.states)}
-    row = kernel.dense()[index[start_state]]
-    observed = np.zeros(len(row))
-    for state, c in counts.items():
-        observed[index[state]] += c
+
+@pytest.mark.parametrize("name", list(SAMPLED_SPECS))
+def test_step_sampler_matches_kernel_row(name):
+    spec = SAMPLED_SPECS[name]
+    kernel = build_kernel(spec)
+    start = 0 if spec.family == "tgrev" else kernel.states.index(tuple(range(spec.k)))
+    samples = 1_000_000
+    ends = sample_chain(spec, np.tile(kernel.states[start], (samples, 1)), 1, make_rng(7))
+    # every value in these chains is below 64, so base-64 keys rank the tuples
+    weights = 64 ** np.arange(spec.k)
+    keys, counts = np.unique(ends.astype(np.int64) @ weights, return_counts=True)
+    index = {int(np.array(s) @ weights): i for i, s in enumerate(kernel.states)}
+    observed = np.zeros(kernel.size)
+    observed[[index[int(key)] for key in keys]] = counts
+    row = kernel.matrix.getrow(start).toarray().ravel()
     support = row > 0
     assert not observed[~support].any()
-    chi2 = ((observed[support] - steps * row[support]) ** 2
-            / (steps * row[support])).sum()
-    dof = int(support.sum()) - 1
-    return float(sps.chi2.sf(chi2, dof))
+    chi2 = ((observed[support] - samples * row[support]) ** 2
+            / (samples * row[support])).sum()
+    assert sps.chi2.sf(chi2, int(support.sum()) - 1) > SIGNIFICANCE
 
 
-@pytest.mark.parametrize("family", ["ucc", "cc", "rev", "tgrev"])
-def test_step_sampler_matches_kernel_row(family):
-    steps = 1_000_000
-    rng = make_rng(7)
-    part = make_partition(3, 2, w=2, p=1)
-    if family == "ucc":
-        spec = ChainSpec(family="ucc", k=2, ncolors=4)
-        start, stepper = (0, 1), lambda x: step_ucc(x, 4, rng)
-    elif family == "cc":
-        spec = ChainSpec(family="cc", k=2, ncolors=4)
-        start, stepper = (0, 1), lambda x: step_cc(x, 4, rng)
-    elif family == "rev":
-        spec = ChainSpec(family="rev", k=2, n=3)
-        start, stepper = (0, 1), lambda x: step_rev(x, 3, rng)
-    else:
-        spec = ChainSpec(family="tgrev", k=2, n=3, partition=part)
-        start, stepper = (0, 1), lambda x: step_tgrev(x, part, rng)
-    kernel = build_kernel(spec)
-    counts = {}
-    for _ in range(steps):
-        y = stepper(start)
-        counts[y] = counts.get(y, 0) + 1
-    p_value = _chi_square_vs_row(counts, kernel, start, steps)
-    assert p_value > SIGNIFICANCE
+def _assert_distinct_for_50_steps(spec, seed):
+    rng = make_rng(seed)
+    x = np.tile(np.arange(spec.k) * 2 + 1, (2_000, 1))
+    for _ in range(50):
+        x = sample_chain(spec, x, 1, rng)
+        assert (np.diff(np.sort(x, axis=1), axis=1) != 0).all()
 
 
 def test_step_rev_preserves_distinctness():
-    rng = make_rng(3)
-    x = (0, 5, 7)
-    for _ in range(10_000):
-        x = step_rev(x, 3, rng)
-        assert len(set(x)) == 3
+    for name in ("rev", "rev-set"):
+        _assert_distinct_for_50_steps(SAMPLED_SPECS[name], 3)
 
 
-def test_step_tgrev_stays_generic(toy_partition):
+def test_step_coloring_preserves_distinctness():
+    for name in ("ucc", "cc-k3"):
+        _assert_distinct_for_50_steps(SAMPLED_SPECS[name], 5)
+
+
+def test_step_tgrev_stays_generic():
     from kwmix.generic import is_generic
 
     rng = make_rng(11)
-    x = (0, 1)
-    assert is_generic(x, toy_partition)
-    for _ in range(100_000):
-        x = step_tgrev(x, toy_partition, rng)
-        assert is_generic(x, toy_partition)
+    for spec in (SAMPLED_SPECS["tgrev"], SAMPLED_SPECS["tgrev-k3"]):
+        x = np.tile(enumerate_generic_states(spec.k, spec.partition)[0], (500, 1))
+        for _ in range(20):
+            x = sample_chain(spec, x, 1, rng)
+            assert all(is_generic(tuple(int(v) for v in row), spec.partition)
+                       for row in x)
 
 
 def test_step_tgrev_rejects_degenerate_partition():
-    part = make_partition(4, 2, w=2, p=2)  # empty remainder
+    # (w, p) = (2, 2) leaves no remainder on 4 wires; (1, 0) has no block
+    for w, p in ((2, 2), (1, 0)):
+        spec = ChainSpec(family="tgrev", k=2, n=4, partition=make_partition(4, 2, w=w, p=p))
+        with pytest.raises(ValueError):
+            sample_chain(spec, np.array([[0, 1]]), 1, make_rng(0))
+
+
+def test_sampler_rejects_families_without_moves_and_bad_shapes():
     rng = make_rng(0)
     with pytest.raises(ValueError):
-        step_tgrev((0, 1), part, rng)
+        sample_chain(ChainSpec(family="complete", ncolors=3), np.zeros((2, 1)), 1, rng)
+    with pytest.raises(ValueError):
+        sample_chain(SAMPLED_SPECS["rev"], np.zeros((2, 3)), 1, rng)
+    with pytest.raises(ValueError):
+        sample_chain(SAMPLED_SPECS["rev"], np.zeros((2, 2)), -1, rng)

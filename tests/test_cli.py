@@ -203,6 +203,23 @@ def test_mix_mc_refuses_too_few_samples_per_state(capsys):
     assert "invalid configuration" in err and "at least 5" in err
 
 
+def test_mix_mc_is_seed_deterministic(capsys):
+    argv = ("mix-mc", "--chain", "rev", "--n", "3", "--k", "2", "--t", "10",
+            "--samples", "2000", "--seed")
+    outs = [run_cli(capsys, *argv, seed) for seed in ("4", "4", "5")]
+    assert all(code == 0 for code, _, _ in outs)
+    assert outs[0][1] == outs[1][1] != outs[2][1]
+
+
+def test_zero_block_partition_exits_2(capsys):
+    # a partition without blocks would make equal-row tuples "generic"
+    code, out, err = run_cli(capsys, "gap", "--chain", "grev", "--n", "3", "--k", "2",
+                             "--part-w", "1", "--part-p", "0")
+    assert code == 2
+    assert out == ""
+    assert "invalid configuration" in err and "at least one block" in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])

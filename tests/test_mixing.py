@@ -199,6 +199,13 @@ def test_harness_is_deterministic():
     assert a == b
 
 
+def test_circuit_draw_order_is_pinned():
+    # fixed by the order and dtype of the target, control and truth-table
+    # draws of the rev step; any change to them moves this value
+    report = kwise_stat_mc(n=6, k=2, gates=50, samples=2000, seed=3)
+    assert report.chi2 == 53.54800000000001
+
+
 def test_harness_calibration_rejection_rate():
     # on truly uniform inputs the rejection rate at significance s must sit
     # within 3 sigma of s across 200 independent harness runs
