@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .chains import Kernel
-from .core import enumerate_tuples, tuple_index, tuple_space_size, tuple_unindex
+from .chains import Kernel, _tuple_states
 from .rng import split_rngs
 
 
@@ -243,34 +242,24 @@ def verify_reversible(kernel: Kernel, tol: float = 1e-12) -> ReversibilityReport
 
 def restrict_conditional(f: np.ndarray, i: int, c: int, k: int, N: int) -> np.ndarray:
     """Restriction of f to the slice {x_i = c}, re-indexed over the
-    (k-1)-tuple space with color c removed (order-preserving relabeling)."""
-    f = _check_tuple_function(f, k, N)
+    (k-1)-tuple space with color c removed (order-preserving relabeling).
+
+    The slice in lex order of the k-tuples is already in lex order of the
+    relabeled (k-1)-tuples, so the restriction is a boolean mask."""
+    f, states = _tuple_function(f, k, N)
     if not 0 <= i < k:
         raise IndexError(f"coordinate {i} out of range for k={k}")
     if not 0 <= c < N:
         raise IndexError(f"color {c} out of range for N={N}")
-    if k == 1:
-        return np.array([f[tuple_index((c,), N)]])
-    sub = tuple_space_size(k - 1, N - 1)
-    out = np.empty(sub)
-    for idx in range(sub):
-        small = tuple_unindex(idx, k - 1, N - 1)
-        lifted = tuple(v if v < c else v + 1 for v in small)
-        full = lifted[:i] + (c,) + lifted[i:]
-        out[idx] = f[tuple_index(full, N)]
-    return out
+    return f[states[:, i] == c]
 
 
 def marginal(f: np.ndarray, i: int, k: int, N: int) -> np.ndarray:
     """F_i(c): average of f over the slice {x_i = c}, for each color c."""
-    f = _check_tuple_function(f, k, N)
+    f, states = _tuple_function(f, k, N)
     if not 0 <= i < k:
         raise IndexError(f"coordinate {i} out of range for k={k}")
-    sums = np.zeros(N)
-    for idx, t in enumerate(enumerate_tuples(k, N)):
-        sums[t[i]] += f[idx]
-    slice_size = tuple_space_size(k, N) // N
-    return sums / slice_size
+    return np.bincount(states[:, i], weights=f, minlength=N) / (len(f) // N)
 
 
 def chain_rule_residual(f: np.ndarray, i: int, k: int, N: int) -> float:
@@ -279,28 +268,22 @@ def chain_rule_residual(f: np.ndarray, i: int, k: int, N: int) -> float:
     The conditional-entropy chain rule says this vanishes identically;
     anything beyond roundoff indicates a bug in the entropy machinery.
     """
-    f = _check_tuple_function(f, k, N)
-    size = tuple_space_size(k, N)
-    pi_full = np.full(size, 1.0 / size)
-    lhs = entropy(pi_full, f)
-
+    f, _ = _tuple_function(f, k, N)
+    lhs = entropy(np.full(len(f), 1.0 / len(f)), f)
     cond_terms = []
-    if k == 1:
-        cond_terms = [0.0] * N
-    else:
-        sub = tuple_space_size(k - 1, N - 1)
-        pi_sub = np.full(sub, 1.0 / sub)
-        for c in range(N):
-            cond_terms.append(entropy(pi_sub, restrict_conditional(f, i, c, k, N)))
+    for c in range(N):
+        sliced = restrict_conditional(f, i, c, k, N)
+        cond_terms.append(entropy(np.full(len(sliced), 1.0 / len(sliced)), sliced))
     marg = marginal(f, i, k, N)
     pi_colors = np.full(N, 1.0 / N)
     rhs = math.fsum(cond_terms) / N + entropy(pi_colors, marg)
     return abs(lhs - rhs)
 
 
-def _check_tuple_function(f: np.ndarray, k: int, N: int) -> np.ndarray:
+def _tuple_function(f: np.ndarray, k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """f as floats over the k-tuple space, with that space's state array."""
+    states = _tuple_states(k, N, f"tuple function(k={k},N={N})")[1]
     f = np.asarray(f, dtype=float)
-    size = tuple_space_size(k, N)
-    if f.shape != (size,):
-        raise ValueError(f"function has shape {f.shape}, expected ({size},)")
-    return f
+    if f.shape != (len(states),):
+        raise ValueError(f"function has shape {f.shape}, expected ({len(states)},)")
+    return f, states

@@ -62,8 +62,10 @@ def _chain_arguments(sub: argparse.ArgumentParser, families: tuple[str, ...]) ->
     sub.add_argument("--part-p", type=int, help="partition block count override")
 
 
-def _common_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0)
+def _common_arguments(sub: argparse.ArgumentParser, seed: bool = False) -> None:
+    """--format and --out; --seed only for subcommands that draw randomness."""
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
 
@@ -107,14 +109,14 @@ def build_parser() -> argparse.ArgumentParser:
     _chain_arguments(sub, ("rev", "cc", "ucc", "tgrev", "complete"))
     sub.add_argument("--restarts", type=int, default=200)
     sub.add_argument("--tol", type=float, default=1e-10)
-    _common_arguments(sub)
+    _common_arguments(sub, seed=True)
 
     sub = subs.add_parser("chain-rule-check", help="residual of the "
                           "conditional-entropy chain rule on random functions")
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--N", type=int, dest="ncolors", required=True)
     sub.add_argument("--count", type=int, default=100)
-    _common_arguments(sub)
+    _common_arguments(sub, seed=True)
 
     sub = subs.add_parser("congestion", help="exact comparison constant of "
                           "the uniform-to-standard recoloring path map")
@@ -127,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--N", type=int, dest="ncolors", required=True)
     sub.add_argument("--count", type=int, default=100)
-    _common_arguments(sub)
+    _common_arguments(sub, seed=True)
 
     sub = subs.add_parser("mix-exact", help="exact mixing time and TV decay")
     _chain_arguments(sub, ("rev", "cc", "ucc", "grev", "tgrev", "complete"))
@@ -140,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     _chain_arguments(sub, ("rev", "cc", "ucc", "tgrev"))
     sub.add_argument("--t", type=int, required=True)
     sub.add_argument("--samples", type=int, default=100_000)
-    _common_arguments(sub)
+    _common_arguments(sub, seed=True)
 
     sub = subs.add_parser("kwise-exact", help="exact k-wise approximation "
                           "error of the t-gate circuit (max-start TV)")
@@ -160,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default="xor")
     sub.add_argument("--bins", type=int)
     sub.add_argument("--sampler", choices=("circuit", "uniform"), default="circuit")
-    _common_arguments(sub)
+    _common_arguments(sub, seed=True)
 
     sub = subs.add_parser("generic-frac", help="generic-state fraction "
                           "(Monte Carlo with Wilson interval, or exact)")
@@ -171,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--samples", type=int, default=10_000)
     sub.add_argument("--exact", action="store_true",
                      help="enumerate instead of sampling (tiny n only)")
-    _common_arguments(sub)
+    _common_arguments(sub, seed=True)
 
     sub = subs.add_parser("tgrev-verify", help="verify the product structure "
                           "of the generic-state product chain")

@@ -9,19 +9,30 @@ vertex j to i's old color, then move i to j's old color.
 The congestion of this map is computed exactly: for every standard-chain
 edge, the expected weighted load over all uniform-chain moves, with the
 expectation over l' evaluated by exact averaging rather than sampling.
+The loads are assembled as integer moves on the state array, the same
+path that builds the kernels.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
 from .analysis import dirichlet_form
-from .chains import ChainSpec, Kernel, build_kernel
-from .core import enumerate_tuples, recolor, tuple_space_size
-from .errors import InvariantViolation, check_state_cap
+from .chains import (
+    ChainSpec,
+    Kernel,
+    Moves,
+    _assemble,
+    _recolor_moves,
+    _state_index,
+    _tuple_states,
+    build_kernel,
+)
+from .core import recolor
+from .errors import InvariantViolation
 
 UNIVERSAL_CONGESTION_BOUND = 19.0  # 1 + 9*2, valid whenever k <= N/2
 
@@ -134,47 +145,47 @@ def congestion_delta(k: int, N: int) -> CongestionResult:
     For every standard-chain edge (a, b): sum over uniform-chain moves of
     E[1{(a,b) on path} * path length] * pi~(x) P~(x, move) / (pi(a) P(a, b)),
     maximized over (a, b). Both stationary laws are uniform on the same
-    space, so each term reduces to a count times (N-k+1)/N.
+    space, so each term reduces to a load times (N-k+1)/N over the
+    standard chain's draw count of the edge.
+
+    Loads are integers in units of 1/(N-k): a fresh or own color is a
+    direct edge loaded N-k, and a swap loads each of its three path edges
+    3 for each of the N-k detour colors. Among equal maxima the first
+    edge in (row, col) order is reported.
     """
     if not 1 <= k <= N - 1:
         raise ValueError(f"need 1 <= k < N, got k={k}, N={N}")
-    size = tuple_space_size(k, N)
-    check_state_cap(size, f"congestion(k={k},N={N})")
+    states, x = _tuple_states(k, N, f"congestion(k={k},N={N})")
+    index = _state_index(x, N)
+    src = np.arange(len(x))
 
-    # load[e] accumulates E[1{e on path} * |path|] summed over all
-    # (state, vertex, color) draws; each draw has uniform-chain weight
-    # 1/(kN) and every path edge has standard-chain weight 1/(k(N-k+1)),
-    # so the final ratio per unit load is (N-k+1)/N.
-    load: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
-    states = tuple(enumerate_tuples(k, N))
-    for x in states:
-        unused = [c for c in range(N) if c not in x]
-        for i in range(k):
-            for color in range(N):
-                if color == x[i] or color not in x:
-                    edge = (x, recolor(x, i, color))
-                    load[edge] = load.get(edge, 0.0) + 1.0
-                    continue
-                weight = 3.0 / len(unused)  # |path| = 3, l' uniform over unused
-                for free_color in unused:
-                    path = delta_path(x, i, color, N, free_color=free_color)
-                    for edge in path.edges:
-                        load[edge] = load.get(edge, 0.0) + weight
+    def loaded_moves() -> Moves:
+        for a, b, _ in _recolor_moves(x, N, index, swaps=False):
+            yield a, b, N - k
+        for free in range(N):
+            unused = ~(x == free).any(axis=1)
+            for i, j in permutations(range(k), 2):
+                path = [x[unused]]
+                for coord, color in ((i, free), (j, path[0][:, i]), (i, path[0][:, j])):
+                    step = path[-1].copy()
+                    step[:, coord] = color
+                    path.append(step)
+                ranks = [src[unused]] + [index(step) for step in path[1:]]
+                for a, b in zip(ranks, ranks[1:]):
+                    yield a, b, 3
 
-    scale = (N - k + 1) / N
-    best_edge = None
-    best = -math.inf
-    for edge, units in load.items():
-        a, b = edge
-        if not is_cc_move(a, b, N):
-            raise InvariantViolation(f"path used a non-edge of the standard chain: {edge}")
-        # self-loop targets have k times the per-draw standard probability
-        ratio = units * scale / (k if a == b else 1.0)
-        if ratio > best:
-            best = ratio
-            best_edge = edge
+    draws = _assemble(_recolor_moves(x, N, index, swaps=False), len(x), 1)
+    loads = _assemble(loaded_moves(), len(x), 1)
+    # every standard edge is loaded, so equal patterns mean no other edge is
+    if not (np.array_equal(loads.indptr, draws.indptr)
+            and np.array_equal(loads.indices, draws.indices)):
+        raise InvariantViolation("a path uses an edge of no standard-chain move")
+    ratio = loads.data * (N - k + 1) / ((N - k) * N * draws.data)
+    best = int(np.argmax(ratio))
+    row = int(np.searchsorted(loads.indptr, best, side="right")) - 1
     return CongestionResult(
-        k=k, N=N, a_delta=best, argmax_edge=best_edge,
+        k=k, N=N, a_delta=float(ratio[best]),
+        argmax_edge=(states[row], states[int(loads.indices[best])]),
         formula_bound=congestion_formula_bound(k, N),
     )
 

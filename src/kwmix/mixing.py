@@ -30,15 +30,6 @@ TRANSITIVE_FAMILIES = {"ucc", "cc", "complete"}
 MC_STREAMS = 8
 
 
-def validate_distribution(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.min() < -tol:
-        raise ValueError(f"negative probability {p.min()}")
-    if abs(math.fsum(p.tolist()) - 1.0) > tol:
-        raise ValueError("distribution does not sum to 1")
-    return p
-
-
 def evolve(kernel: Kernel, start: int, t: int) -> np.ndarray:
     """Exact t-step distribution from a point mass at state `start`."""
     if t < 0:
@@ -100,7 +91,15 @@ def _worst_tv_series(kernel: Kernel, all_starts: bool | None = None) -> Iterator
         dists[0, 0] = 1.0
     pi = kernel.stationary[:, None]
     while True:
-        yield float(np.max(0.5 * np.abs(dists - pi).sum(axis=0)))
+        # column sums of |dists - pi|, added pairwise by halving the rows
+        dev = dists - pi
+        np.abs(dev, out=dev)
+        rows = len(dev)
+        while rows > 1:
+            half = rows // 2
+            dev[:half] += dev[rows - half:rows]
+            rows -= half
+        yield float(np.max(0.5 * dev[0]))
         dists = pt @ dists
 
 
@@ -245,19 +244,17 @@ def kwise_stat_mc(
     statistic: str = "xor",
     seed: int = 0,
     bins: int | None = None,
-    gate_mode: str = "parameter",
     sampler: str = "circuit",
 ) -> StatTestReport:
     """Chi-square test of a projected circuit-output statistic against its
     exact law under uniform distinct tuples.
 
-    ``sampler="uniform"`` replaces the circuits by direct uniform tuples
-    (the positive control for the harness itself). Sampling is split
-    over a fixed number of Philox streams for scheduler-independent
+    Circuits draw their gates from the parameter measure;
+    ``sampler="uniform"`` replaces them by direct uniform tuples (the
+    positive control for the harness itself). Sampling is split over a
+    fixed number of Philox streams for scheduler-independent
     reproducibility.
     """
-    if gate_mode != "parameter":
-        raise ValueError("Monte Carlo circuit sampling supports the parameter measure only")
     if sampler not in ("circuit", "uniform"):
         raise ValueError(f"unknown sampler {sampler!r}")
     if samples < 1:
@@ -289,7 +286,7 @@ def kwise_stat_mc(
     p_value = float(sps.chi2.sf(chi2, dof)) if math.isfinite(chi2) else 0.0
     return StatTestReport(
         n=n, k=k, gates=gates, samples=samples, statistic=statistic, bins=bins,
-        chi2=chi2, dof=dof, p_value=p_value, seed=seed, gate_mode=gate_mode,
+        chi2=chi2, dof=dof, p_value=p_value, seed=seed, gate_mode="parameter",
         sampler=sampler,
     )
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import IO, Iterable, Sequence
 
+import numpy as np
+
 from .chains import Kernel
 
 
@@ -91,15 +93,19 @@ def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
 
 
 def dump_kernel(kernel: Kernel, fp: IO[str]) -> None:
-    """Kernel dump: one JSON header line, then CSV (row, col, prob) triples."""
+    """Kernel dump: one JSON header line, then CSV (row, col, prob) triples
+    in (row, col) order, duplicate entries summed."""
     header = dict(kernel.meta)
     fp.write(json_dumps(header))
     fp.write("\n")
     fp.write("row,col,prob\n")
-    m = kernel.matrix.tocoo()
-    order = sorted(range(m.nnz), key=lambda j: (int(m.row[j]), int(m.col[j])))
-    for j in order:
-        fp.write(f"{int(m.row[j])},{int(m.col[j])},{fmt_float(float(m.data[j]))}\n")
+    m = kernel.matrix.tocsr()
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    fp.writelines(f"{r},{c},{fmt_float(p)}\n" for r, c, p in
+                  zip(rows.tolist(), m.indices.tolist(), m.data.tolist()))
 
 
 def load_kernel_dump(fp: IO[str]) -> tuple[dict, list[tuple[int, int, float]]]:

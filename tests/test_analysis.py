@@ -20,7 +20,7 @@ from kwmix.analysis import (
     verify_reversible,
 )
 from kwmix.chains import ChainSpec, Kernel, build_kernel, product_kernel
-from kwmix.core import enumerate_tuples, tuple_index, tuple_space_size
+from kwmix.core import enumerate_tuples, tuple_index, tuple_space_size, tuple_unindex
 from kwmix.rng import make_rng
 
 
@@ -232,6 +232,32 @@ def test_restriction_indices_align_with_slice():
             slice_vals = sorted(f[tuple_index(t, N)]
                                 for t in enumerate_tuples(k, N) if t[i] == c)
             assert sorted(r.tolist()) == pytest.approx(slice_vals)
+
+
+def _restrict_reference(f, i, c, k, N):
+    """Per-tuple restriction: unrank each (k-1)-tuple, lift it past color c,
+    insert c at coordinate i and look the full tuple up."""
+    if k == 1:
+        return np.array([f[tuple_index((c,), N)]])
+    out = []
+    for idx in range(tuple_space_size(k - 1, N - 1)):
+        small = tuple_unindex(idx, k - 1, N - 1)
+        lifted = tuple(v if v < c else v + 1 for v in small)
+        out.append(f[tuple_index(lifted[:i] + (c,) + lifted[i:], N)])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("k,N", [(1, 4), (2, 4), (2, 5), (3, 5), (3, 6), (4, 6)])
+def test_restriction_and_marginal_match_per_tuple_reference(k, N):
+    f = make_rng(k * 10 + N).random(tuple_space_size(k, N))
+    for i in range(k):
+        sums = np.zeros(N)
+        for idx, t in enumerate(enumerate_tuples(k, N)):
+            sums[t[i]] += f[idx]
+        assert marginal(f, i, k, N).tolist() == (sums / (len(f) // N)).tolist()
+        for c in range(N):
+            assert (restrict_conditional(f, i, c, k, N).tolist()
+                    == _restrict_reference(f, i, c, k, N).tolist())
 
 
 def test_chain_rule_constant_function():

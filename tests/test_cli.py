@@ -24,6 +24,20 @@ def test_congestion_csv(capsys):
     assert float(cells[2]) <= 19.0
 
 
+def test_congestion_prints_plain_argmax_edge(capsys):
+    code, out, _ = run_cli(capsys, "congestion", "--k", "4", "--N", "9",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["argmax_edge"] == "(0, 1, 2, 3)->(0, 1, 2, 4)"
+
+
+def test_seed_is_refused_where_nothing_is_random(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gap", "--chain", "ucc", "--k", "2", "--N", "4", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_gap_json(capsys):
     code, out, _ = run_cli(capsys, "gap", "--chain", "ucc", "--k", "2",
                            "--N", "4", "--format", "json")

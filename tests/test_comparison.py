@@ -127,7 +127,9 @@ def _congestion_oracle(k, N):
     return best
 
 
-@pytest.mark.parametrize("k,N", [(1, 5), (2, 4), (2, 6), (3, 6)])
+# at (2, 12), N - k > 9: a self-loop would top the maximum if its draw
+# count k were dropped
+@pytest.mark.parametrize("k,N", [(1, 5), (2, 4), (2, 6), (2, 12), (3, 6), (3, 8)])
 def test_congestion_matches_brute_force_oracle(k, N):
     oracle = _congestion_oracle(k, N)
     result = congestion_delta(k, N)
@@ -141,6 +143,15 @@ def test_congestion_small_cases_frozen_values():
     assert congestion_delta(2, 4).a_delta == pytest.approx(4.125, abs=1e-12)
     assert congestion_delta(2, 6).a_delta == pytest.approx(65 / 24, rel=1e-13)
     assert congestion_delta(3, 6).a_delta == pytest.approx(14 / 3, rel=1e-13)
+
+
+def test_congestion_argmax_is_first_maximal_edge():
+    # every off-diagonal edge attains the maximum at k=4, N=9; the report
+    # names the first in (row, col) order, as Python ints
+    result = congestion_delta(4, 9)
+    assert result.a_delta == 64 / 15
+    assert result.argmax_edge == ((0, 1, 2, 3), (0, 1, 2, 4))
+    assert all(type(v) is int for state in result.argmax_edge for v in state)
 
 
 def test_congestion_below_both_bounds():

@@ -8,6 +8,7 @@ import pytest
 
 from kwmix.chains import ChainSpec, build_kernel
 from kwmix.mixing import (
+    _worst_tv_series,
     evolve,
     kwise_stat_mc,
     kwise_tv_exact,
@@ -105,6 +106,13 @@ def test_pointwise_threshold_finite_and_monotone(rev32):
 def test_kwise_tv_at_zero_steps():
     size = 8 * 7
     assert kwise_tv_exact(3, 2, 0) == pytest.approx(1 - 1 / size, abs=1e-14)
+
+
+def test_worst_tv_at_zero_steps_is_accurate_to_2_ulps():
+    # 992 starts, each column 1 - 1/992 and 991 entries 1/992 from pi
+    kernel = build_kernel(ChainSpec(family="rev", k=2, n=5))
+    exact = 1 - 1 / 992
+    assert abs(next(_worst_tv_series(kernel)) - exact) <= 2 * math.ulp(exact)
 
 
 def test_kwise_tv_decays_monotonically():
