@@ -50,7 +50,7 @@ from .core import (
     tuple_space_size,
 )
 from .errors import InvariantViolation, check_state_cap
-from .generic import Partition, extract_block, insert_block
+from .generic import Partition, count_generic_states, extract_block, insert_block
 
 FAMILIES = ("rev", "cc", "ucc", "grev", "tgrev", "complete")
 GATE_MODES = ("parameter", "set")
@@ -367,27 +367,17 @@ def enumerate_generic_states(k: int, partition: Partition) -> tuple[tuple[int, .
     """All generic states, ordered as the product of per-block tuple
     indices (major) and remainder bits in (row, wire) order (minor)."""
     _check_partition_rows(k, partition)
-    from itertools import product
-
-    block_tuples = tuple(enumerate_tuples(k, 1 << partition.w))
-    rem = partition.remainder
-    size = len(block_tuples) ** partition.p * (1 << (k * len(rem)))
-    check_state_cap(size, f"generic(k={k},n={partition.n})")
-
-    rem_patterns = tuple(product((0, 1), repeat=k * len(rem))) if rem else ((),)
-    states = []
-    for blocks in product(block_tuples, repeat=partition.p):
-        base = [0] * k
-        for t, vals in enumerate(blocks):
-            for r in range(k):
-                base[r] = insert_block(base[r], partition.blocks[t], vals[r])
-        for bits in rem_patterns:
-            rows = list(base)
-            for r in range(k):
-                for m, pos in enumerate(rem):
-                    rows[r] |= bits[r * len(rem) + m] << pos
-            states.append(tuple(rows))
-    return tuple(states)
+    check_state_cap(count_generic_states(partition), f"generic(k={k},n={partition.n})")
+    _, block_tuples = _tuple_states(k, 1 << partition.w, f"block(k={k},w={partition.w})")
+    digits = np.indices((len(block_tuples),) * partition.p).reshape(partition.p, -1)
+    base = sum(insert_block(0, block, block_tuples[d])
+               for block, d in zip(partition.blocks, digits))
+    rem = np.array(partition.remainder, dtype=np.int64)
+    nbits = k * len(rem)
+    bits = np.arange(1 << nbits)[:, None] >> np.arange(nbits - 1, -1, -1) & 1
+    tails = (bits.reshape(1 << nbits, k, len(rem)) << rem).sum(axis=2)
+    states = (base[:, None, :] | tails[None, :, :]).reshape(-1, k)
+    return tuple(map(tuple, states.tolist()))
 
 
 def _check_partition_rows(k: int, partition: Partition) -> None:

@@ -171,9 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--part-w", type=int)
     sub.add_argument("--part-p", type=int)
     sub.add_argument("--samples", type=int, default=10_000)
-    sub.add_argument("--exact", action="store_true",
-                     help="enumerate instead of sampling (tiny n only)")
-    _common_arguments(sub, seed=True)
+    mode = sub.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true", help="enumerate all distinct "
+                      "tuples (at most 10^7) instead of sampling; takes no --seed")
+    mode.add_argument("--seed", type=int, default=0)
+    _common_arguments(sub)
 
     sub = subs.add_parser("tgrev-verify", help="verify the product structure "
                           "of the generic-state product chain")
@@ -389,8 +391,7 @@ def _run_generic_frac(args):
                "fraction_numerator": frac.numerator,
                "fraction_denominator": frac.denominator}
         header = ("n", "k", "w", "p", "mode", "fraction")
-        rows = [(args.n, args.k, partition.w, partition.p, "exact", float(frac))]
-        return obj, header, rows
+        return obj, header, [tuple(obj[h] for h in header)]
     est = generic_fraction_mc(partition, args.samples, seed=args.seed)
     obj = {"n": args.n, "k": args.k, "w": partition.w, "p": partition.p,
            "mode": "mc", "fraction": est.fraction, "hits": est.hits,
@@ -399,10 +400,7 @@ def _run_generic_frac(args):
            "union_bound_low": est.union_bound_low, "seed": args.seed}
     header = ("n", "k", "w", "p", "mode", "fraction", "wilson_low",
               "wilson_high", "union_bound_low", "samples", "seed")
-    rows = [(args.n, args.k, partition.w, partition.p, "mc", est.fraction,
-             est.wilson_low, est.wilson_high, est.union_bound_low,
-             est.samples, args.seed)]
-    return obj, header, rows
+    return obj, header, [tuple(obj[h] for h in header)]
 
 
 def _run_tgrev_verify(args):

@@ -7,7 +7,8 @@ gate is an involution and therefore a permutation of {0,1}^n.
 Tuples of k pairwise-distinct values from a ground set of size N (the
 common state space of the coloring chains, and of circuit states with
 N = 2^n) are indexed lexicographically so kernels can address them as a
-contiguous integer range.
+contiguous integer range. Uniform distinct tuples of n-bit strings are
+sampled as arrays of 64-bit words, so n is not bounded by a word.
 """
 
 from __future__ import annotations
@@ -213,6 +214,28 @@ def tuple_unindex(idx: int, k: int, N: int) -> tuple[int, ...]:
         if pos + 1 < k:
             suffix //= N - 1 - pos
     return tuple(out)
+
+
+def sample_uniform_tuples(
+    n: int, k: int, samples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Uniform distinct k-tuples of n-bit strings, as a (samples, k, W)
+    uint64 array of little-endian 64-bit words, W = ceil(n / 64).
+
+    Word j of every row is one ``rng.integers`` draw over min(64, n - 64j)
+    bits; samples with two equal rows are drawn again."""
+    if n < 1 or not 1 <= k <= 1 << n:
+        raise ValueError(f"need n >= 1 and 1 <= k <= 2^n, got n={n}, k={k}")
+    bits = [min(64, n - 64 * j) for j in range(-(-n // 64))]
+    x = np.zeros((samples, k, len(bits)), dtype=np.uint64)
+    bad = np.ones(samples, dtype=bool)
+    while bad.any():
+        x[bad] = np.stack([rng.integers(0, 1 << b, size=(int(bad.sum()), k),
+                                        dtype=np.uint64) for b in bits], axis=-1)
+        bad = np.zeros(samples, dtype=bool)
+        for i, j in itertools.combinations(range(k), 2):
+            bad |= (x[:, i] == x[:, j]).all(axis=1)
+    return x
 
 
 def recolor(x: tuple[int, ...], i: int, color: int) -> tuple[int, ...]:

@@ -6,6 +6,10 @@ differs inside every block (the remainder carries no constraint). The
 default sizing is w = ceil(10 * (log2 k + log2 n)), p = ceil(n / (2w)),
 which is far too wide for exhaustive experiments, so overrides are
 accepted everywhere.
+
+Sampled and enumerated tuples go through one array test: a batch is an
+(S, k, W) array of little-endian 64-bit words, and a tuple is generic
+when the XOR of each row pair has a set bit under each block's mask.
 """
 
 from __future__ import annotations
@@ -13,14 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 from typing import Sequence
 
 import numpy as np
 
-from .core import enumerate_tuples, tuple_space_size
-from .rng import split_rngs
-
-MC_STREAMS = 64  # fixed chunking of Monte Carlo sampling, scheduler-independent
+from .core import enumerate_tuples, sample_uniform_tuples, tuple_space_size
+from .rng import mc_chunks
 
 
 @dataclass(frozen=True)
@@ -121,8 +124,26 @@ def is_generic(state: Sequence[int], partition: Partition) -> bool:
     return True
 
 
+def generic_mask(words: np.ndarray, partition: Partition) -> np.ndarray:
+    """Genericity of every tuple in an (S, k, W) uint64 word array, as a
+    bool (S,) array: each row pair must differ under every block mask."""
+    S, k, W = words.shape
+    masks = np.array([[(sum(1 << pos for pos in block) >> 64 * j) & (2**64 - 1)
+                       for j in range(W)] for block in partition.blocks],
+                     dtype=np.uint64).reshape(partition.p, W)
+    ok = np.ones(S, dtype=bool)
+    for a, b in combinations(range(k), 2):
+        diff = words[:, a] ^ words[:, b]
+        for mask in masks:
+            ok &= (diff & mask).any(axis=1)
+    return ok
+
+
 def count_generic_states(partition: Partition) -> int:
-    """|Generic| = (product over blocks of distinct k-tuples) * 2^(k * |C|)."""
+    """|Generic| = (product over blocks of distinct k-tuples) * 2^(k * |C|);
+    without blocks, every distinct tuple."""
+    if partition.p == 0:
+        return tuple_space_size(partition.k, 1 << partition.n)
     per_block = tuple_space_size(partition.k, 1 << partition.w)
     return per_block ** partition.p * (1 << (partition.k * len(partition.remainder)))
 
@@ -161,22 +182,10 @@ def generic_fraction_mc(partition: Partition, samples: int, seed: int = 0) -> Fr
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    n, k = partition.n, partition.k
-    nbytes = (n + 7) // 8
-    mask = (1 << n) - 1
-    streams = split_rngs(seed, MC_STREAMS)
-    base, extra = divmod(samples, MC_STREAMS)
     hits = 0
-    for ci, rng in enumerate(streams):
-        chunk = base + (1 if ci < extra else 0)
-        for _ in range(chunk):
-            rows: list[int] = []
-            while len(rows) < k:
-                v = int.from_bytes(rng.bytes(nbytes), "little") & mask
-                if v not in rows:
-                    rows.append(v)
-            if is_generic(rows, partition):
-                hits += 1
+    for rng, chunk in mc_chunks(seed, samples):
+        words = sample_uniform_tuples(partition.n, partition.k, chunk, rng)
+        hits += int(generic_mask(words, partition).sum())
     low, high = _wilson(hits, samples)
     return FractionEstimate(
         fraction=hits / samples,
@@ -195,8 +204,9 @@ def generic_fraction_exact(partition: Partition) -> Fraction:
     total = tuple_space_size(k, N)
     if total > 10_000_000:
         raise ValueError(f"{total} tuples is too many to enumerate exactly")
-    hits = sum(1 for t in enumerate_tuples(k, N) if is_generic(t, partition))
-    return Fraction(hits, total)
+    words = np.fromiter(chain.from_iterable(enumerate_tuples(k, N)), dtype=np.uint64,
+                        count=total * k).reshape(total, k, 1)
+    return Fraction(int(generic_mask(words, partition).sum()), total)
 
 
 @dataclass(frozen=True)
@@ -251,18 +261,13 @@ def verify_tgrev_product_structure(partition: Partition, k: int) -> ProductStruc
 
     # enumerate_generic_states orders states as (block digits, remainder
     # bits), exactly the product order of [blocks_chain, remainder_chain]
-    max_mixture = float(np.abs(tgrev.dense() - mixture.dense()).max())
+    max_mixture = float(abs(tgrev.matrix - mixture.matrix).max())
 
-    max_block = _factor_deviation(tgrev.dense(), [cc_block.dense()] * partition.p
-                                  + [lazy_bit.dense()] * rem_bits,
-                                  factor_count=partition.p,
-                                  weight=2.0 * partition.p,
-                                  which="block")
-    max_rem = _factor_deviation(tgrev.dense(), [cc_block.dense()] * partition.p
-                                + [lazy_bit.dense()] * rem_bits,
-                                factor_count=rem_bits,
-                                weight=2.0 * rem_bits,
-                                which="remainder")
+    sizes = [cc_block.size] * partition.p + [lazy_bit.size] * rem_bits
+    max_block = _factor_deviation(tgrev.matrix, sizes, range(partition.p),
+                                  cc_block, weight=2.0 * partition.p)
+    max_rem = _factor_deviation(tgrev.matrix, sizes, range(partition.p, len(sizes)),
+                                lazy_bit, weight=2.0 * rem_bits)
 
     gap_product = spectral_gap(tgrev)
     gap_blocks = spectral_gap(blocks_chain)
@@ -279,29 +284,19 @@ def verify_tgrev_product_structure(partition: Partition, k: int) -> ProductStruc
     )
 
 
-def _factor_deviation(dense, factor_matrices, factor_count, weight, which):
-    """Extract per-factor transition rates from the full product kernel and
-    compare with the claimed factor, across every context of the other
-    coordinates. Off-diagonal product entries that move factor m equal
-    factor_m(s, s') / weight."""
-    sizes = [m.shape[0] for m in factor_matrices]
-    t = len(sizes)
-    strides = [1] * t
-    for i in range(t - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    total = dense.shape[0]
-
-    offset = 0 if which == "block" else t - factor_count
+def _factor_deviation(matrix, sizes, positions, factor, weight) -> float:
+    """Largest |matrix entry * weight - factor entry| over the moves of the
+    factor at each of `positions` of a product state (digits of the given
+    sizes, first most significant), in every context of the other digits."""
+    idx = np.arange(matrix.shape[0])
+    values = np.arange(factor.size)
+    expected = factor.dense()
     worst = 0.0
-    for m in range(offset, offset + factor_count):
-        expected = factor_matrices[m]
-        size_m = sizes[m]
-        for idx in range(total):
-            digit = (idx // strides[m]) % size_m
-            base = idx - digit * strides[m]
-            for s2 in range(size_m):
-                if s2 == digit:
-                    continue
-                got = dense[idx, base + s2 * strides[m]] * weight
-                worst = max(worst, abs(got - expected[digit, s2]))
+    for m in positions:
+        stride = math.prod(sizes[m + 1:])
+        digit = (idx // stride % factor.size)[:, None]
+        cols = idx[:, None] + (values - digit) * stride
+        got = matrix[idx[:, None], cols].toarray() * weight
+        dev = np.abs(got - expected[digit, values])[values != digit]
+        worst = max(worst, float(dev.max(initial=0.0)))
     return worst

@@ -20,14 +20,11 @@ import numpy as np
 from scipy import stats as sps
 
 from .chains import ChainSpec, Kernel, build_kernel, sample_chain
-from .rng import split_rngs
+from .core import sample_uniform_tuples
+from .rng import mc_chunks
 
 # chains whose color-permutation symmetry makes every start equivalent
 TRANSITIVE_FAMILIES = {"ucc", "cc", "complete"}
-
-# fixed stream split for Monte Carlo work; few enough that vectorized
-# chunks stay large, many enough to parcel out to workers
-MC_STREAMS = 8
 
 
 def evolve(kernel: Kernel, start: int, t: int) -> np.ndarray:
@@ -218,24 +215,6 @@ def sample_circuit_outputs(
     return sample_chain(ChainSpec(family="rev", k=k, n=n), x, gates, rng)
 
 
-def sample_uniform_tuples(
-    n: int, k: int, samples: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Uniform distinct k-tuples of n-bit strings, (samples, k) array."""
-    if n > 64:
-        raise ValueError("vectorized sampling needs n <= 64")
-    high = 1 << n
-    x = rng.integers(0, high, size=(samples, k), dtype=np.uint64)
-    while True:
-        bad = np.zeros(samples, dtype=bool)
-        for i in range(k):
-            for j in range(i + 1, k):
-                bad |= x[:, i] == x[:, j]
-        if not bad.any():
-            return x
-        x[bad] = rng.integers(0, high, size=(int(bad.sum()), k), dtype=np.uint64)
-
-
 def kwise_stat_mc(
     n: int,
     k: int,
@@ -259,21 +238,18 @@ def kwise_stat_mc(
         raise ValueError(f"unknown sampler {sampler!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if n > 64:
+        raise ValueError(f"statistics are taken on one 64-bit word, need n <= 64, got {n}")
     if bins is None:
         bins = n + 1 if statistic == "hamming" else min(64, 1 << n)
     law = statistic_law(statistic, n, k, bins)
 
-    streams = split_rngs(seed, MC_STREAMS)
-    base, extra = divmod(samples, MC_STREAMS)
     counts = np.zeros(bins, dtype=np.int64)
-    for ci, rng in enumerate(streams):
-        chunk = base + (1 if ci < extra else 0)
-        if chunk == 0:
-            continue
+    for rng, chunk in mc_chunks(seed, samples):
         if sampler == "circuit":
             tuples = sample_circuit_outputs(n, k, gates, chunk, rng)
         else:
-            tuples = sample_uniform_tuples(n, k, chunk, rng)
+            tuples = sample_uniform_tuples(n, k, chunk, rng)[..., 0]
         values = _statistic_values(statistic, tuples, n, bins)
         counts += np.bincount(values.astype(np.int64), minlength=bins)
 

@@ -160,6 +160,40 @@ def test_generic_enumeration_matches_filter(toy_partition):
     assert len(listed) == 48
 
 
+def _generic_states_reference(k, partition):
+    # the nested loop that enumerated generic states before the array version
+    from itertools import product
+
+    from kwmix.generic import insert_block
+
+    block_tuples = tuple(enumerate_tuples(k, 1 << partition.w))
+    rem = partition.remainder
+    rem_patterns = tuple(product((0, 1), repeat=k * len(rem))) if rem else ((),)
+    states = []
+    for blocks in product(block_tuples, repeat=partition.p):
+        base = [0] * k
+        for t, vals in enumerate(blocks):
+            for r in range(k):
+                base[r] = insert_block(base[r], partition.blocks[t], vals[r])
+        for bits in rem_patterns:
+            rows = list(base)
+            for r in range(k):
+                for m, pos in enumerate(rem):
+                    rows[r] |= bits[r * len(rem) + m] << pos
+            states.append(tuple(rows))
+    return tuple(states)
+
+
+@pytest.mark.parametrize("k,n,w,p", [(1, 4, 2, 1), (2, 3, 2, 1), (2, 4, 2, 2), (2, 5, 1, 2),
+                                     (2, 5, 2, 2), (2, 6, 1, 3), (3, 5, 2, 1), (3, 6, 2, 2),
+                                     (4, 5, 2, 1)])
+def test_generic_enumeration_order_matches_nested_loop(k, n, w, p):
+    part = make_partition(n, k, w=w, p=p)
+    states = enumerate_generic_states(k, part)
+    assert states == _generic_states_reference(k, part)
+    assert all(type(v) is int for v in states[-1])
+
+
 def test_tgrev_rows_and_symmetry(toy_partition):
     kernel = build_tgrev_kernel(2, toy_partition)
     dense = kernel.dense()

@@ -122,6 +122,32 @@ def test_generic_frac_exact(capsys):
     assert obj["fraction_denominator"] == 3
 
 
+def test_generic_frac_exact_refuses_seed(capsys):
+    argv = ["generic-frac", "--n", "4", "--k", "2", "--part-w", "1", "--part-p", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--exact", "--seed", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1].endswith(
+        "argument --seed: not allowed with argument --exact")
+    outs = [run_cli(capsys, *argv, "--seed", seed) for seed in ("1", "1", "2")]
+    assert all(code == 0 for code, _, _ in outs)
+    assert outs[0][1] == outs[1][1] != outs[2][1]
+    assert outs[0][1].strip().endswith(",1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("generic-frac", "--n", "2", "--k", "5", "--part-w", "1", "--part-p", "1"),
+    ("kwise-test", "--n", "3", "--k", "9", "--gates", "5", "--samples", "10",
+     "--sampler", "uniform", "--statistic", "lowbits", "--bins", "2"),
+])
+def test_more_rows_than_strings_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "1 <= k <= 2^n" in err
+
+
 def test_tgrev_verify(capsys):
     code, out, _ = run_cli(capsys, "tgrev-verify", "--n", "3", "--k", "2",
                            "--part-w", "2", "--part-p", "1", "--format", "json")

@@ -6,10 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kwmix.chains import ChainSpec, build_kernel, build_tgrev_kernel
+from kwmix.core import sample_uniform_tuples, tuple_space_size
 from kwmix.generic import (
+    Partition,
+    _factor_deviation,
+    count_generic_states,
     extract_block,
     generic_fraction_exact,
     generic_fraction_mc,
+    generic_mask,
     insert_block,
     is_generic,
     make_partition,
@@ -83,6 +89,64 @@ def test_is_generic_invariant_under_row_permutation():
             assert is_generic(perm, part) == base
 
 
+def _as_ints(words):
+    # (S, k, W) little-endian 64-bit words -> tuples of Python ints
+    return [tuple(sum(int(w) << (64 * j) for j, w in enumerate(row)) for row in sample)
+            for sample in words]
+
+
+@pytest.mark.parametrize("n,k,w,p", [(3, 2, 1, 2), (4, 2, 2, 1), (6, 3, 2, 2), (8, 4, 2, 3),
+                                     (12, 3, 3, 4), (12, 5, 3, 2), (5, 1, 2, 2), (4, 2, 1, 0)])
+def test_generic_mask_matches_is_generic(n, k, w, p):
+    part = make_partition(n, k, w=w, p=p)
+    words = sample_uniform_tuples(n, k, 3_000, make_rng(n * 100 + k))
+    mask = generic_mask(words, part)
+    expected = [is_generic(rows, part) for rows in _as_ints(words)]
+    assert mask.tolist() == expected
+    assert 0 < sum(expected) < len(expected) or p == 0 or k == 1
+
+
+def _straddling_partition(n, k, blocks):
+    rest = tuple(sorted(set(range(n)) - {pos for block in blocks for pos in block}))
+    return Partition(n=n, k=k, w=len(blocks[0]), p=len(blocks), blocks=blocks,
+                     remainder=rest)
+
+
+@pytest.mark.parametrize("n,blocks", [
+    (130, ((62, 63, 64), (127, 128, 129), (0, 70, 126))),
+    (512, ((63, 64, 65), (191, 192, 300), (5, 250, 511), (447, 448, 449))),
+])
+def test_generic_mask_on_blocks_straddling_words(n, blocks):
+    k = 3
+    part = _straddling_partition(n, k, blocks)
+    words = sample_uniform_tuples(n, k, 2_000, make_rng(n))
+    assert words.shape == (2_000, k, -(-n // 64))
+    rows = _as_ints(words)
+    assert max(max(r) for r in rows).bit_length() == n
+    expected = [is_generic(r, part) for r in rows]
+    assert generic_mask(words, part).tolist() == expected
+    assert 0 < sum(expected) < len(expected)
+
+
+def test_sampler_draws_one_integers_call_per_word():
+    # word j of every row is one rng.integers draw over its bits, so a
+    # single-word sampler draws exactly what a (samples, k) call draws
+    a = sample_uniform_tuples(12, 2, 500, make_rng(4))
+    b = make_rng(4).integers(0, 1 << 12, size=(500, 2), dtype=np.uint64)
+    redrawn = (b[:, 0] == b[:, 1])
+    assert (a[~redrawn, :, 0] == b[~redrawn]).all()
+    words = sample_uniform_tuples(100, 2, 1_000, make_rng(5))
+    assert (words[:, :, 1] < (1 << 36)).all() and (words[:, :, 1] >= (1 << 35)).any()
+
+
+def test_sampler_refuses_more_rows_than_strings_before_drawing():
+    rng = make_rng(6)
+    with pytest.raises(ValueError):
+        sample_uniform_tuples(2, 5, 10, rng)
+    assert rng.integers(1 << 30) == make_rng(6).integers(1 << 30)
+    assert sample_uniform_tuples(2, 4, 50, rng).shape == (50, 4, 1)
+
+
 def _oracle_fraction(part):
     # independent enumeration with inline bit arithmetic
     n, k = part.n, part.k
@@ -113,6 +177,16 @@ def test_exact_toy_fraction_matches_enumeration_oracle():
 def test_exact_fraction_k1_is_one():
     part = make_partition(3, 1, w=1, p=1)
     assert generic_fraction_exact(part) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("w,extra", [(2, 0), (2, 1), (3, 1)])
+def test_exact_fraction_matches_closed_form_count(k, p, w, extra):
+    n = max(p * w + extra, 2)
+    part = make_partition(n, k, w=w, p=p)
+    assert generic_fraction_exact(part) == Fraction(count_generic_states(part),
+                                                    tuple_space_size(k, 2**n))
 
 
 def test_mc_matches_exact_on_small_instance():
@@ -159,3 +233,60 @@ def test_product_structure_wrong_k():
     part = make_partition(3, 2, w=2, p=1)
     with pytest.raises(ValueError):
         verify_tgrev_product_structure(part, 3)
+
+
+def _dense_factor_deviation(dense, factor_matrices, factor_count, weight, which):
+    # the dense triple loop that checked factor rates before the sparse version
+    sizes = [m.shape[0] for m in factor_matrices]
+    t = len(sizes)
+    strides = [1] * t
+    for i in range(t - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    total = dense.shape[0]
+
+    offset = 0 if which == "block" else t - factor_count
+    worst = 0.0
+    for m in range(offset, offset + factor_count):
+        expected = factor_matrices[m]
+        size_m = sizes[m]
+        for idx in range(total):
+            digit = (idx // strides[m]) % size_m
+            base = idx - digit * strides[m]
+            for s2 in range(size_m):
+                if s2 == digit:
+                    continue
+                got = dense[idx, base + s2 * strides[m]] * weight
+                worst = max(worst, abs(got - expected[digit, s2]))
+    return worst
+
+
+@pytest.mark.parametrize("n,k,w,p", [(3, 2, 2, 1), (5, 2, 1, 2), (6, 2, 2, 2)])
+def test_sparse_factor_deviations_match_dense_loop(n, k, w, p):
+    part = make_partition(n, k, w=w, p=p)
+    tgrev = build_tgrev_kernel(k, part)
+    cc_block = build_kernel(ChainSpec(family="cc", k=k, ncolors=1 << w))
+    lazy_bit = build_kernel(ChainSpec(family="complete", ncolors=2))
+    rem_bits = k * len(part.remainder)
+    sizes = [cc_block.size] * p + [2] * rem_bits
+    factors = [cc_block.dense()] * p + [lazy_bit.dense()] * rem_bits
+    report = verify_tgrev_product_structure(part, k)
+    # the kernel itself, then a copy with every entry perturbed, so that the
+    # deviations are far from zero and differ from entry to entry
+    noisy = tgrev.matrix.copy()
+    noisy.data *= 1 + make_rng(n).random(noisy.nnz)
+    for matrix, block_dev, rem_dev in (
+            (tgrev.matrix, report.max_block_factor_deviation,
+             report.max_remainder_deviation),
+            (noisy, None, None)):
+        dense = matrix.toarray()
+        ref_block = _dense_factor_deviation(dense, factors, p, 2.0 * p, "block")
+        ref_rem = _dense_factor_deviation(dense, factors, rem_bits, 2.0 * rem_bits,
+                                          "remainder")
+        got_block = _factor_deviation(matrix, sizes, range(p), cc_block, 2.0 * p)
+        got_rem = _factor_deviation(matrix, sizes, range(p, p + rem_bits), lazy_bit,
+                                    2.0 * rem_bits)
+        assert (got_block, got_rem) == (ref_block, ref_rem)
+        if block_dev is not None:
+            assert (block_dev, rem_dev) == (ref_block, ref_rem)
+        else:
+            assert max(ref_block, ref_rem) > 1e-3
