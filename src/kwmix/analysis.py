@@ -19,9 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .chains import Kernel, _tuple_states
-from .rng import split_rngs
+from .errors import InvariantViolation
+from .rng import make_rng, split_rngs
+
+# Kernels with at most this many states take the dense eigvalsh path in
+# spectral_gap; there both solvers take a few milliseconds.
+DENSE_GAP_STATES = 200
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -198,21 +204,46 @@ def complete_alpha_lower_bound(N: int, log_base: float = math.e) -> float:
 
 
 def spectral_gap(kernel: Kernel, reversibility_tol: float = 1e-9) -> float:
-    """1 - lambda_2 of the symmetrized kernel (requires reversibility)."""
-    if kernel.size > 10_000:
-        raise ValueError("dense eigensolve is limited to 10^4 states")
+    """1 - lambda_2 of the symmetrized kernel (requires reversibility).
+
+    The operator is A = D^{-1/2} W D^{-1/2}, with W the symmetrized flow
+    that lsc_search also uses and D its row sums; for a reversible kernel
+    A is similar to P. Up to DENSE_GAP_STATES states the spectrum comes
+    from a dense eigvalsh. Above that, ARPACK's eigsh finds the two
+    largest eigenvalues to machine precision (tol=0) on the sparse A, so
+    no S x S copy is made and there is no size limit. eigsh starts from a
+    fixed positive vector (make_rng(0)), not ARPACK's own random one, so
+    the same kernel gives the same float on every call.
+
+    Raises ValueError if eigsh does not converge, and InvariantViolation
+    if the top eigenvalue is further than 1e-10 from 1.
+    """
     report = verify_reversible(kernel, tol=reversibility_tol)
     if not report.passes:
         raise ValueError(
             f"kernel is not reversible (violation {report.max_violation:.3e})")
-    pi = kernel.stationary
-    if pi.min() <= 0:
+    if kernel.stationary.min() <= 0:
         raise ValueError("spectral gap needs a strictly positive stationary law")
-    sqrt_pi = np.sqrt(pi)
-    a = kernel.dense() * (sqrt_pi[:, None] / sqrt_pi[None, :])
-    a = 0.5 * (a + a.T)
-    eigs = np.linalg.eigvalsh(a)
-    return float(1.0 - eigs[-2])
+    a, deg = _symmetric_weights(kernel)[:2]
+    scale = 1.0 / np.sqrt(deg)
+    rows = np.repeat(np.arange(kernel.size), np.diff(a.indptr))
+    # scale[x] * scale[y] is one commutative product, so A stays exactly symmetric
+    a.data *= scale[rows] * scale[a.indices]
+    if kernel.size <= DENSE_GAP_STATES:
+        top2 = np.linalg.eigvalsh(a.toarray())[-2:]
+    else:
+        v0 = 0.5 + make_rng(0).random(kernel.size)
+        try:
+            top2 = np.sort(eigsh(a, k=2, which="LA", tol=0, v0=v0,
+                                 return_eigenvectors=False))
+        except ArpackNoConvergence as exc:
+            raise ValueError(
+                f"eigsh did not converge on {kernel.size} states: {exc}") from exc
+    lambda2, top = (float(v) for v in top2)
+    if abs(top - 1.0) > 1e-10:
+        raise InvariantViolation(
+            f"top eigenvalue of the symmetrized kernel is {top!r}, not 1")
+    return 1.0 - lambda2
 
 
 @dataclass

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, sparse
+from scipy.sparse.linalg import eigsh
 
+from kwmix import analysis
 from kwmix.analysis import (
     chain_rule_residual,
     complete_alpha_lower_bound,
@@ -19,8 +21,9 @@ from kwmix.analysis import (
     ucc_alpha_lower_bound,
     verify_reversible,
 )
-from kwmix.chains import ChainSpec, Kernel, build_kernel, product_kernel
+from kwmix.chains import ChainSpec, Kernel, build_kernel, build_tgrev_kernel, product_kernel
 from kwmix.core import enumerate_tuples, tuple_index, tuple_space_size, tuple_unindex
+from kwmix.generic import make_partition
 from kwmix.rng import make_rng
 
 
@@ -157,6 +160,71 @@ def test_spectral_gap_ucc24_against_dense_oracle(ucc24):
     # oracle: eigensolve the dense symmetric kernel directly
     eigs = np.sort(np.linalg.eigvalsh(ucc24.dense()))
     assert spectral_gap(ucc24) == pytest.approx(1.0 - eigs[-2], abs=1e-12)
+
+
+def _dense_gap_oracle(kernel):
+    # 1 - lambda_2 of D^{1/2} P D^{-1/2} from a dense eigvalsh, D = diag(pi)
+    sqrt_pi = np.sqrt(kernel.stationary)
+    a = kernel.dense() * (sqrt_pi[:, None] / sqrt_pi[None, :])
+    return 1.0 - np.linalg.eigvalsh(0.5 * (a + a.T))[-2]
+
+
+def _lazy_bits(count):
+    return product_kernel([build_kernel(ChainSpec(family="complete", ncolors=2))] * count)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_kernel(ChainSpec(family="rev", k=2, n=4)),
+    lambda: build_kernel(ChainSpec(family="rev", k=2, n=4, gate_mode="set")),
+    lambda: build_kernel(ChainSpec(family="grev", k=2, n=5,
+                                   partition=make_partition(5, 2, w=2, p=2))),
+    lambda: build_kernel(ChainSpec(family="cc", k=3, ncolors=6)),
+    lambda: build_kernel(ChainSpec(family="ucc", k=3, ncolors=8)),
+    # degenerate second eigenvalues: 0 six times, and 3/4 four times
+    lambda: build_kernel(ChainSpec(family="complete", ncolors=7)),
+    lambda: _lazy_bits(4),
+    lambda: build_tgrev_kernel(2, make_partition(5, 2, w=2, p=2)),
+], ids=["rev", "rev-set", "grev", "cc", "ucc", "complete", "lazy-bits", "tgrev"])
+def test_sparse_spectral_gap_matches_dense_oracle(make, monkeypatch):
+    kernel = make()
+    monkeypatch.setattr(analysis, "DENSE_GAP_STATES", 0)
+    assert spectral_gap(kernel) == pytest.approx(_dense_gap_oracle(kernel), abs=1e-12)
+
+
+def test_spectral_gap_above_the_dense_cutoff():
+    ucc = build_kernel(ChainSpec(family="ucc", k=3, ncolors=16))
+    tgrev = build_tgrev_kernel(2, make_partition(6, 2, w=2, p=2))
+    assert min(ucc.size, tgrev.size) > analysis.DENSE_GAP_STATES
+    assert spectral_gap(ucc) == pytest.approx(1 / 3, abs=1e-12)
+    assert spectral_gap(tgrev) == pytest.approx(1 / 12, abs=1e-12)
+
+
+def test_sparse_spectral_gap_is_deterministic():
+    kernel = build_kernel(ChainSpec(family="ucc", k=3, ncolors=8))
+    assert kernel.size > analysis.DENSE_GAP_STATES
+    first = spectral_gap(kernel)
+    # an unrelated eigsh call advances ARPACK's own random start state
+    eigsh(sparse.diags(np.arange(1.0, 301.0)), k=2, which="LA")
+    assert spectral_gap(kernel) == first
+
+
+def test_spectral_gap_raises_on_solver_failure(monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from kwmix.errors import InvariantViolation
+
+    kernel = build_kernel(ChainSpec(family="ucc", k=2, ncolors=4))
+    monkeypatch.setattr(analysis, "DENSE_GAP_STATES", 0)
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("synthetic", np.array([]), np.array([]))
+
+    monkeypatch.setattr(analysis, "eigsh", no_convergence)
+    with pytest.raises(ValueError, match="did not converge"):
+        spectral_gap(kernel)
+    monkeypatch.setattr(analysis, "eigsh", lambda *a, **kw: np.array([0.5, 0.999]))
+    with pytest.raises(InvariantViolation, match="top eigenvalue"):
+        spectral_gap(kernel)
 
 
 def test_spectral_gap_rejects_nonreversible():

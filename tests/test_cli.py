@@ -155,6 +155,18 @@ def test_tgrev_verify(capsys):
     assert json.loads(out)["passes"] is True
 
 
+def test_gap_and_tgrev_verify_above_ten_thousand_states(capsys):
+    part = ("--n", "5", "--k", "3", "--part-w", "2", "--part-p", "1", "--format", "json")
+    code, out, _ = run_cli(capsys, "gap", "--chain", "tgrev", *part)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["states"] == 12288
+    assert obj["spectral_gap"] == pytest.approx(1 / 18, abs=1e-12)
+    code, out, _ = run_cli(capsys, "tgrev-verify", *part)
+    assert code == 0
+    assert json.loads(out)["passes"] is True
+
+
 def test_kernel_dump_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "kernel.dump"
     code, _, _ = run_cli(capsys, "kernel-dump", "--chain", "cc", "--k", "2",
@@ -223,6 +235,34 @@ def test_exit_code_invariant_violation(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "gap", "--chain", "ucc", "--k", "2", "--N", "4")
     assert code == 4
     assert "invariant" in err
+
+
+def test_eigensolver_failures_exit_2_and_4(capsys, monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    from kwmix import analysis
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("synthetic", np.array([]), np.array([]))
+
+    argv = ("gap", "--chain", "ucc", "--k", "3", "--N", "8")
+    monkeypatch.setattr(analysis, "eigsh", no_convergence)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "did not converge" in err
+    monkeypatch.setattr(analysis, "eigsh", lambda *a, **kw: np.array([0.5, 0.999]))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert "top eigenvalue" in err
+
+
+def test_batch_of_identical_gap_commands_prints_identical_bytes(tmp_path, capsys):
+    argv = ["gap", "--chain", "ucc", "--k", "3", "--N", "8"]
+    batch_file = tmp_path / "batch.json"
+    batch_file.write_text(json.dumps([argv, argv]))
+    assert cli.main(["batch", str(batch_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[:2] == lines[2:]
 
 
 def test_mix_exact_without_mixing_exits_2(capsys):
