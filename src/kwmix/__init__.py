@@ -68,6 +68,7 @@ from .mixing import (
     evolve,
     kwise_stat_mc,
     kwise_tv_exact,
+    mixing_curve,
     mixing_time_exact,
     pointwise_relative_error,
     tv_curve,

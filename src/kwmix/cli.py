@@ -7,9 +7,10 @@ command line, and the wall time. Result files contain no timestamps, so
 identical configuration and seed give byte-identical bytes.
 
 Exit codes: 0 success, 2 invalid configuration, 3 state-space cap
-exceeded, 4 internal invariant violation. Exit 2 also covers a mix-exact
-run that does not mix within --max-steps and a mix-mc run that expects
-fewer than 5 samples per state (too few for its chi-square test).
+exceeded or memory exhausted, 4 internal invariant violation. Exit 2
+also covers a mix-exact run that does not mix within --max-steps and a
+mix-mc run that expects fewer than 5 samples per state (too few for its
+chi-square test).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .generic import (
     make_partition,
     verify_tgrev_product_structure,
 )
-from .mixing import _worst_tv_series, kwise_stat_mc, mixing_time_exact
+from .mixing import _worst_tv_series, kwise_stat_mc, mixing_curve
 from .reports import csv_lines, dump_kernel, json_dumps
 from .rng import make_rng
 
@@ -309,11 +310,10 @@ def _run_mix_exact(args):
     spec = _spec_from_args(args)
     kernel = build_kernel(spec)
     try:
-        tau = mixing_time_exact(kernel, args.eps, max_steps=args.max_steps)
+        tau, curve = mixing_curve(kernel, args.eps, max_steps=args.max_steps)
     except RuntimeError as exc:
         raise ValueError(f"{exc}; raise --max-steps") from exc
-    # report the worst-start TV decay out to 2*tau
-    series = list(enumerate(islice(_worst_tv_series(kernel), max(2 * tau, 1) + 1)))
+    series = list(enumerate(curve))
     obj = {"kernel": spec.label(), "epsilon": args.eps, "tau": tau,
            "series": [{"t": t, "tv": v} for t, v in series]}
     return obj, ("t", "tv"), series
@@ -359,7 +359,7 @@ def _run_mix_mc(args):
 def _run_kwise_exact(args):
     spec = ChainSpec(family="rev", k=args.k, n=args.n, gate_mode=args.gate_mode)
     kernel = build_kernel(spec)
-    series = list(enumerate(islice(_worst_tv_series(kernel, all_starts=True), args.t + 1)))
+    series = list(enumerate(islice(_worst_tv_series(kernel), args.t + 1)))
     obj = {"n": args.n, "k": args.k, "gate_mode": args.gate_mode,
            "series": [{"t": t, "tv": v} for t, v in series],
            "final_tv": series[-1][1]}
@@ -494,6 +494,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except StateCapExceeded as exc:
         print(f"kwmix: state cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"kwmix: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 3
     except InvariantViolation as exc:
         print(f"kwmix: internal invariant violated: {exc}", file=sys.stderr)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
+from itertools import islice, permutations
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import stats as sps
@@ -25,6 +25,8 @@ from .rng import mc_chunks
 
 # chains whose color-permutation symmetry makes every start equivalent
 TRANSITIVE_FAMILIES = {"ucc", "cc", "complete"}
+# gate chains whose starts `orbit_starts` classes into symmetry orbits
+ORBIT_FAMILIES = {"rev", "grev", "tgrev"}
 
 
 def evolve(kernel: Kernel, start: int, t: int) -> np.ndarray:
@@ -71,21 +73,92 @@ def pointwise_relative_error(kernel: Kernel, start: int, t: int) -> float:
     return float(np.max(np.abs(p - pi) / pi))
 
 
+def canonical_forms(states: np.ndarray, n: int,
+                    blocks: Sequence[Sequence[int]] = ()) -> np.ndarray:
+    """Canonical form of each row of an (S, k) array of n-bit tuples.
+
+    Two tuples get the same form iff one maps to the other by XOR with a
+    constant, a permutation of the rows, and a permutation of the wires
+    that keeps each block together (whole blocks, of equal width, may be
+    exchanged) and the remaining wires together. Each wire is read as a
+    k-bit column, normalized modulo complement; a group of wires keeps
+    the histogram of its columns, held as their sorted values. The block
+    histograms are sorted, the remainder's is appended, all packed into
+    one integer, and the form is its minimum over the k! row orders.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    k = states.shape[1]
+    if (k - 1) * n > 62:
+        raise ValueError(f"canonical forms need (k-1)*n <= 62, got k={k}, n={n}")
+    held = {wire for block in blocks for wire in block}
+    remainder = [wire for wire in range(n) if wire not in held]
+    width = k - 1  # bits of a column normalized modulo complement
+    flip = (1 << k) - 1
+    bits = states[:, :, None] >> np.arange(n) & 1
+    best = None
+    for order in permutations(range(k)):
+        columns = (bits[:, list(order), :] << np.arange(k)[:, None]).sum(axis=1)
+        columns = np.minimum(columns, columns ^ flip)
+        codes = [_pack(np.sort(columns[:, list(block)], axis=1), width)
+                 for block in blocks]
+        form = np.zeros(len(states), dtype=np.int64)
+        if codes:
+            form = _pack(np.sort(np.stack(codes, axis=1), axis=1),
+                         width * len(blocks[0]))
+        form = form << width * len(remainder) | _pack(
+            np.sort(columns[:, remainder], axis=1), width)
+        best = form if best is None else np.minimum(best, form)
+    return best
+
+
+def _pack(digits: np.ndarray, width: int) -> np.ndarray:
+    """Rows of `width`-bit digits packed into one integer, first digit high."""
+    out = np.zeros(len(digits), dtype=np.int64)
+    for column in digits.T:
+        out = out << width | column
+    return out
+
+
+def orbit_starts(kernel: Kernel) -> np.ndarray:
+    """One start state per symmetry orbit of a gate-chain kernel (rev, grev,
+    tgrev), the lowest index in each orbit, in increasing order.
+
+    The kernel and its stationary law are invariant under XOR with a
+    constant, row permutations and wire permutations (for grev and tgrev,
+    those keeping the partition's blocks and remainder), so every start
+    in an orbit has the same TV curve (Boyd, Diaconis, Parrilo and Xiao,
+    "Symmetry analysis of reversible Markov chains", 2005).
+    """
+    meta = kernel.meta
+    if meta.get("family") not in ORBIT_FAMILIES:
+        raise ValueError(f"no orbit labels for family {meta.get('family')!r}")
+    blocks = meta["partition"]["blocks"] if "partition" in meta else ()
+    forms = canonical_forms(np.array(kernel.states), meta["n"], blocks)
+    return np.sort(np.unique(forms, return_index=True)[1])
+
+
+def _starts(kernel: Kernel, all_starts: bool | None) -> np.ndarray:
+    if all_starts is None:
+        family = kernel.meta.get("family")
+        if family in ORBIT_FAMILIES:
+            return orbit_starts(kernel)
+        all_starts = family not in TRANSITIVE_FAMILIES
+    return np.arange(kernel.size if all_starts else 1)
+
+
 def _worst_tv_series(kernel: Kernel, all_starts: bool | None = None) -> Iterator[float]:
     """Worst-start TV(p_x^t, pi) for t = 0, 1, 2, ... (without end).
 
-    Every start is tracked as one column of a dense matrix of
-    distributions; with ``all_starts`` false only state 0 is. By default
-    a chain marked transitive tracks state 0 alone, any other every start.
+    The tracked starts are the columns of an (S, R) matrix of
+    distributions, evolved together. By default a chain marked transitive
+    tracks state 0 alone, a gate chain one start per symmetry orbit
+    (`orbit_starts`), any other chain every start. ``all_starts`` true
+    tracks every start, false state 0 alone.
     """
-    if all_starts is None:
-        all_starts = kernel.meta.get("family") not in TRANSITIVE_FAMILIES
+    starts = _starts(kernel, all_starts)
     pt = kernel.transpose_csr()
-    if all_starts:
-        dists = np.eye(kernel.size)
-    else:
-        dists = np.zeros((kernel.size, 1))
-        dists[0, 0] = 1.0
+    dists = np.zeros((kernel.size, len(starts)))
+    dists[starts, np.arange(len(starts))] = 1.0
     pi = kernel.stationary[:, None]
     while True:
         # column sums of |dists - pi|, added pairwise by halving the rows
@@ -100,6 +173,21 @@ def _worst_tv_series(kernel: Kernel, all_starts: bool | None = None) -> Iterator
         dists = pt @ dists
 
 
+def _scan_to_mixing(series: Iterator[float], epsilon: float,
+                    max_steps: int) -> list[float]:
+    """The series up to and including its first value <= epsilon."""
+    if not 0 < epsilon < 1:
+        raise ValueError("need 0 < epsilon < 1")
+    if max_steps < 0:
+        raise ValueError("need max_steps >= 0")
+    seen = []
+    for worst in islice(series, max_steps + 1):
+        seen.append(worst)
+        if worst <= epsilon:
+            return seen
+    raise RuntimeError(f"no mixing within {max_steps} steps (TV still {worst:.3g})")
+
+
 def mixing_time_exact(
     kernel: Kernel,
     epsilon: float,
@@ -108,26 +196,32 @@ def mixing_time_exact(
 ) -> int:
     """Smallest t with max-over-starts TV(p_x^t, pi) <= epsilon.
 
-    For chains marked transitive a single start suffices; otherwise every
-    start is tracked (one dense matrix of distributions).
+    The starts are those of `_worst_tv_series`: one per symmetry orbit for
+    the gate chains, state 0 for chains marked transitive.
     """
-    if not 0 < epsilon < 1:
-        raise ValueError("need 0 < epsilon < 1")
-    if max_steps < 0:
-        raise ValueError("need max_steps >= 0")
-    for t, worst in zip(range(max_steps + 1), _worst_tv_series(kernel, all_starts)):
-        if worst <= epsilon:
-            return t
-    raise RuntimeError(f"no mixing within {max_steps} steps (TV still {worst:.3g})")
+    return len(_scan_to_mixing(_worst_tv_series(kernel, all_starts),
+                               epsilon, max_steps)) - 1
+
+
+def mixing_curve(kernel: Kernel, epsilon: float,
+                 max_steps: int = 100_000) -> tuple[int, list[float]]:
+    """The mixing time tau of `mixing_time_exact` and the worst-start TV
+    for t = 0 .. max(2 tau, 1), read from one evolution."""
+    series = _worst_tv_series(kernel)
+    curve = _scan_to_mixing(series, epsilon, max_steps)
+    tau = len(curve) - 1
+    curve += islice(series, max(2 * tau, 1) + 1 - len(curve))
+    return tau, curve
 
 
 def kwise_tv_exact(n: int, k: int, t: int, gate_mode: str = "parameter") -> float:
     """Exact approximation error of the t-gate circuit distribution:
-    max over start tuples of TV(p_x^t, uniform on distinct tuples)."""
+    max over start tuples of TV(p_x^t, uniform on distinct tuples), taken
+    over one start per symmetry orbit."""
     if t < 0:
         raise ValueError("need t >= 0")
     kernel = build_kernel(ChainSpec(family="rev", k=k, n=n, gate_mode=gate_mode))
-    return next(islice(_worst_tv_series(kernel, all_starts=True), t, None))
+    return next(islice(_worst_tv_series(kernel), t, None))
 
 
 # ---------------------------------------------------------------------------

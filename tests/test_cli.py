@@ -81,6 +81,33 @@ def test_mix_exact_series(capsys):
     assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
 
 
+@pytest.mark.parametrize("argv", [
+    ("--chain", "rev", "--n", "4", "--k", "2"),
+    ("--chain", "grev", "--n", "5", "--k", "2", "--part-w", "2", "--part-p", "2"),
+    ("--chain", "ucc", "--k", "2", "--N", "5"),
+])
+def test_mix_exact_evolves_once_and_matches_the_library(capsys, monkeypatch, argv):
+    from kwmix.chains import Kernel
+    from kwmix.mixing import mixing_time_exact
+
+    transposes = []
+    original = Kernel.transpose_csr
+
+    def counted(kernel):
+        transposes.append(kernel.size)
+        return original(kernel)
+
+    monkeypatch.setattr(Kernel, "transpose_csr", counted)
+    code, out, _ = run_cli(capsys, "mix-exact", *argv, "--format", "json")
+    assert code == 0 and len(transposes) == 1
+    obj = json.loads(out)
+    assert len(obj["series"]) == max(2 * obj["tau"], 1) + 1
+    monkeypatch.setattr(Kernel, "transpose_csr", original)
+    kernel = cli.build_kernel(cli._spec_from_args(cli.build_parser().parse_args(
+        ["mix-exact", *argv])))
+    assert obj["tau"] == mixing_time_exact(kernel, 0.25)
+
+
 def test_mix_mc(capsys):
     code, out, _ = run_cli(capsys, "mix-mc", "--chain", "ucc", "--k", "2",
                            "--N", "4", "--t", "30", "--samples", "20000",
@@ -223,6 +250,17 @@ def test_exit_code_state_cap(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "gap", "--chain", "ucc", "--k", "2", "--N", "6")
     assert code == 3
     assert "state cap" in err
+
+
+def test_exit_code_out_of_memory(capsys, monkeypatch):
+    def exhausted(spec):
+        raise MemoryError("Unable to allocate 7.1 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_kernel", exhausted)
+    code, out, err = run_cli(capsys, "mix-exact", "--chain", "rev", "--n", "5",
+                             "--k", "3")
+    assert code == 3 and out == ""
+    assert err == "kwmix: out of memory: Unable to allocate 7.1 GiB for an array\n"
 
 
 def test_exit_code_invariant_violation(capsys, monkeypatch):
