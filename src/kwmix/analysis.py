@@ -28,6 +28,8 @@ from .rng import make_rng, split_rngs
 # Kernels with at most this many states take the dense eigvalsh path in
 # spectral_gap; there both solvers take a few milliseconds.
 DENSE_GAP_STATES = 200
+# largest detailed-balance violation spectral_gap accepts as reversible
+GAP_REVERSIBILITY_TOL = 1e-9
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -203,7 +205,7 @@ def complete_alpha_lower_bound(N: int, log_base: float = math.e) -> float:
     return 1.0 / (3.0 * math.log(N, log_base))
 
 
-def spectral_gap(kernel: Kernel, reversibility_tol: float = 1e-9) -> float:
+def spectral_gap(kernel: Kernel) -> float:
     """1 - lambda_2 of the symmetrized kernel (requires reversibility).
 
     The operator is A = D^{-1/2} W D^{-1/2}, with W the symmetrized flow
@@ -218,7 +220,7 @@ def spectral_gap(kernel: Kernel, reversibility_tol: float = 1e-9) -> float:
     Raises ValueError if eigsh does not converge, and InvariantViolation
     if the top eigenvalue is further than 1e-10 from 1.
     """
-    report = verify_reversible(kernel, tol=reversibility_tol)
+    report = verify_reversible(kernel, tol=GAP_REVERSIBILITY_TOL)
     if not report.passes:
         raise ValueError(
             f"kernel is not reversible (violation {report.max_violation:.3e})")

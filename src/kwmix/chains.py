@@ -18,8 +18,10 @@ and successor tuples are ranked by sorted base-N keys. A builder emits
 its moves as arrays (src, dst, count), count being the integer number of
 draws of one step that move src to dst (the product chain passes its
 factors' entries instead). One helper sums the moves into a CSR matrix
-and divides each entry once: by the draw total, or for grev by the row's
-generic-successor total. Rows therefore sum to 1 up to a few ulps.
+of counts; each entry is then divided once, by the draw total, or for
+the gate chains by the row's total w(x) (for rev, the draw total; for
+grev, the generic-successor total). Rows therefore sum to 1 up to a few
+ulps.
 
 ``sample_chain`` runs rev, cc, ucc and tgrev on a batch: an (S, k) state
 array, one move drawn per row and step, drawn from the same moves the
@@ -28,9 +30,12 @@ table), ucc a coordinate and a color (swapping on collision), cc the
 r-th color available to the coordinate, and tgrev a hold, a remainder-bit
 flip or the r-th block value free for its row.
 
-Gate randomness has two documented measures: ``parameter`` (uniform
-over the 16 n (n-1)^2 parameter tuples, the default) and ``set`` (uniform
-over the deduplicated set of induced permutations, small n only).
+Gate randomness has two documented measures, both weights on the one
+table set of ``core.dedupe_gates`` (n <= 12 for the exact kernels):
+``parameter`` (uniform over the 16 n (n-1)^2 parameter tuples, the
+default) weights each distinct permutation by the number of tuples that
+induce it, and ``set`` (uniform over the distinct permutations) weights
+each by 1.
 """
 
 from __future__ import annotations
@@ -42,13 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .core import (
-    dedupe_gates,
-    enumerate_gates,
-    enumerate_tuples,
-    gate_table,
-    tuple_space_size,
-)
+from .core import dedupe_gates, enumerate_tuples, tuple_space_size
 from .errors import InvariantViolation, check_state_cap
 from .generic import Partition, count_generic_states, extract_block, insert_block
 
@@ -153,7 +152,7 @@ def sample_chain(spec: ChainSpec, x: np.ndarray, t: int,
     size, k, n, N = len(x), spec.k, spec.n, spec.ncolors
     rows = np.arange(size)
     if spec.family == "rev" and spec.gate_mode == "set":
-        tables = dedupe_gates(n).astype(np.uint64)
+        tables = dedupe_gates(n)[0].astype(np.uint64)
     if spec.family == "tgrev":
         part = spec.partition
         _check_tgrev_partition(k, part)
@@ -238,14 +237,9 @@ def build_kernel(spec: ChainSpec) -> Kernel:
     raise ValueError(f"unknown family {spec.family!r}")
 
 
-def _assemble(moves: Moves, size: int, denom: int | None) -> sparse.csr_matrix:
-    """Sum the moves into a CSR matrix, then divide its entries once: by
-    `denom`, or by each row's total when `denom` is None.
-
-    Each emitted piece is summed on arrival, so buffers stay near the
-    final nnz. The division acts on ``.data``: dividing the matrix by a
-    scalar would multiply by the rounded reciprocal instead.
-    """
+def _count_matrix(moves: Moves, size: int) -> sparse.csr_matrix:
+    """Sum the moves into a CSR matrix of counts. Each emitted piece is
+    summed on arrival, so buffers stay near the final nnz."""
     rows, cols, counts = [], [], []
     for src, dst, count in moves:
         piece = sparse.coo_matrix((np.broadcast_to(count, src.shape), (src, dst)),
@@ -258,9 +252,13 @@ def _assemble(moves: Moves, size: int, denom: int | None) -> sparse.csr_matrix:
         (np.concatenate(counts), (np.concatenate(rows), np.concatenate(cols))),
         shape=(size, size))
     summed.sum_duplicates()
-    matrix = summed.tocsr().astype(np.float64)
-    if denom is None:
-        denom = np.repeat(np.asarray(matrix.sum(axis=1)).ravel(), np.diff(matrix.indptr))
+    return summed.tocsr()
+
+
+def _assemble(moves: Moves, size: int, denom: int) -> sparse.csr_matrix:
+    """The counts of `_count_matrix`, each divided once by `denom` on
+    ``.data`` (dividing the matrix would multiply by a rounded reciprocal)."""
+    matrix = _count_matrix(moves, size).astype(np.float64)
     matrix.data /= denom
     return matrix
 
@@ -333,34 +331,46 @@ def _build_complete(N: int) -> Kernel:
     return _kernel(matrix, {"family": "complete", "N": N}, tuple((v,) for v in range(N)))
 
 
-def _gate_tables(n: int, gate_mode: str) -> np.ndarray:
-    if gate_mode == "parameter":
-        return np.stack([gate_table(g, n) for g in enumerate_gates(n)])
-    if gate_mode == "set":
-        return dedupe_gates(n)
-    raise ValueError(f"unknown gate mode {gate_mode!r}")
-
-
-def _gate_moves(states: np.ndarray, tables: np.ndarray, index) -> Moves:
-    """One move per (state, gate table), tables that act alike merged into
-    one move counting their multiplicity. Successors outside the state
-    set (index -1) are dropped."""
-    tables, mult = np.unique(tables, axis=0, return_counts=True)
+def _gate_moves(states: np.ndarray, tables: np.ndarray, weights: np.ndarray,
+                index) -> Moves:
+    """One move per (state, distinct gate table), counting the table's
+    weight. Successors outside the state set (index -1) are dropped."""
     step = max(1, CHUNK_ENTRIES // (len(tables) * states.shape[1]))
     for a in range(0, len(states), step):
         dst = index(tables[:, states[a:a + step]])
         src = np.broadcast_to(np.arange(a, a + dst.shape[1]), dst.shape)
         hit = dst >= 0
-        yield src[hit], dst[hit], np.broadcast_to(mult[:, None], dst.shape)[hit]
+        yield src[hit], dst[hit], np.broadcast_to(weights[:, None], dst.shape)[hit]
+
+
+def _gate_kernel(states: tuple, x: np.ndarray, n: int, gate_mode: str,
+                 meta: dict) -> Kernel:
+    """The gate chain restricted to `states` (the rows of `x`), each row
+    renormalized: the weighted count c(u, v) of gates moving u to v is
+    divided by the row total w(u). A gate table weighs the number of
+    parameter tuples inducing it, or 1 in ``set`` mode. Every gate is an
+    involution, so c is symmetric: the chain is a random walk on a
+    weighted graph with stationary law pi(u) = w(u) / sum(w) exactly
+    (Levin, Peres and Wilmer, Markov Chains and Mixing Times, section
+    1.5). For rev every gate counts, so w is the draw total and pi uniform.
+    """
+    if gate_mode not in GATE_MODES:
+        raise ValueError(f"unknown gate mode {gate_mode!r}")
+    tables, weights = dedupe_gates(n)
+    if gate_mode == "set":
+        weights = np.ones_like(weights)
+    counts = _count_matrix(_gate_moves(x, tables, weights, _state_index(x, 1 << n)),
+                           len(x))
+    w = np.asarray(counts.sum(axis=1)).ravel()
+    matrix = counts.astype(np.float64)
+    matrix.data /= np.repeat(w, np.diff(matrix.indptr))
+    return _kernel(matrix, meta, states, w / w.sum())
 
 
 def _build_rev(k: int, n: int, gate_mode: str) -> Kernel:
     states, x = _tuple_states(k, 1 << n, f"rev(k={k},n={n})")
-    tables = _gate_tables(n, gate_mode)
-    matrix = _assemble(_gate_moves(x, tables, _state_index(x, 1 << n)),
-                       len(x), len(tables))
-    return _kernel(matrix, {"family": "rev", "k": k, "n": n, "gate_mode": gate_mode},
-                   states)
+    return _gate_kernel(states, x, n, gate_mode,
+                        {"family": "rev", "k": k, "n": n, "gate_mode": gate_mode})
 
 
 def enumerate_generic_states(k: int, partition: Partition) -> tuple[tuple[int, ...], ...]:
@@ -429,40 +439,15 @@ def build_tgrev_kernel(k: int, partition: Partition) -> Kernel:
 def build_grev_kernel(
     k: int, n: int, partition: Partition, gate_mode: str = "parameter"
 ) -> Kernel:
-    """Gate chain restricted to generic states, rows renormalized.
-
-    The stationary distribution is found by power iteration rather than
-    assumed uniform: row renormalization by the generic-successor mass
-    breaks the symmetry of the unrestricted chain.
-    """
+    """Gate chain restricted to generic states, rows renormalized by the
+    generic-successor total w(x); its stationary law is w / sum(w)
+    (`_gate_kernel`), not uniform."""
     if partition.n != n:
         raise ValueError(f"partition covers n={partition.n}, chain has n={n}")
     states = enumerate_generic_states(k, partition)
-    x = np.array(states, dtype=np.int64)
-    tables = _gate_tables(n, gate_mode)
-    matrix = _assemble(_gate_moves(x, tables, _state_index(x, 1 << n)), len(x), None)
     meta = {"family": "grev", "k": k, "n": n, "gate_mode": gate_mode,
             "partition": partition.descriptor()}
-    return _kernel(matrix, meta, states, _power_iteration_stationary(matrix))
-
-
-def _power_iteration_stationary(
-    matrix: sparse.csr_matrix, tol: float = 1e-15, max_iter: int = 200_000
-) -> np.ndarray:
-    size = matrix.shape[0]
-    pt = matrix.transpose().tocsr()
-    pi = np.full(size, 1.0 / size)
-    for _ in range(max_iter):
-        nxt = pt @ pi
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() < tol:
-            pi = nxt
-            break
-        pi = nxt
-    residual = np.abs(pt @ pi - pi).max()
-    if residual > 1e-10:
-        raise InvariantViolation(f"power iteration did not converge: {residual:.3e}")
-    return pi
+    return _gate_kernel(states, np.array(states, dtype=np.int64), n, gate_mode, meta)
 
 
 def product_kernel(factors: Sequence[Kernel]) -> Kernel:

@@ -20,7 +20,6 @@ import io
 import math
 import sys
 import time
-from itertools import islice
 
 import numpy as np
 from scipy import stats as sps
@@ -48,7 +47,7 @@ from .generic import (
     make_partition,
     verify_tgrev_product_structure,
 )
-from .mixing import _worst_tv_series, kwise_stat_mc, mixing_curve
+from .mixing import kwise_stat_mc, kwise_tv_exact, mixing_curve
 from .reports import csv_lines, dump_kernel, json_dumps
 from .rng import make_rng
 
@@ -357,9 +356,7 @@ def _run_mix_mc(args):
 
 
 def _run_kwise_exact(args):
-    spec = ChainSpec(family="rev", k=args.k, n=args.n, gate_mode=args.gate_mode)
-    kernel = build_kernel(spec)
-    series = list(enumerate(islice(_worst_tv_series(kernel), args.t + 1)))
+    series = list(enumerate(kwise_tv_exact(args.n, args.k, args.t, args.gate_mode)))
     obj = {"n": args.n, "k": args.k, "gate_mode": args.gate_mode,
            "series": [{"t": t, "tv": v} for t, v in series],
            "final_tv": series[-1][1]}

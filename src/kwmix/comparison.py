@@ -25,7 +25,7 @@ from .chains import (
     ChainSpec,
     Kernel,
     Moves,
-    _assemble,
+    _count_matrix,
     _recolor_moves,
     _state_index,
     _tuple_states,
@@ -129,7 +129,6 @@ class CongestionResult:
     a_delta: float
     argmax_edge: tuple[tuple[int, ...], tuple[int, ...]]
     formula_bound: float
-    universal_bound: float = UNIVERSAL_CONGESTION_BOUND
 
 
 def congestion_formula_bound(k: int, N: int) -> float:
@@ -174,8 +173,8 @@ def congestion_delta(k: int, N: int) -> CongestionResult:
                 for a, b in zip(ranks, ranks[1:]):
                     yield a, b, 3
 
-    draws = _assemble(_recolor_moves(x, N, index, swaps=False), len(x), 1)
-    loads = _assemble(loaded_moves(), len(x), 1)
+    draws = _count_matrix(_recolor_moves(x, N, index, swaps=False), len(x))
+    loads = _count_matrix(loaded_moves(), len(x))
     # every standard edge is loaded, so equal patterns mean no other edge is
     if not (np.array_equal(loads.indptr, draws.indptr)
             and np.array_equal(loads.indices, draws.indices)):

@@ -2,7 +2,9 @@
 
 A gate is parameterized by a target wire, two control wires and a 4-bit
 truth table h; it XORs h(control bits) into the target bit. Every such
-gate is an involution and therefore a permutation of {0,1}^n.
+gate is an involution and therefore a permutation of {0,1}^n. The gate
+measure is `dedupe_gates`: the distinct permutation tables (n <= 12),
+each with the number of parameter tuples inducing it.
 
 Tuples of k pairwise-distinct values from a ground set of size N (the
 common state space of the coloring chains, and of circuit states with
@@ -137,24 +139,32 @@ def gate_table(g: Gate, n: int) -> np.ndarray:
 MAX_DEDUPE_WIRES = 12
 
 
-def dedupe_gates(n: int) -> np.ndarray:
-    """Distinct permutations of {0,1}^n induced by enumerate_gates(n).
+def dedupe_gates(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gate measure: distinct permutations of {0,1}^n induced by
+    enumerate_gates(n), with how many parameter tuples induce each.
 
-    Returns a (count, 2^n) array of permutation tables, deduplicated by
-    full action, in first-seen enumeration order. Requires n <= 12 so
-    the exhaustive action fits in memory.
+    Returns (tables, counts): a (count, 2^n) uint16 array of permutation
+    tables in first-seen enumeration order, and the int64 multiplicity of
+    each, summing to 16 n (n-1)^2. The 16 truth tables of each (target,
+    j1, j2) are built in one broadcast. Requires n <= 12 so the tables
+    fit in uint16 and in memory.
     """
+    if n < 3:
+        raise ValueError(f"need n >= 3 wires, got {n}")
     if n > MAX_DEDUPE_WIRES:
         raise ValueError(f"dedupe_gates needs n <= {MAX_DEDUPE_WIRES}, got {n}")
-    seen: set[bytes] = set()
-    tables: list[np.ndarray] = []
-    for g in enumerate_gates(n):
-        table = gate_table(g, n)
-        key = table.astype(np.uint16).tobytes()
-        if key not in seen:
-            seen.add(key)
-            tables.append(table)
-    return np.stack(tables)
+    values = np.arange(1 << n, dtype=np.uint16)
+    h = np.arange(NUM_TRUTH_TABLES, dtype=np.uint16)[:, None]
+    counts: dict[bytes, int] = {}
+    for target, j1, j2 in itertools.product(range(n), repeat=3):
+        if target in (j1, j2):
+            continue
+        controls = ((values >> j1) & 1) << 1 | (values >> j2) & 1
+        for row in values ^ ((h >> controls) & 1) << target:
+            key = row.tobytes()
+            counts[key] = counts.get(key, 0) + 1
+    tables = np.frombuffer(b"".join(counts), dtype=np.uint16).reshape(len(counts), -1)
+    return tables, np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -223,18 +233,22 @@ def sample_uniform_tuples(
     uint64 array of little-endian 64-bit words, W = ceil(n / 64).
 
     Word j of every row is one ``rng.integers`` draw over min(64, n - 64j)
-    bits; samples with two equal rows are drawn again."""
+    bits. Row i of a sample is then drawn again while it equals an
+    earlier row, so each row is uniform over the strings the earlier rows
+    leave free, and samples without a collision keep their first draw."""
     if n < 1 or not 1 <= k <= 1 << n:
         raise ValueError(f"need n >= 1 and 1 <= k <= 2^n, got n={n}, k={k}")
     bits = [min(64, n - 64 * j) for j in range(-(-n // 64))]
-    x = np.zeros((samples, k, len(bits)), dtype=np.uint64)
-    bad = np.ones(samples, dtype=bool)
-    while bad.any():
-        x[bad] = np.stack([rng.integers(0, 1 << b, size=(int(bad.sum()), k),
-                                        dtype=np.uint64) for b in bits], axis=-1)
-        bad = np.zeros(samples, dtype=bool)
-        for i, j in itertools.combinations(range(k), 2):
-            bad |= (x[:, i] == x[:, j]).all(axis=1)
+
+    def draw(*shape: int) -> np.ndarray:
+        return np.stack([rng.integers(0, 1 << b, size=shape, dtype=np.uint64)
+                         for b in bits], axis=-1)
+
+    x = draw(samples, k)
+    for i in range(1, k):
+        rows = np.arange(samples)
+        while len(rows := rows[(x[rows, :i] == x[rows, i:i + 1]).all(2).any(1)]):
+            x[rows, i] = draw(len(rows))
     return x
 
 

@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import stats as sps
+from scipy.sparse.csgraph import connected_components
 
 from .chains import ChainSpec, Kernel, build_kernel, sample_chain
 from .core import sample_uniform_tuples
@@ -173,18 +174,26 @@ def _worst_tv_series(kernel: Kernel, all_starts: bool | None = None) -> Iterator
         dists = pt @ dists
 
 
-def _scan_to_mixing(series: Iterator[float], epsilon: float,
-                    max_steps: int) -> list[float]:
-    """The series up to and including its first value <= epsilon."""
+def _scan_to_mixing(kernel: Kernel, epsilon: float, max_steps: int,
+                    all_starts: bool | None = None) -> tuple[list[float], Iterator[float]]:
+    """The worst-start series up to and including its first value <=
+    epsilon, and the rest of the series. A kernel with more than one
+    strongly connected class is refused before any step: starts in
+    different classes never meet, so no number of steps mixes."""
     if not 0 < epsilon < 1:
         raise ValueError("need 0 < epsilon < 1")
     if max_steps < 0:
         raise ValueError("need max_steps >= 0")
+    classes = connected_components(kernel.matrix, connection="strong")[0]
+    if classes > 1:
+        raise ValueError(f"kernel has {classes} strongly connected classes; "
+                         "it is reducible and never mixes")
+    series = _worst_tv_series(kernel, all_starts)
     seen = []
     for worst in islice(series, max_steps + 1):
         seen.append(worst)
         if worst <= epsilon:
-            return seen
+            return seen, series
     raise RuntimeError(f"no mixing within {max_steps} steps (TV still {worst:.3g})")
 
 
@@ -197,31 +206,30 @@ def mixing_time_exact(
     """Smallest t with max-over-starts TV(p_x^t, pi) <= epsilon.
 
     The starts are those of `_worst_tv_series`: one per symmetry orbit for
-    the gate chains, state 0 for chains marked transitive.
+    the gate chains, state 0 for chains marked transitive. Raises
+    ValueError at once for a reducible kernel.
     """
-    return len(_scan_to_mixing(_worst_tv_series(kernel, all_starts),
-                               epsilon, max_steps)) - 1
+    return len(_scan_to_mixing(kernel, epsilon, max_steps, all_starts)[0]) - 1
 
 
 def mixing_curve(kernel: Kernel, epsilon: float,
                  max_steps: int = 100_000) -> tuple[int, list[float]]:
     """The mixing time tau of `mixing_time_exact` and the worst-start TV
     for t = 0 .. max(2 tau, 1), read from one evolution."""
-    series = _worst_tv_series(kernel)
-    curve = _scan_to_mixing(series, epsilon, max_steps)
+    curve, series = _scan_to_mixing(kernel, epsilon, max_steps)
     tau = len(curve) - 1
     curve += islice(series, max(2 * tau, 1) + 1 - len(curve))
     return tau, curve
 
 
-def kwise_tv_exact(n: int, k: int, t: int, gate_mode: str = "parameter") -> float:
-    """Exact approximation error of the t-gate circuit distribution:
-    max over start tuples of TV(p_x^t, uniform on distinct tuples), taken
-    over one start per symmetry orbit."""
+def kwise_tv_exact(n: int, k: int, t: int, gate_mode: str = "parameter") -> list[float]:
+    """Exact approximation error of the s-gate circuit distribution for
+    s = 0..t: max over start tuples of TV(p_x^s, uniform on distinct
+    tuples), taken over one start per symmetry orbit, from one evolution."""
     if t < 0:
         raise ValueError("need t >= 0")
     kernel = build_kernel(ChainSpec(family="rev", k=k, n=n, gate_mode=gate_mode))
-    return next(islice(_worst_tv_series(kernel), t, None))
+    return list(islice(_worst_tv_series(kernel), t + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +298,15 @@ def _statistic_values(statistic: str, tuples: np.ndarray, n: int, bins: int) -> 
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
-def _default_start(n: int, k: int) -> np.ndarray:
-    # fixed distinct tuple (0, 1, ..., k-1); any fixed choice works
-    return np.arange(k, dtype=np.uint64)
-
-
-def sample_circuit_outputs(
-    n: int, k: int, gates: int, samples: int, rng: np.random.Generator,
-    start: np.ndarray | None = None,
-) -> np.ndarray:
-    """Apply `samples` independent random circuits to one start tuple.
+def sample_circuit_outputs(n: int, k: int, gates: int, samples: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Apply `samples` independent random circuits to the fixed start tuple
+    (0, 1, ..., k-1); any fixed distinct start would do.
 
     Returns a (samples, k) uint64 array of output strings: `gates` steps
     of the parameter-uniform rev chain from every row of a tiled start.
     """
-    x = np.tile(_default_start(n, k) if start is None else
-                np.asarray(start, dtype=np.uint64), (samples, 1))
+    x = np.tile(np.arange(k, dtype=np.uint64), (samples, 1))
     return sample_chain(ChainSpec(family="rev", k=k, n=n), x, gates, rng)
 
 

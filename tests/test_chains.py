@@ -1,5 +1,7 @@
 """Exact kernels: closed-form entries, symmetry, and sampler agreement."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -14,7 +16,7 @@ from kwmix.chains import (
     product_kernel,
     sample_chain,
 )
-from kwmix.core import apply_gate_to_int, enumerate_gates, enumerate_tuples
+from kwmix.core import apply_gate_to_int, enumerate_gates, enumerate_tuples, gate_table
 from kwmix.errors import StateCapExceeded
 from kwmix.generic import make_partition
 from kwmix.rng import make_rng
@@ -244,6 +246,48 @@ def test_grev_stationary_is_left_eigenvector(toy_partition):
         for s in kernel.states
     ])
     assert np.abs(pi - mass / mass.sum()).max() <= 1e-12
+
+
+def _generic_successor_totals(kernel, n):
+    # w(x): parameter tuples whose gate maps state x to a generic state
+    states = np.array(kernel.states)
+    place = (1 << n) ** np.arange(states.shape[1])
+    generic = states @ place
+    w = np.zeros(len(states), dtype=np.int64)
+    for g in enumerate_gates(n):
+        w += np.isin(gate_table(g, n)[states] @ place, generic)
+    return w
+
+
+@pytest.mark.parametrize("n, k, w, p", [(3, 2, 2, 1), (5, 2, 2, 2), (5, 2, 1, 2)])
+def test_grev_stationary_is_the_correctly_rounded_row_total_share(n, k, w, p):
+    kernel = build_grev_kernel(k, n, make_partition(n, k, w=w, p=p))
+    totals = [int(v) for v in _generic_successor_totals(kernel, n)]
+    grand = sum(totals)
+    assert kernel.stationary.tolist() == [float(Fraction(v, grand)) for v in totals]
+
+
+def _power_iteration_stationary(matrix, tol=1e-15, max_iter=200_000):
+    # reference: the iterative solve the closed form replaced
+    pt = matrix.transpose().tocsr()
+    pi = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
+    for _ in range(max_iter):
+        nxt = pt @ pi
+        nxt /= nxt.sum()
+        if np.abs(nxt - pi).sum() < tol:
+            return nxt
+        pi = nxt
+    raise AssertionError("power iteration did not converge")
+
+
+@pytest.mark.parametrize("n, k, w, p, gate_mode", [
+    (5, 2, 2, 2, "parameter"), (5, 2, 1, 2, "parameter"), (4, 2, 1, 2, "set"),
+    (6, 2, 2, 2, "parameter"), (5, 3, 2, 1, "parameter"),
+])
+def test_grev_stationary_matches_power_iteration(n, k, w, p, gate_mode):
+    kernel = build_grev_kernel(k, n, make_partition(n, k, w=w, p=p), gate_mode)
+    reference = _power_iteration_stationary(kernel.matrix)
+    assert np.abs(kernel.stationary / reference - 1).max() <= 1e-13
 
 
 def test_grev_reversible_under_measured_stationary(toy_partition):

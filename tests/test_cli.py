@@ -312,6 +312,46 @@ def test_mix_exact_without_mixing_exits_2(capsys):
     assert "no mixing within 0 steps" in err and "--max-steps" in err
 
 
+def test_reducible_kernel_exits_2_before_stepping(capsys, monkeypatch):
+    # 2^w = k: no row can change its block value, so 4 closed classes
+    from kwmix.chains import Kernel
+
+    def never(kernel):
+        raise AssertionError("a reducible kernel was evolved")
+
+    monkeypatch.setattr(Kernel, "transpose_csr", never)
+    code, out, err = run_cli(capsys, "mix-exact", "--chain", "tgrev", "--n", "5",
+                             "--k", "2", "--part-w", "1", "--part-p", "2")
+    assert code == 2 and out == ""
+    assert "4 strongly connected classes" in err
+
+
+@pytest.mark.parametrize("chain", [
+    ("--chain", "rev"),
+    ("--chain", "grev", "--part-w", "4", "--part-p", "1"),
+])
+def test_gate_kernels_above_twelve_wires_exit_2_before_allocating(capsys, chain):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "gap", *chain, "--n", "13", "--k", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "n <= 12" in err
+    assert peak < 20 * 2**20  # the gate tables alone would take hundreds of MB
+
+
+def test_uniform_sampler_with_k_equal_to_two_to_the_n(capsys):
+    code, out, _ = run_cli(capsys, "kwise-test", "--n", "4", "--k", "16", "--gates", "5",
+                           "--samples", "10", "--sampler", "uniform",
+                           "--statistic", "lowbits", "--bins", "2")
+    assert code == 0
+    assert out.splitlines()[1].startswith("4,16,5,10,lowbits,2,")
+
+
 def test_mix_mc_refuses_too_few_samples_per_state(capsys):
     # 50 samples over the 240 states of rev(k=2, n=4): 0.21 expected each
     code, out, err = run_cli(capsys, "mix-mc", "--chain", "rev", "--n", "4",

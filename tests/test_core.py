@@ -121,16 +121,36 @@ def _brute_force_distinct_tables(n):
 
 def test_dedupe_gates_n3_against_enumeration_oracle():
     expected = _brute_force_distinct_tables(3)
-    got = dedupe_gates(3)
+    got = dedupe_gates(3)[0]
     assert len(got) == len(expected) == 46
     assert {tuple(int(v) for v in row) for row in got} == expected
 
 
 def test_dedupe_contains_identity_exactly_once():
-    got = [tuple(int(v) for v in row) for row in dedupe_gates(3)]
+    got = [tuple(int(v) for v in row) for row in dedupe_gates(3)[0]]
     identity = tuple(range(8))
     assert got.count(identity) == 1
     assert len(got) < 192
+
+
+def _dedupe_by_loop(n):
+    # reference: one gate_table per parameter tuple, keyed by its bytes
+    tables, counts = {}, {}
+    for g in enumerate_gates(n):
+        table = gate_table(g, n)
+        key = table.astype(np.uint16).tobytes()
+        tables.setdefault(key, table)
+        counts[key] = counts.get(key, 0) + 1
+    return np.stack(list(tables.values())), np.array(list(counts.values()))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_dedupe_gates_matches_the_per_gate_loop(n):
+    tables, counts = dedupe_gates(n)
+    want_tables, want_counts = _dedupe_by_loop(n)
+    assert np.array_equal(tables, want_tables)  # same tables, first-seen order
+    assert np.array_equal(counts, want_counts)
+    assert counts.sum() == 16 * n * (n - 1) ** 2
 
 
 def test_dedupe_rejects_large_n():

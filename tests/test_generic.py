@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from kwmix.chains import ChainSpec, build_kernel, build_tgrev_kernel
 from kwmix.core import sample_uniform_tuples, tuple_space_size
@@ -137,6 +138,18 @@ def test_sampler_draws_one_integers_call_per_word():
     assert (a[~redrawn, :, 0] == b[~redrawn]).all()
     words = sample_uniform_tuples(100, 2, 1_000, make_rng(5))
     assert (words[:, :, 1] < (1 << 36)).all() and (words[:, :, 1] >= (1 << 35)).any()
+
+
+def test_sampler_is_uniform_over_distinct_tuples():
+    # n=2, k=3: all 24 distinct tuples, most samples redraw some row
+    x = sample_uniform_tuples(2, 3, 12_000, make_rng(7))[..., 0]
+    assert (x[:, 0] != x[:, 1]).all() and (x[:, 1] != x[:, 2]).all()
+    assert (x[:, 0] != x[:, 2]).all()
+    counts = np.bincount((x @ np.array([16, 4, 1], dtype=np.uint64)).astype(np.int64),
+                         minlength=64)
+    counts = counts[counts > 0]
+    assert len(counts) == 24
+    assert sps.chisquare(counts).pvalue > 1e-3
 
 
 def test_sampler_refuses_more_rows_than_strings_before_drawing():

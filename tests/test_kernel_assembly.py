@@ -37,7 +37,7 @@ def _dense(rows: dict, states: tuple) -> np.ndarray:
 def reference_gate_rows(states, n: int, gate_mode: str) -> dict:
     """Gate successors that stay in `states`, counted per state."""
     if gate_mode == "set":
-        tables = [t.tolist() for t in dedupe_gates(n)]
+        tables = [t.tolist() for t in dedupe_gates(n)[0]]
     else:
         tables = [gate_table(g, n).tolist() for g in enumerate_gates(n)]
     inside = set(states)

@@ -19,6 +19,7 @@ from kwmix.mixing import (
     evolve,
     kwise_stat_mc,
     kwise_tv_exact,
+    mixing_curve,
     mixing_time_exact,
     orbit_starts,
     pointwise_relative_error,
@@ -110,9 +111,17 @@ def test_pointwise_threshold_finite_and_monotone(rev32):
     assert thresholds == sorted(thresholds)
 
 
+def test_reducible_kernel_is_refused_at_once():
+    part = make_partition(5, 2, w=1, p=2)
+    kernel = build_kernel(ChainSpec(family="tgrev", k=2, n=5, partition=part))
+    for solve in (mixing_time_exact, mixing_curve):
+        with pytest.raises(ValueError, match="4 strongly connected classes"):
+            solve(kernel, 0.25)
+
+
 def test_kwise_tv_at_zero_steps():
     size = 8 * 7
-    assert kwise_tv_exact(3, 2, 0) == pytest.approx(1 - 1 / size, abs=1e-14)
+    assert kwise_tv_exact(3, 2, 0)[0] == pytest.approx(1 - 1 / size, abs=1e-14)
 
 
 def test_worst_tv_at_zero_steps_is_accurate_to_2_ulps():
@@ -123,7 +132,7 @@ def test_worst_tv_at_zero_steps_is_accurate_to_2_ulps():
 
 
 def test_kwise_tv_decays_monotonically():
-    values = [kwise_tv_exact(3, 2, t) for t in range(0, 25, 4)]
+    values = kwise_tv_exact(3, 2, 24)[::4]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] < 0.1
 
@@ -135,7 +144,7 @@ def test_kwise_tv_k1_matches_single_string_chain():
             tv_distance(evolve(kernel, s, t), kernel.stationary)
             for s in range(kernel.size)
         )
-        assert kwise_tv_exact(3, 1, t) == pytest.approx(direct, abs=1e-14)
+        assert kwise_tv_exact(3, 1, t)[t] == pytest.approx(direct, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
