@@ -28,7 +28,11 @@ array, one move drawn per row and step, drawn from the same moves the
 builders count. rev draws a gate (or, in ``set`` mode, a deduplicated
 table), ucc a coordinate and a color (swapping on collision), cc the
 r-th color available to the coordinate, and tgrev a hold, a remainder-bit
-flip or the r-th block value free for its row.
+flip or the r-th block value free for its row. rev is stepped on the
+transposed (k, S) array in the narrowest unsigned word holding n bits
+(uint16 up to n = 16, uint32 up to 32, uint64 up to 64), so the gate
+vectors broadcast along the long axis; its draws and its (S, k) uint64
+result are those of a loop on the (S, k) uint64 array.
 
 Gate randomness has two documented measures, both weights on the one
 table set of ``core.dedupe_gates`` (n <= 12 for the exact kernels):
@@ -138,7 +142,7 @@ def sample_chain(spec: ChainSpec, x: np.ndarray, t: int,
     """Run t steps of the chain from every row of an (S, k) state array.
 
     Each step draws one move per row, the moves the kernel builders count.
-    Returns a new array, uint64 for rev (n <= 64) and int64 otherwise.
+    Returns a new (S, k) array, uint64 for rev (n <= 64) and int64 otherwise.
     """
     if spec.family not in ("rev", "cc", "ucc", "tgrev"):
         raise ValueError(f"no step sampler for {spec.family!r}")
@@ -149,26 +153,16 @@ def sample_chain(spec: ChainSpec, x: np.ndarray, t: int,
     x = np.array(x, dtype=np.uint64 if spec.family == "rev" else np.int64)
     if x.ndim != 2 or x.shape[1] != spec.k:
         raise ValueError(f"need an (S, {spec.k}) state array, got shape {x.shape}")
-    size, k, n, N = len(x), spec.k, spec.n, spec.ncolors
+    if spec.family == "rev":
+        return _sample_rev(spec.n, spec.gate_mode, x, t, rng)
+    size, k, N = len(x), spec.k, spec.ncolors
     rows = np.arange(size)
-    if spec.family == "rev" and spec.gate_mode == "set":
-        tables = dedupe_gates(n)[0].astype(np.uint64)
     if spec.family == "tgrev":
         part = spec.partition
         _check_tgrev_partition(k, part)
         remainder = np.array(part.remainder)
     for _ in range(t):
-        if spec.family == "rev" and spec.gate_mode == "set":
-            x = tables[rng.integers(len(tables), size=size)[:, None], x]
-        elif spec.family == "rev":
-            target = rng.integers(0, n, size=size, dtype=np.uint64)
-            j1 = (target + 1 + rng.integers(0, n - 1, size=size, dtype=np.uint64)) % n
-            j2 = (target + 1 + rng.integers(0, n - 1, size=size, dtype=np.uint64)) % n
-            h = rng.integers(0, 16, size=size, dtype=np.uint64)
-            a = (x >> j1[:, None]) & 1
-            b = (x >> j2[:, None]) & 1
-            x ^= ((h[:, None] >> ((a << 1) | b)) & 1) << target[:, None]
-        elif spec.family == "ucc":  # recolor, swapping on collision
+        if spec.family == "ucc":  # recolor, swapping on collision
             i = rng.integers(k, size=size)
             color = rng.integers(N, size=size)
             x = np.where(x == color[:, None], x[rows, i][:, None], x)
@@ -189,6 +183,50 @@ def sample_chain(spec: ChainSpec, x: np.ndarray, t: int,
                 u = _nth_free(extract_block(x[m], block), i[m], r[m])
                 x[m, i[m]] = insert_block(x[m, i[m]], block, u)
     return x
+
+
+def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """t rev steps from the rows of an (S, k) uint64 array of n-bit strings.
+
+    The state is stepped transposed, as a C-contiguous (k, S) array in the
+    narrowest unsigned word holding n bits, so each per-sample gate vector
+    broadcasts along the long axis. The draws are those of an (S, k) uint64
+    loop: per step the target in [0, n), both control offsets in [0, n-1)
+    from one (2, S) call (its C-order fill gives the values of two calls),
+    and the truth table in [0, 16). uint32 draws take the same bounded
+    32-bit path as uint64 ones, so the values match too. Row tau of the
+    wire table lists the controls tau+1, ..., tau+n-1 (mod n).
+    """
+    if n < 64 and x.size and x.max() >> n:
+        raise ValueError(f"rev states are {n}-bit strings")
+    word = next(w for w in (np.uint16, np.uint32, np.uint64) if n <= np.iinfo(w).bits)
+    x = np.ascontiguousarray(x.T, dtype=word)
+    size = x.shape[1]
+    if gate_mode == "set":
+        tables = dedupe_gates(n)[0]
+        for _ in range(t):
+            x = tables[rng.integers(len(tables), size=size), x]
+        return np.ascontiguousarray(x.T, dtype=np.uint64)
+    wires = ((np.arange(n)[:, None] + 1 + np.arange(n - 1)) % n).astype(word).ravel()
+    a, b = np.empty_like(x), np.empty_like(x)
+    for _ in range(t):
+        target = rng.integers(0, n, size=size, dtype=np.uint32)
+        j = rng.integers(0, n - 1, size=(2, size), dtype=np.uint32)
+        h = rng.integers(0, 16, size=size, dtype=np.uint32).astype(word)
+        j += target * (n - 1)
+        j1, j2 = wires.take(j)
+        np.right_shift(x, j1, out=a)
+        a &= 1
+        a <<= 1
+        np.right_shift(x, j2, out=b)
+        b &= 1
+        a |= b
+        np.right_shift(h, a, out=a)
+        a &= 1
+        a <<= target.astype(word)
+        x ^= a
+    return np.ascontiguousarray(x.T, dtype=np.uint64)
 
 
 def _nth_free(values: np.ndarray, i: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -333,6 +333,8 @@ def kwise_stat_mc(
         raise ValueError(f"unknown sampler {sampler!r}")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if gates < 0:
+        raise ValueError(f"need gates >= 0, got {gates}")
     if n > 64:
         raise ValueError(f"statistics are taken on one 64-bit word, need n <= 64, got {n}")
     if bins is None:

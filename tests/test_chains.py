@@ -16,7 +16,13 @@ from kwmix.chains import (
     product_kernel,
     sample_chain,
 )
-from kwmix.core import apply_gate_to_int, enumerate_gates, enumerate_tuples, gate_table
+from kwmix.core import (
+    apply_gate_to_int,
+    dedupe_gates,
+    enumerate_gates,
+    enumerate_tuples,
+    gate_table,
+)
 from kwmix.errors import StateCapExceeded
 from kwmix.generic import make_partition
 from kwmix.rng import make_rng
@@ -383,3 +389,62 @@ def test_sampler_rejects_families_without_moves_and_bad_shapes():
         sample_chain(SAMPLED_SPECS["rev"], np.zeros((2, 3)), 1, rng)
     with pytest.raises(ValueError):
         sample_chain(SAMPLED_SPECS["rev"], np.zeros((2, 2)), -1, rng)
+    with pytest.raises(ValueError, match="3-bit strings"):
+        sample_chain(SAMPLED_SPECS["rev"], np.array([[0, 8]]), 1, rng)
+
+
+# ---------------------------------------------------------------------------
+# the rev sampler equals the (S, k) uint64 step loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_rev_steps(x, t, rng, n, tables=None):
+    """rev steps on an (S, k) uint64 array: per row a target, two control
+    offsets and a truth table, or in set mode one deduplicated table."""
+    x = np.array(x, dtype=np.uint64)
+    size = len(x)
+    for _ in range(t):
+        if tables is not None:
+            x = tables[rng.integers(len(tables), size=size)[:, None], x]
+            continue
+        target = rng.integers(0, n, size=size, dtype=np.uint64)
+        j1 = (target + 1 + rng.integers(0, n - 1, size=size, dtype=np.uint64)) % n
+        j2 = (target + 1 + rng.integers(0, n - 1, size=size, dtype=np.uint64)) % n
+        h = rng.integers(0, 16, size=size, dtype=np.uint64)
+        a = (x >> j1[:, None]) & 1
+        b = (x >> j2[:, None]) & 1
+        x ^= ((h[:, None] >> ((a << 1) | b)) & 1) << target[:, None]
+    return x
+
+
+def _distinct_starts(n, k, seed, rows=40):
+    # per row k distinct small values XORed with one n-bit mask whose top
+    # wire is set: rows stay distinct and carry high bits
+    g = np.random.default_rng(seed)
+    small = np.argsort(g.random((rows, min(1 << n, 256))), axis=1)[:, :k]
+    mask = g.integers(0, 1 << n, size=(rows, 1), dtype=np.uint64)
+    return small.astype(np.uint64) ^ (mask | np.uint64(1 << (n - 1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [3, 12, 16, 17, 32, 33, 63, 64])
+def test_rev_sampler_equals_the_uint64_loop(n, k):
+    spec = ChainSpec(family="rev", k=k, n=n)
+    for seed in range(3):
+        x = _distinct_starts(n, k, seed)
+        got = sample_chain(spec, x, 25, make_rng(seed))
+        assert got.dtype == np.uint64 and got.shape == x.shape
+        np.testing.assert_array_equal(got, _reference_rev_steps(x, 25, make_rng(seed), n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_rev_set_sampler_equals_the_uint64_loop(n):
+    tables = dedupe_gates(n)[0].astype(np.uint64)
+    for k in (1, 2, 3, 5):
+        spec = ChainSpec(family="rev", k=k, n=n, gate_mode="set")
+        for seed in range(3):
+            x = _distinct_starts(n, k, seed)
+            got = sample_chain(spec, x, 25, make_rng(seed))
+            assert got.dtype == np.uint64 and got.shape == x.shape
+            np.testing.assert_array_equal(
+                got, _reference_rev_steps(x, 25, make_rng(seed), n, tables))

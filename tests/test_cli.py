@@ -175,6 +175,15 @@ def test_more_rows_than_strings_exits_2(capsys, argv):
     assert err.count("\n") == 1 and "1 <= k <= 2^n" in err
 
 
+@pytest.mark.parametrize("sampler", ["circuit", "uniform"])
+def test_negative_gate_count_exits_2(capsys, sampler):
+    code, out, err = run_cli(capsys, "kwise-test", "--n", "6", "--k", "2",
+                             "--gates", "-3", "--samples", "100", "--sampler", sampler)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "need gates >= 0, got -3" in err
+
+
 def test_tgrev_verify(capsys):
     code, out, _ = run_cli(capsys, "tgrev-verify", "--n", "3", "--k", "2",
                            "--part-w", "2", "--part-p", "1", "--format", "json")
