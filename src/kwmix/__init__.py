@@ -42,9 +42,7 @@ from .comparison import (
     dirichlet_comparison_residual,
 )
 from .core import (
-    BitString,
     Gate,
-    apply_gate,
     dedupe_gates,
     enumerate_gates,
     enumerate_tuples,

@@ -112,8 +112,6 @@ def lsc_search(
     smallest ratio found and its witness; the value is a certified upper
     bound on the log-Sobolev constant.
     """
-    if kernel.size > 10_000:
-        raise ValueError("search is limited to kernels with at most 10^4 states")
     if restarts < 1:
         raise ValueError("need at least one restart")
     w, deg, erow, ecol, eweight = _symmetric_weights(kernel)
@@ -217,9 +215,12 @@ def spectral_gap(kernel: Kernel) -> float:
     fixed positive vector (make_rng(0)), not ARPACK's own random one, so
     the same kernel gives the same float on every call.
 
-    Raises ValueError if eigsh does not converge, and InvariantViolation
+    Raises ValueError for a kernel of fewer than 2 states or if eigsh
+    does not converge, and InvariantViolation
     if the top eigenvalue is further than 1e-10 from 1.
     """
+    if kernel.size < 2:
+        raise ValueError(f"spectral gap needs at least 2 states, got {kernel.size}")
     report = verify_reversible(kernel, tol=GAP_REVERSIBILITY_TOL)
     if not report.passes:
         raise ValueError(
@@ -315,7 +316,7 @@ def chain_rule_residual(f: np.ndarray, i: int, k: int, N: int) -> float:
 
 def _tuple_function(f: np.ndarray, k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """f as floats over the k-tuple space, with that space's state array."""
-    states = _tuple_states(k, N, f"tuple function(k={k},N={N})")[1]
+    states = _tuple_states(k, N, f"tuple function(k={k},N={N})")
     f = np.asarray(f, dtype=float)
     if f.shape != (len(states),):
         raise ValueError(f"function has shape {f.shape}, expected ({len(states)},)")

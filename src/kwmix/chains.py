@@ -14,7 +14,9 @@ Families:
 * ``complete`` -- jump to a uniform state (the complete-graph kernel).
 
 Every exact builder takes one path. States are an (S, k) int64 array,
-and successor tuples are ranked by sorted base-N keys. A builder emits
+kept as ``Kernel.states`` (None for product kernels), and successor
+tuples are ranked by sorted base-N keys (``_state_index``, which also
+ranks the symmetry images of ``mixing.orbit_starts``). A builder emits
 its moves as arrays (src, dst, count), count being the integer number of
 draws of one step that move src to dst (the product chain passes its
 factors' entries instead). One helper sums the moves into a CSR matrix
@@ -105,7 +107,7 @@ class Kernel:
     matrix: sparse.csr_matrix
     stationary: np.ndarray
     meta: dict = field(default_factory=dict)
-    states: tuple | None = None
+    states: np.ndarray | None = None  # (S, k) int64, row i is state i
 
     @property
     def size(self) -> int:
@@ -301,7 +303,7 @@ def _assemble(moves: Moves, size: int, denom: int) -> sparse.csr_matrix:
     return matrix
 
 
-def _kernel(matrix: sparse.csr_matrix, meta: dict, states: tuple | None = None,
+def _kernel(matrix: sparse.csr_matrix, meta: dict, states: np.ndarray | None = None,
             stationary: np.ndarray | None = None) -> Kernel:
     """Validated kernel; the stationary law defaults to uniform."""
     size = matrix.shape[0]
@@ -332,10 +334,9 @@ def _state_index(states: np.ndarray, base: int):
     return rank
 
 
-def _tuple_states(k: int, N: int, what: str) -> tuple[tuple, np.ndarray]:
+def _tuple_states(k: int, N: int, what: str) -> np.ndarray:
     check_state_cap(tuple_space_size(k, N), what)
-    states = tuple(enumerate_tuples(k, N))
-    return states, np.array(states, dtype=np.int64)
+    return enumerate_tuples(k, N)
 
 
 def _recolor_moves(states: np.ndarray, N: int, index, swaps: bool) -> Moves:
@@ -354,11 +355,11 @@ def _recolor_moves(states: np.ndarray, N: int, index, swaps: bool) -> Moves:
 
 
 def _build_coloring(family: str, k: int, N: int) -> Kernel:
-    states, x = _tuple_states(k, N, f"{family}(k={k},N={N})")
+    states = _tuple_states(k, N, f"{family}(k={k},N={N})")
     swaps = family == "ucc"
-    moves = _recolor_moves(x, N, _state_index(x, N), swaps)
+    moves = _recolor_moves(states, N, _state_index(states, N), swaps)
     denom = k * N if swaps else k * (N - k + 1)
-    return _kernel(_assemble(moves, len(x), denom),
+    return _kernel(_assemble(moves, len(states), denom),
                    {"family": family, "k": k, "N": N}, states)
 
 
@@ -366,7 +367,7 @@ def _build_complete(N: int) -> Kernel:
     check_state_cap(N * N, f"complete(N={N}) kernel entries")
     c = np.arange(N)
     matrix = _assemble([(np.repeat(c, N), np.tile(c, N), 1)], N, N)
-    return _kernel(matrix, {"family": "complete", "N": N}, tuple((v,) for v in range(N)))
+    return _kernel(matrix, {"family": "complete", "N": N}, c[:, None])
 
 
 def _gate_moves(states: np.ndarray, tables: np.ndarray, weights: np.ndarray,
@@ -381,9 +382,8 @@ def _gate_moves(states: np.ndarray, tables: np.ndarray, weights: np.ndarray,
         yield src[hit], dst[hit], np.broadcast_to(weights[:, None], dst.shape)[hit]
 
 
-def _gate_kernel(states: tuple, x: np.ndarray, n: int, gate_mode: str,
-                 meta: dict) -> Kernel:
-    """The gate chain restricted to `states` (the rows of `x`), each row
+def _gate_kernel(states: np.ndarray, n: int, gate_mode: str, meta: dict) -> Kernel:
+    """The gate chain restricted to the rows of `states`, each row
     renormalized: the weighted count c(u, v) of gates moving u to v is
     divided by the row total w(u). A gate table weighs the number of
     parameter tuples inducing it, or 1 in ``set`` mode. Every gate is an
@@ -397,8 +397,8 @@ def _gate_kernel(states: tuple, x: np.ndarray, n: int, gate_mode: str,
     tables, weights = dedupe_gates(n)
     if gate_mode == "set":
         weights = np.ones_like(weights)
-    counts = _count_matrix(_gate_moves(x, tables, weights, _state_index(x, 1 << n)),
-                           len(x))
+    index = _state_index(states, 1 << n)
+    counts = _count_matrix(_gate_moves(states, tables, weights, index), len(states))
     w = np.asarray(counts.sum(axis=1)).ravel()
     matrix = counts.astype(np.float64)
     matrix.data /= np.repeat(w, np.diff(matrix.indptr))
@@ -406,17 +406,18 @@ def _gate_kernel(states: tuple, x: np.ndarray, n: int, gate_mode: str,
 
 
 def _build_rev(k: int, n: int, gate_mode: str) -> Kernel:
-    states, x = _tuple_states(k, 1 << n, f"rev(k={k},n={n})")
-    return _gate_kernel(states, x, n, gate_mode,
+    states = _tuple_states(k, 1 << n, f"rev(k={k},n={n})")
+    return _gate_kernel(states, n, gate_mode,
                         {"family": "rev", "k": k, "n": n, "gate_mode": gate_mode})
 
 
-def enumerate_generic_states(k: int, partition: Partition) -> tuple[tuple[int, ...], ...]:
-    """All generic states, ordered as the product of per-block tuple
-    indices (major) and remainder bits in (row, wire) order (minor)."""
+def enumerate_generic_states(k: int, partition: Partition) -> np.ndarray:
+    """All generic states as the rows of an (S, k) int64 array, ordered as
+    the product of per-block tuple indices (major) and remainder bits in
+    (row, wire) order (minor)."""
     _check_partition_rows(k, partition)
     check_state_cap(count_generic_states(partition), f"generic(k={k},n={partition.n})")
-    _, block_tuples = _tuple_states(k, 1 << partition.w, f"block(k={k},w={partition.w})")
+    block_tuples = _tuple_states(k, 1 << partition.w, f"block(k={k},w={partition.w})")
     digits = np.indices((len(block_tuples),) * partition.p).reshape(partition.p, -1)
     base = sum(insert_block(0, block, block_tuples[d])
                for block, d in zip(partition.blocks, digits))
@@ -424,8 +425,7 @@ def enumerate_generic_states(k: int, partition: Partition) -> tuple[tuple[int, .
     nbits = k * len(rem)
     bits = np.arange(1 << nbits)[:, None] >> np.arange(nbits - 1, -1, -1) & 1
     tails = (bits.reshape(1 << nbits, k, len(rem)) << rem).sum(axis=2)
-    states = (base[:, None, :] | tails[None, :, :]).reshape(-1, k)
-    return tuple(map(tuple, states.tolist()))
+    return (base[:, None, :] | tails[None, :, :]).reshape(-1, k)
 
 
 def _check_partition_rows(k: int, partition: Partition) -> None:
@@ -445,8 +445,7 @@ def build_tgrev_kernel(k: int, partition: Partition) -> Kernel:
     remainder-bit flip p (2^w - k + 1) and each block move 2 |C|.
     """
     _check_tgrev_partition(k, partition)
-    states = enumerate_generic_states(k, partition)
-    x = np.array(states, dtype=np.int64)
+    x = enumerate_generic_states(k, partition)
     index = _state_index(x, 1 << partition.n)
     rem, p = len(partition.remainder), partition.p
     avail = (1 << partition.w) - k + 1
@@ -471,7 +470,7 @@ def build_tgrev_kernel(k: int, partition: Partition) -> Kernel:
 
     meta = {"family": "tgrev", "k": k, "n": partition.n,
             "partition": partition.descriptor()}
-    return _kernel(_assemble(moves(), len(x), 4 * k * rem * p * avail), meta, states)
+    return _kernel(_assemble(moves(), len(x), 4 * k * rem * p * avail), meta, x)
 
 
 def build_grev_kernel(
@@ -485,7 +484,7 @@ def build_grev_kernel(
     states = enumerate_generic_states(k, partition)
     meta = {"family": "grev", "k": k, "n": n, "gate_mode": gate_mode,
             "partition": partition.descriptor()}
-    return _gate_kernel(states, np.array(states, dtype=np.int64), n, gate_mode, meta)
+    return _gate_kernel(states, n, gate_mode, meta)
 
 
 def product_kernel(factors: Sequence[Kernel]) -> Kernel:

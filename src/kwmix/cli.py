@@ -28,6 +28,7 @@ from . import __version__
 from .analysis import (
     chain_rule_residual,
     complete_alpha_lower_bound,
+    entropy,
     lsc_search,
     spectral_gap,
     ucc_alpha_lower_bound,
@@ -240,8 +241,7 @@ def _run_lsc_search(args):
     }
     header = ("kernel", "restarts", "best_ratio", "paper_bound", "margin",
               "paper_bound_log2", "margin_log2")
-    row = tuple("" if obj[h.replace("-", "_")] is None else obj[h.replace("-", "_")]
-                for h in header)
+    row = tuple("" if obj[h] is None else obj[h] for h in header)
     return obj, header, [row]
 
 
@@ -251,8 +251,6 @@ def _run_chain_rule_check(args):
     rng = make_rng(args.seed)
     rows = []
     worst_abs = worst_rel = 0.0
-    from .analysis import entropy
-
     for i in range(k):
         max_abs = max_rel = 0.0
         for _ in range(args.count):

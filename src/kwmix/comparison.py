@@ -154,7 +154,7 @@ def congestion_delta(k: int, N: int) -> CongestionResult:
     """
     if not 1 <= k <= N - 1:
         raise ValueError(f"need 1 <= k < N, got k={k}, N={N}")
-    states, x = _tuple_states(k, N, f"congestion(k={k},N={N})")
+    x = _tuple_states(k, N, f"congestion(k={k},N={N})")
     index = _state_index(x, N)
     src = np.arange(len(x))
 
@@ -184,7 +184,7 @@ def congestion_delta(k: int, N: int) -> CongestionResult:
     row = int(np.searchsorted(loads.indptr, best, side="right")) - 1
     return CongestionResult(
         k=k, N=N, a_delta=float(ratio[best]),
-        argmax_edge=(states[row], states[int(loads.indices[best])]),
+        argmax_edge=(tuple(x[row].tolist()), tuple(x[loads.indices[best]].tolist())),
         formula_bound=congestion_formula_bound(k, N),
     )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,8 +25,6 @@ import numpy as np
 H_ZERO = 0b0000
 H_AND = 0b1000
 H_XOR = 0b0110
-H_OR = 0b1110
-H_ONE = 0b1111
 
 NUM_TRUTH_TABLES = 16
 
@@ -34,37 +32,6 @@ NUM_TRUTH_TABLES = 16
 def h_eval(h: int, a: int, b: int) -> int:
     """Value of truth table h at control bits (a, b)."""
     return (h >> ((a << 1) | b)) & 1
-
-
-@dataclass(frozen=True)
-class BitString:
-    """Fixed-length bit string. Bit i of `value` is (value >> i) & 1."""
-
-    value: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"length must be positive, got {self.n}")
-        if not 0 <= self.value < (1 << self.n):
-            raise ValueError(f"value {self.value} does not fit in {self.n} bits")
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BitString":
-        value = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"bit {i} is {b}, expected 0 or 1")
-            value |= b << i
-        return cls(value, len(bits))
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(f"bit index {i} out of range for length {self.n}")
-        return (self.value >> i) & 1
-
-    def to_bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> i) & 1 for i in range(self.n))
 
 
 @dataclass(frozen=True)
@@ -89,17 +56,9 @@ class Gate:
             raise ValueError(f"truth table must be in [0, 16), got {self.h}")
 
 
-def apply_gate(x: BitString, g: Gate) -> BitString:
-    """Image of x under g: bit `target` XORed with h(bit j1, bit j2)."""
-    if x.n < 3:
-        raise ValueError(f"gates need at least 3 wires, got n={x.n}")
-    if max(g.target, g.j1, g.j2) >= x.n:
-        raise IndexError(f"gate {g} addresses wires beyond length {x.n}")
-    return BitString(apply_gate_to_int(x.value, g), x.n)
-
-
 def apply_gate_to_int(value: int, g: Gate) -> int:
-    """apply_gate on a raw integer encoding (no bounds checks)."""
+    """Image of the n-bit string `value` under g: bit `target` XORed with
+    h(bit j1, bit j2). Wires are not bounds-checked."""
     a = (value >> g.j1) & 1
     b = (value >> g.j2) & 1
     return value ^ (h_eval(g.h, a, b) << g.target)
@@ -182,11 +141,12 @@ def tuple_space_size(k: int, N: int) -> int:
     return size
 
 
-def enumerate_tuples(k: int, N: int) -> Iterator[tuple[int, ...]]:
-    """All distinct k-tuples over {0,...,N-1}, in lexicographic order."""
-    if k < 1 or k > N:
-        raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
-    return itertools.permutations(range(N), k)
+def enumerate_tuples(k: int, N: int) -> np.ndarray:
+    """All distinct k-tuples over {0,...,N-1}, in lexicographic order, as
+    the rows of an (S, k) int64 array."""
+    size = tuple_space_size(k, N)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(N), k))
+    return np.fromiter(flat, dtype=np.int64, count=size * k).reshape(size, k)
 
 
 def tuple_index(t: Sequence[int], N: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -204,8 +204,7 @@ def generic_fraction_exact(partition: Partition) -> Fraction:
     total = tuple_space_size(k, N)
     if total > 10_000_000:
         raise ValueError(f"{total} tuples is too many to enumerate exactly")
-    words = np.fromiter(chain.from_iterable(enumerate_tuples(k, N)), dtype=np.uint64,
-                        count=total * k).reshape(total, k, 1)
+    words = enumerate_tuples(k, N).view(np.uint64)[..., None]
     return Fraction(int(generic_mask(words, partition).sum()), total)
 
 

@@ -1,27 +1,32 @@
 """Exact distribution evolution, mixing times, and statistical tests.
 
 Exact experiments evolve point masses through a kernel and track total
-variation to stationarity. At sizes where the tuple space is out of
-reach, circuits are sampled instead and a projected statistic of the
-output tuple is tested against its closed-form law under the uniform
-distribution on distinct tuples (chi-square goodness of fit). The
-projections keep the null law exactly computable, which raw TV over a
-~2^(nk)-point support would not be.
+variation to stationarity. A gate chain tracks one start per symmetry
+orbit; the orbits are the connected components of the graph joining
+each state to its images under a few generators of the symmetry group,
+ranked against the kernel's (S, k) state array. At sizes where the
+tuple space is out of reach, circuits are sampled instead and a
+projected statistic of the output tuple is tested against its
+closed-form law under the uniform distribution on distinct tuples
+(chi-square goodness of fit). The projections keep the null law exactly
+computable, which raw TV over a ~2^(nk)-point support would not be.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy import stats as sps
 from scipy.sparse.csgraph import connected_components
 
-from .chains import ChainSpec, Kernel, build_kernel, sample_chain
+from .chains import ChainSpec, Kernel, _state_index, build_kernel, sample_chain
 from .core import sample_uniform_tuples
+from .errors import InvariantViolation
 from .rng import mc_chunks
 
 # chains whose color-permutation symmetry makes every start equivalent
@@ -74,50 +79,64 @@ def pointwise_relative_error(kernel: Kernel, start: int, t: int) -> float:
     return float(np.max(np.abs(p - pi) / pi))
 
 
-def canonical_forms(states: np.ndarray, n: int,
-                    blocks: Sequence[Sequence[int]] = ()) -> np.ndarray:
-    """Canonical form of each row of an (S, k) array of n-bit tuples.
+def _swap_and_roll(items: Sequence) -> list[list]:
+    """Orders of `items` that generate all their permutations: the first
+    two swapped, and a roll by one where that is not the same move."""
+    items = list(items)
+    orders = []
+    if len(items) > 1:
+        orders.append(items[1::-1] + items[2:])
+    if len(items) > 2:
+        orders.append(items[1:] + items[:1])
+    return orders
 
-    Two tuples get the same form iff one maps to the other by XOR with a
-    constant, a permutation of the rows, and a permutation of the wires
-    that keeps each block together (whole blocks, of equal width, may be
-    exchanged) and the remaining wires together. Each wire is read as a
-    k-bit column, normalized modulo complement; a group of wires keeps
-    the histogram of its columns, held as their sorted values. The block
-    histograms are sorted, the remainder's is appended, all packed into
-    one integer, and the form is its minimum over the k! row orders.
-    """
-    states = np.asarray(states, dtype=np.int64)
-    k = states.shape[1]
-    if (k - 1) * n > 62:
-        raise ValueError(f"canonical forms need (k-1)*n <= 62, got k={k}, n={n}")
+
+def _permute_wires(states: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Wire j of the image is wire perm[j] of each string."""
+    moved = np.flatnonzero(perm != np.arange(len(perm)))
+    image = states & ~sum(1 << int(j) for j in moved)
+    for j in moved:
+        image |= (states >> perm[j] & 1) << j
+    return image
+
+
+def _symmetry_images(states: np.ndarray, n: int,
+                     blocks: Sequence[Sequence[int]]) -> Iterator[np.ndarray]:
+    """Images of an (S, k) state array under generators of its symmetry
+    group: one-bit XORs, then a swap and a roll of the wires inside each
+    block and inside the remainder, of the whole blocks, and of the rows."""
+    for j in range(n):
+        yield states ^ (1 << j)
     held = {wire for block in blocks for wire in block}
-    remainder = [wire for wire in range(n) if wire not in held]
-    width = k - 1  # bits of a column normalized modulo complement
-    flip = (1 << k) - 1
-    bits = states[:, :, None] >> np.arange(n) & 1
-    best = None
-    for order in permutations(range(k)):
-        columns = (bits[:, list(order), :] << np.arange(k)[:, None]).sum(axis=1)
-        columns = np.minimum(columns, columns ^ flip)
-        codes = [_pack(np.sort(columns[:, list(block)], axis=1), width)
-                 for block in blocks]
-        form = np.zeros(len(states), dtype=np.int64)
-        if codes:
-            form = _pack(np.sort(np.stack(codes, axis=1), axis=1),
-                         width * len(blocks[0]))
-        form = form << width * len(remainder) | _pack(
-            np.sort(columns[:, remainder], axis=1), width)
-        best = form if best is None else np.minimum(best, form)
-    return best
+    # wire groups permuted among themselves: the single wires of each
+    # block, those of the remainder, and the whole blocks
+    families = [[[w] for w in block] for block in blocks]
+    families += [[[w] for w in range(n) if w not in held], list(blocks)]
+    for groups in families:
+        for order in _swap_and_roll(groups):
+            perm = np.arange(n)
+            perm[np.concatenate(groups)] = np.concatenate(order)
+            yield _permute_wires(states, perm)
+    for order in _swap_and_roll(range(states.shape[1])):
+        yield states[:, order]
 
 
-def _pack(digits: np.ndarray, width: int) -> np.ndarray:
-    """Rows of `width`-bit digits packed into one integer, first digit high."""
-    out = np.zeros(len(digits), dtype=np.int64)
-    for column in digits.T:
-        out = out << width | column
-    return out
+def _orbit_labels(states: np.ndarray, n: int, blocks: Sequence[Sequence[int]]) -> np.ndarray:
+    """Orbit label of each row of an (S, k) array of n-bit tuples, the
+    array being closed under the symmetries of `_symmetry_images`.
+
+    The orbits are the connected components of the graph that joins each
+    state to its generator images, ranked by the kernels' `_state_index`.
+    """
+    index = _state_index(states, 1 << n)
+    ranks = [index(image) for image in _symmetry_images(states, n, blocks)]
+    dst = np.concatenate(ranks)
+    if dst.min() < 0:
+        raise InvariantViolation("a symmetry image is not one of the states")
+    src = np.tile(np.arange(len(states)), len(ranks))
+    graph = sparse.coo_matrix((np.ones(len(dst), dtype=bool), (src, dst)),
+                              shape=(len(states), len(states)))
+    return connected_components(graph, directed=False)[1]
 
 
 def orbit_starts(kernel: Kernel) -> np.ndarray:
@@ -126,16 +145,17 @@ def orbit_starts(kernel: Kernel) -> np.ndarray:
 
     The kernel and its stationary law are invariant under XOR with a
     constant, row permutations and wire permutations (for grev and tgrev,
-    those keeping the partition's blocks and remainder), so every start
-    in an orbit has the same TV curve (Boyd, Diaconis, Parrilo and Xiao,
-    "Symmetry analysis of reversible Markov chains", 2005).
+    those keeping the partition's blocks and remainder, whole blocks
+    being exchangeable), so every start in an orbit has the same TV curve
+    (Boyd, Diaconis, Parrilo and Xiao, "Symmetry analysis of reversible
+    Markov chains", 2005). The orbits come from `_orbit_labels`.
     """
     meta = kernel.meta
     if meta.get("family") not in ORBIT_FAMILIES:
         raise ValueError(f"no orbit labels for family {meta.get('family')!r}")
-    blocks = meta["partition"]["blocks"] if "partition" in meta else ()
-    forms = canonical_forms(np.array(kernel.states), meta["n"], blocks)
-    return np.sort(np.unique(forms, return_index=True)[1])
+    blocks = meta["partition"]["blocks"] if "partition" in meta else []
+    labels = _orbit_labels(kernel.states, meta["n"], blocks)
+    return np.sort(np.unique(labels, return_index=True)[1])
 
 
 def _starts(kernel: Kernel, all_starts: bool | None) -> np.ndarray:

@@ -130,6 +130,14 @@ def test_search_respects_uniform_recoloring_floor():
     assert best <= spectral_gap(kernel) / 2 + 1e-9
 
 
+def test_search_runs_above_ten_thousand_states():
+    kernel = build_kernel(ChainSpec(family="ucc", k=3, ncolors=24))
+    assert kernel.size == 12144
+    result = lsc_search(kernel, restarts=1, seed=0)
+    assert result.restarts == 1
+    assert result.best_ratio > ucc_alpha_lower_bound(3, 24)
+
+
 def test_recurrence_direction_compatibility():
     # searched inverse constants should satisfy the one-step recurrence
     # up to search slack: both searches sit near the true constants

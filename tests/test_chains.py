@@ -162,8 +162,9 @@ def toy_partition():
 def test_generic_enumeration_matches_filter(toy_partition):
     from kwmix.generic import is_generic
 
-    listed = set(enumerate_generic_states(2, toy_partition))
-    filtered = {t for t in enumerate_tuples(2, 8) if is_generic(t, toy_partition)}
+    listed = set(map(tuple, enumerate_generic_states(2, toy_partition).tolist()))
+    filtered = {t for t in map(tuple, enumerate_tuples(2, 8).tolist())
+                if is_generic(t, toy_partition)}
     assert listed == filtered
     assert len(listed) == 48
 
@@ -174,7 +175,7 @@ def _generic_states_reference(k, partition):
 
     from kwmix.generic import insert_block
 
-    block_tuples = tuple(enumerate_tuples(k, 1 << partition.w))
+    block_tuples = tuple(map(tuple, enumerate_tuples(k, 1 << partition.w).tolist()))
     rem = partition.remainder
     rem_patterns = tuple(product((0, 1), repeat=k * len(rem))) if rem else ((),)
     states = []
@@ -198,8 +199,8 @@ def _generic_states_reference(k, partition):
 def test_generic_enumeration_order_matches_nested_loop(k, n, w, p):
     part = make_partition(n, k, w=w, p=p)
     states = enumerate_generic_states(k, part)
-    assert states == _generic_states_reference(k, part)
-    assert all(type(v) is int for v in states[-1])
+    assert states.dtype == np.int64
+    assert np.array_equal(states, np.array(_generic_states_reference(k, part)))
 
 
 def test_tgrev_rows_and_symmetry(toy_partition):
@@ -213,7 +214,7 @@ def test_tgrev_rows_and_symmetry(toy_partition):
 def test_grev_rows_renormalize_rev_rows(toy_partition):
     # oracle: per state, count gate successors landing in the generic set
     kernel = build_grev_kernel(2, 3, toy_partition)
-    states = kernel.states
+    states = list(map(tuple, kernel.states.tolist()))
     index = {s: i for i, s in enumerate(states)}
     generic = set(states)
     gates = enumerate_gates(3)
@@ -236,7 +237,7 @@ def test_grev_row_equals_rev_row_when_all_successors_generic():
     part = make_partition(3, 1, w=2, p=1)
     grev = build_grev_kernel(1, 3, part)
     rev = build_kernel(ChainSpec(family="rev", k=1, n=3))
-    order = [rev.states.index(s) for s in grev.states]
+    order = [rev.states.tolist().index(s) for s in grev.states.tolist()]
     assert np.allclose(grev.dense(), rev.dense()[np.ix_(order, order)], atol=1e-15)
 
 
@@ -246,17 +247,18 @@ def test_grev_stationary_is_left_eigenvector(toy_partition):
     assert np.abs(pi @ kernel.dense() - pi).max() <= 1e-12
     # renormalization by generic-successor mass: stationary tracks that mass
     rev = build_kernel(ChainSpec(family="rev", k=2, n=3))
-    rev_index = {s: i for i, s in enumerate(rev.states)}
+    rev_index = {s: i for i, s in enumerate(map(tuple, rev.states.tolist()))}
+    states = list(map(tuple, kernel.states.tolist()))
     mass = np.array([
-        sum(rev.dense()[rev_index[s], rev_index[t]] for t in kernel.states)
-        for s in kernel.states
+        sum(rev.dense()[rev_index[s], rev_index[t]] for t in states)
+        for s in states
     ])
     assert np.abs(pi - mass / mass.sum()).max() <= 1e-12
 
 
 def _generic_successor_totals(kernel, n):
     # w(x): parameter tuples whose gate maps state x to a generic state
-    states = np.array(kernel.states)
+    states = kernel.states
     place = (1 << n) ** np.arange(states.shape[1])
     generic = states @ place
     w = np.zeros(len(states), dtype=np.int64)
@@ -326,13 +328,13 @@ SAMPLED_SPECS = {
 def test_step_sampler_matches_kernel_row(name):
     spec = SAMPLED_SPECS[name]
     kernel = build_kernel(spec)
-    start = 0 if spec.family == "tgrev" else kernel.states.index(tuple(range(spec.k)))
+    start = 0 if spec.family == "tgrev" else kernel.states.tolist().index(list(range(spec.k)))
     samples = 1_000_000
     ends = sample_chain(spec, np.tile(kernel.states[start], (samples, 1)), 1, make_rng(7))
     # every value in these chains is below 64, so base-64 keys rank the tuples
     weights = 64 ** np.arange(spec.k)
     keys, counts = np.unique(ends.astype(np.int64) @ weights, return_counts=True)
-    index = {int(np.array(s) @ weights): i for i, s in enumerate(kernel.states)}
+    index = {int(key): i for i, key in enumerate(kernel.states @ weights)}
     observed = np.zeros(kernel.size)
     observed[[index[int(key)] for key in keys]] = counts
     row = kernel.matrix.getrow(start).toarray().ravel()

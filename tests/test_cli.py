@@ -184,6 +184,15 @@ def test_negative_gate_count_exits_2(capsys, sampler):
     assert err.count("\n") == 1 and "need gates >= 0, got -3" in err
 
 
+@pytest.mark.parametrize("chain", [("complete", "--N", "1"),
+                                   ("ucc", "--k", "1", "--N", "1")], ids=lambda c: c[0])
+def test_one_state_gap_exits_2(capsys, chain):
+    code, out, err = run_cli(capsys, "gap", "--chain", *chain)
+    assert code == 2
+    assert out == ""
+    assert err == "kwmix: invalid configuration: spectral gap needs at least 2 states, got 1\n"
+
+
 def test_tgrev_verify(capsys):
     code, out, _ = run_cli(capsys, "tgrev-verify", "--n", "3", "--k", "2",
                            "--part-w", "2", "--part-p", "1", "--format", "json")

@@ -62,9 +62,9 @@ def test_rng_draws_only_unused_detours():
 def test_all_paths_are_legal_and_end_correctly():
     for k, N in [(2, 4), (3, 6)]:
         cc = build_kernel(ChainSpec(family="cc", k=k, ncolors=N))
-        idx = {s: i for i, s in enumerate(cc.states)}
+        idx = {s: i for i, s in enumerate(map(tuple, cc.states.tolist()))}
         dense = cc.dense()
-        for x in enumerate_tuples(k, N):
+        for x in map(tuple, enumerate_tuples(k, N).tolist()):
             unused = [c for c in range(N) if c not in x]
             for i in range(k):
                 for color in range(N):
@@ -88,16 +88,17 @@ def _congestion_oracle(k, N):
     """
     ucc = build_kernel(ChainSpec(family="ucc", k=k, ncolors=N))
     cc = build_kernel(ChainSpec(family="cc", k=k, ncolors=N))
-    idx = {s: i for i, s in enumerate(ucc.states)}
+    states = list(map(tuple, ucc.states.tolist()))
+    idx = {s: i for i, s in enumerate(states)}
     p_ucc = ucc.dense()
     p_cc = cc.dense()
-    pi = 1.0 / len(ucc.states)
+    pi = 1.0 / len(states)
 
     # expected load per target edge: E[1{edge on path} * |path|] * pi * P_ucc
     load = {}
-    for x in ucc.states:
+    for x in states:
         unused = [c for c in range(N) if c not in x]
-        for y in ucc.states:
+        for y in states:
             if p_ucc[idx[x], idx[y]] == 0:
                 continue
             weight = pi * p_ucc[idx[x], idx[y]]

@@ -8,6 +8,7 @@ must match entry for entry; the product chains carry float weights.
 
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -18,6 +19,10 @@ from kwmix import chains
 from kwmix.chains import ChainSpec, build_kernel, product_kernel
 from kwmix.core import dedupe_gates, enumerate_gates, enumerate_tuples, gate_table, recolor
 from kwmix.generic import extract_block, insert_block, is_generic, make_partition
+
+
+def _rows(states: np.ndarray) -> tuple:
+    return tuple(map(tuple, states.tolist()))
 
 
 def _divided(counts: Counter) -> dict:
@@ -50,7 +55,7 @@ def reference_gate_rows(states, n: int, gate_mode: str) -> dict:
 
 def reference_coloring_rows(k: int, N: int, swaps: bool) -> dict:
     rows = {}
-    for x in enumerate_tuples(k, N):
+    for x in _rows(enumerate_tuples(k, N)):
         counts = Counter()
         for i in range(k):
             for color in range(N):
@@ -84,10 +89,17 @@ def reference_tgrev_rows(states, partition) -> dict:
 
 
 def _generic_states(kernel, k: int, partition) -> tuple:
-    generic = {t for t in enumerate_tuples(k, 1 << partition.n) if is_generic(t, partition)}
-    assert set(kernel.states) == generic
-    assert len(kernel.states) == len(generic)
-    return kernel.states
+    generic = {t for t in _rows(enumerate_tuples(k, 1 << partition.n))
+               if is_generic(t, partition)}
+    states = _rows(kernel.states)
+    assert set(states) == generic
+    assert len(states) == len(generic)
+    return states
+
+
+def _assert_lexicographic_tuples(states: np.ndarray, k: int, N: int) -> None:
+    assert states.dtype == np.int64
+    assert np.array_equal(states, np.array(list(permutations(range(N), k))))
 
 
 @settings(max_examples=20, deadline=None)
@@ -96,8 +108,9 @@ def _generic_states(kernel, k: int, partition) -> tuple:
 def test_rev_matches_loop_reference(nk, gate_mode):
     n, k = nk
     kernel = build_kernel(ChainSpec(family="rev", k=k, n=n, gate_mode=gate_mode))
-    assert kernel.states == tuple(enumerate_tuples(k, 1 << n))
-    ref = _dense(reference_gate_rows(kernel.states, n, gate_mode), kernel.states)
+    _assert_lexicographic_tuples(kernel.states, k, 1 << n)
+    states = _rows(kernel.states)
+    ref = _dense(reference_gate_rows(states, n, gate_mode), states)
     assert np.abs(kernel.dense() - ref).max() == 0
 
 
@@ -106,15 +119,15 @@ def test_rev_matches_loop_reference(nk, gate_mode):
 def test_coloring_matches_loop_reference(family, k, extra):
     N = k + extra
     kernel = build_kernel(ChainSpec(family=family, k=k, ncolors=N))
-    assert kernel.states == tuple(enumerate_tuples(k, N))
-    ref = _dense(reference_coloring_rows(k, N, swaps=family == "ucc"), kernel.states)
+    _assert_lexicographic_tuples(kernel.states, k, N)
+    ref = _dense(reference_coloring_rows(k, N, swaps=family == "ucc"), _rows(kernel.states))
     assert np.abs(kernel.dense() - ref).max() == 0
 
 
 @given(N=st.integers(1, 9))
 def test_complete_matches_uniform_rows(N):
     kernel = build_kernel(ChainSpec(family="complete", ncolors=N))
-    assert kernel.states == tuple((c,) for c in range(N))
+    _assert_lexicographic_tuples(kernel.states, 1, N)
     assert np.abs(kernel.dense() - np.full((N, N), 1.0 / N)).max() == 0
 
 
