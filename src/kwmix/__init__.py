@@ -62,7 +62,9 @@ from .generic import (
     verify_tgrev_product_structure,
 )
 from .mixing import (
+    EndStateReport,
     StatTestReport,
+    end_state_test,
     evolve,
     kwise_stat_mc,
     kwise_tv_exact,

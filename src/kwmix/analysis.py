@@ -280,20 +280,19 @@ def restrict_conditional(f: np.ndarray, i: int, c: int, k: int, N: int) -> np.nd
 
     The slice in lex order of the k-tuples is already in lex order of the
     relabeled (k-1)-tuples, so the restriction is a boolean mask."""
-    f, states = _tuple_function(f, k, N)
-    if not 0 <= i < k:
-        raise IndexError(f"coordinate {i} out of range for k={k}")
+    f, column = _tuple_function(f, i, k, N)
     if not 0 <= c < N:
         raise IndexError(f"color {c} out of range for N={N}")
-    return f[states[:, i] == c]
+    return f[column == c]
 
 
 def marginal(f: np.ndarray, i: int, k: int, N: int) -> np.ndarray:
     """F_i(c): average of f over the slice {x_i = c}, for each color c."""
-    f, states = _tuple_function(f, k, N)
-    if not 0 <= i < k:
-        raise IndexError(f"coordinate {i} out of range for k={k}")
-    return np.bincount(states[:, i], weights=f, minlength=N) / (len(f) // N)
+    return _marginal(*_tuple_function(f, i, k, N), N)
+
+
+def _marginal(f: np.ndarray, column: np.ndarray, N: int) -> np.ndarray:
+    return np.bincount(column, weights=f, minlength=N) / (len(f) // N)
 
 
 def chain_rule_residual(f: np.ndarray, i: int, k: int, N: int) -> float:
@@ -301,23 +300,27 @@ def chain_rule_residual(f: np.ndarray, i: int, k: int, N: int) -> float:
 
     The conditional-entropy chain rule says this vanishes identically;
     anything beyond roundoff indicates a bug in the entropy machinery.
+    The tuple space is enumerated once; each restriction is a mask on
+    its column i, as in `restrict_conditional`.
     """
-    f, _ = _tuple_function(f, k, N)
+    f, column = _tuple_function(f, i, k, N)
     lhs = entropy(np.full(len(f), 1.0 / len(f)), f)
     cond_terms = []
     for c in range(N):
-        sliced = restrict_conditional(f, i, c, k, N)
+        sliced = f[column == c]
         cond_terms.append(entropy(np.full(len(sliced), 1.0 / len(sliced)), sliced))
-    marg = marginal(f, i, k, N)
     pi_colors = np.full(N, 1.0 / N)
-    rhs = math.fsum(cond_terms) / N + entropy(pi_colors, marg)
+    rhs = math.fsum(cond_terms) / N + entropy(pi_colors, _marginal(f, column, N))
     return abs(lhs - rhs)
 
 
-def _tuple_function(f: np.ndarray, k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """f as floats over the k-tuple space, with that space's state array."""
+def _tuple_function(f: np.ndarray, i: int, k: int,
+                    N: int) -> tuple[np.ndarray, np.ndarray]:
+    """f as floats over the k-tuple space, with coordinate i of each tuple."""
+    if not 0 <= i < k:
+        raise IndexError(f"coordinate {i} out of range for k={k}")
     states = _tuple_states(k, N, f"tuple function(k={k},N={N})")
     f = np.asarray(f, dtype=float)
     if f.shape != (len(states),):
         raise ValueError(f"function has shape {f.shape}, expected ({len(states)},)")
-    return f, states
+    return f, states[:, i]

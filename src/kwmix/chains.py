@@ -27,14 +27,15 @@ ulps.
 
 ``sample_chain`` runs rev, cc, ucc and tgrev on a batch: an (S, k) state
 array, one move drawn per row and step, drawn from the same moves the
-builders count. rev draws a gate (or, in ``set`` mode, a deduplicated
+builders count. rev draws a gate as one bounded integer split into
+truth table, target and controls (or, in ``set`` mode, a deduplicated
 table), ucc a coordinate and a color (swapping on collision), cc the
 r-th color available to the coordinate, and tgrev a hold, a remainder-bit
 flip or the r-th block value free for its row. rev is stepped on the
 transposed (k, S) array in the narrowest unsigned word holding n bits
 (uint16 up to n = 16, uint32 up to 32, uint64 up to 64), so the gate
-vectors broadcast along the long axis; its draws and its (S, k) uint64
-result are those of a loop on the (S, k) uint64 array.
+vectors broadcast along the long axis; its (S, k) uint64 result is that
+of a loop on the (S, k) uint64 array making the same draws.
 
 Gate randomness has two documented measures, both weights on the one
 table set of ``core.dedupe_gates`` (n <= 12 for the exact kernels):
@@ -193,12 +194,12 @@ def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
 
     The state is stepped transposed, as a C-contiguous (k, S) array in the
     narrowest unsigned word holding n bits, so each per-sample gate vector
-    broadcasts along the long axis. The draws are those of an (S, k) uint64
-    loop: per step the target in [0, n), both control offsets in [0, n-1)
-    from one (2, S) call (its C-order fill gives the values of two calls),
-    and the truth table in [0, 16). uint32 draws take the same bounded
-    32-bit path as uint64 ones, so the values match too. Row tau of the
-    wire table lists the controls tau+1, ..., tau+n-1 (mod n).
+    broadcasts along the long axis. In parameter mode each step makes one
+    exact bounded uint32 draw v in [0, 16 n (n-1)^2) per row: the truth
+    table is v & 15 and v >> 4 indexes the `_gate_wires` tables of target
+    and controls, so each parameter tuple is drawn with probability
+    exactly 1 / (16 n (n-1)^2). In set mode each step draws one
+    deduplicated table per row.
     """
     if n < 64 and x.size and x.max() >> n:
         raise ValueError(f"rev states are {n}-bit strings")
@@ -210,25 +211,34 @@ def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
         for _ in range(t):
             x = tables[rng.integers(len(tables), size=size), x]
         return np.ascontiguousarray(x.T, dtype=np.uint64)
-    wires = ((np.arange(n)[:, None] + 1 + np.arange(n - 1)) % n).astype(word).ravel()
+    targets, controls1, controls2 = (w.astype(word) for w in _gate_wires(n))
+    high = 16 * len(targets)
     a, b = np.empty_like(x), np.empty_like(x)
     for _ in range(t):
-        target = rng.integers(0, n, size=size, dtype=np.uint32)
-        j = rng.integers(0, n - 1, size=(2, size), dtype=np.uint32)
-        h = rng.integers(0, 16, size=size, dtype=np.uint32).astype(word)
-        j += target * (n - 1)
-        j1, j2 = wires.take(j)
-        np.right_shift(x, j1, out=a)
+        v = rng.integers(0, high, size=size, dtype=np.uint32)
+        h = (v & 15).astype(word)
+        v >>= 4
+        target = targets.take(v)
+        np.right_shift(x, controls1.take(v), out=a)
         a &= 1
         a <<= 1
-        np.right_shift(x, j2, out=b)
+        np.right_shift(x, controls2.take(v), out=b)
         b &= 1
         a |= b
         np.right_shift(h, a, out=a)
         a &= 1
-        a <<= target.astype(word)
+        a <<= target
         x ^= a
     return np.ascontiguousarray(x.T, dtype=np.uint64)
+
+
+def _gate_wires(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Target, first control and second control of each of the n (n-1)^2
+    wire choices of a gate, index q = (target (n-1) + j1) (n-1) + j2 with
+    control i the wire target + 1 + ji (mod n)."""
+    target, j = np.divmod(np.arange(n * (n - 1) ** 2), (n - 1) ** 2)
+    j1, j2 = np.divmod(j, n - 1)
+    return target, (target + 1 + j1) % n, (target + 1 + j2) % n
 
 
 def _nth_free(values: np.ndarray, i: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ import sys
 import time
 
 import numpy as np
-from scipy import stats as sps
 
 from . import __version__
 from .analysis import (
@@ -33,7 +32,7 @@ from .analysis import (
     spectral_gap,
     ucc_alpha_lower_bound,
 )
-from .chains import ChainSpec, build_kernel, enumerate_generic_states, sample_chain
+from .chains import ChainSpec, build_kernel
 from .comparison import (
     UNIVERSAL_CONGESTION_BOUND,
     congestion_delta,
@@ -42,13 +41,12 @@ from .comparison import (
 from .core import tuple_space_size
 from .errors import InvariantViolation, StateCapExceeded
 from .generic import (
-    count_generic_states,
     generic_fraction_exact,
     generic_fraction_mc,
     make_partition,
     verify_tgrev_product_structure,
 )
-from .mixing import kwise_stat_mc, kwise_tv_exact, mixing_curve
+from .mixing import end_state_test, kwise_stat_mc, kwise_tv_exact, mixing_curve
 from .reports import csv_lines, dump_kernel, json_dumps
 from .rng import make_rng
 
@@ -316,41 +314,16 @@ def _run_mix_exact(args):
     return obj, ("t", "tv"), series
 
 
-# smallest expected count per state at which mix-mc runs its chi-square test
-MIN_EXPECTED_COUNT = 5
-
-
 def _run_mix_mc(args):
     spec = _spec_from_args(args)
-    if spec.family == "tgrev":
-        space = count_generic_states(spec.partition)
-        start = enumerate_generic_states(spec.k, spec.partition)[0]
-    else:
-        ground = 1 << spec.n if spec.family == "rev" else spec.ncolors
-        space = tuple_space_size(spec.k, ground)
-        start = tuple(range(spec.k))
-    if args.samples < MIN_EXPECTED_COUNT * space:
-        raise ValueError(
-            f"{args.samples} samples over {space} states expect "
-            f"{args.samples / space:.3g} per state; the chi-square test "
-            f"needs at least {MIN_EXPECTED_COUNT}")
-
-    m = args.samples
-    ends = sample_chain(spec, np.tile(start, (m, 1)), args.t, make_rng(args.seed))
-    counts = np.unique(ends, axis=0, return_counts=True)[1]
-    expected = m / space
-    unvisited = space - len(counts)
-    chi2 = float(((counts - expected) ** 2 / expected).sum() + unvisited * expected)
-    dof = space - 1
-    p_value = float(sps.chi2.sf(chi2, dof))
-    emp_tv = float(0.5 * (np.abs(counts / m - 1.0 / space).sum() + unvisited / space))
-    obj = {"kernel": spec.label(), "t": args.t, "samples": m, "states": space,
-           "distinct_visited": len(counts), "chi2": chi2, "dof": dof,
-           "p_value": p_value, "empirical_tv": emp_tv, "seed": args.seed}
+    report = end_state_test(spec, args.t, args.samples, args.seed)
+    obj = {"kernel": spec.label(), "t": args.t, "samples": args.samples,
+           "states": report.states, "distinct_visited": report.distinct_visited,
+           "chi2": report.chi2, "dof": report.dof, "p_value": report.p_value,
+           "empirical_tv": report.empirical_tv, "seed": args.seed}
     header = ("kernel", "t", "samples", "states", "chi2", "dof", "p_value",
               "empirical_tv", "seed")
-    return obj, header, [(spec.label(), args.t, m, space, chi2, dof, p_value,
-                          emp_tv, args.seed)]
+    return obj, header, [tuple(obj[h] for h in header)]
 
 
 def _run_kwise_exact(args):

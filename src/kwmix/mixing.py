@@ -10,6 +10,9 @@ projected statistic of the output tuple is tested against its
 closed-form law under the uniform distribution on distinct tuples
 (chi-square goodness of fit). The projections keep the null law exactly
 computable, which raw TV over a ~2^(nk)-point support would not be.
+Where the state space is small enough to count every state, sampled
+end states are tested against the uniform law directly
+(`end_state_test`, the statistic of ``kwmix mix-mc``).
 """
 
 from __future__ import annotations
@@ -24,10 +27,18 @@ from scipy import sparse
 from scipy import stats as sps
 from scipy.sparse.csgraph import connected_components
 
-from .chains import ChainSpec, Kernel, _state_index, build_kernel, sample_chain
-from .core import sample_uniform_tuples
+from .chains import (
+    ChainSpec,
+    Kernel,
+    _state_index,
+    build_kernel,
+    enumerate_generic_states,
+    sample_chain,
+)
+from .core import sample_uniform_tuples, tuple_space_size
 from .errors import InvariantViolation
-from .rng import mc_chunks
+from .generic import count_generic_states
+from .rng import make_rng, mc_chunks
 
 # chains whose color-permutation symmetry makes every start equivalent
 TRANSITIVE_FAMILIES = {"ucc", "cc", "complete"}
@@ -253,8 +264,57 @@ def kwise_tv_exact(n: int, k: int, t: int, gate_mode: str = "parameter") -> list
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo statistics of random circuits at moderate width
+# Monte Carlo statistics of sampled chains and of random circuits
 # ---------------------------------------------------------------------------
+
+# smallest expected count per state at which end_state_test runs its
+# chi-square test
+MIN_EXPECTED_COUNT = 5
+
+
+@dataclass
+class EndStateReport:
+    states: int
+    distinct_visited: int
+    chi2: float
+    dof: int
+    p_value: float
+    empirical_tv: float
+
+
+def end_state_test(spec: ChainSpec, t: int, samples: int, seed: int = 0) -> EndStateReport:
+    """Chi-square test of the end states of `samples` t-step trajectories
+    against the uniform law on the chain's state space.
+
+    Every trajectory starts at (0, 1, ..., k-1), for tgrev at the first
+    generic state, and all are stepped together by `sample_chain` on the
+    Philox stream of `seed`. Unvisited states add their expected count to
+    chi2 and their mass to the empirical TV. Raises ValueError where fewer
+    than MIN_EXPECTED_COUNT samples per state are expected, too few for
+    the chi-square approximation.
+    """
+    if spec.family == "tgrev":
+        space = count_generic_states(spec.partition)
+        start = enumerate_generic_states(spec.k, spec.partition)[0]
+    else:
+        ground = 1 << spec.n if spec.family == "rev" else spec.ncolors
+        space = tuple_space_size(spec.k, ground)
+        start = tuple(range(spec.k))
+    if samples < MIN_EXPECTED_COUNT * space:
+        raise ValueError(
+            f"{samples} samples over {space} states expect "
+            f"{samples / space:.3g} per state; the chi-square test "
+            f"needs at least {MIN_EXPECTED_COUNT}")
+    ends = sample_chain(spec, np.tile(start, (samples, 1)), t, make_rng(seed))
+    counts = np.unique(ends, axis=0, return_counts=True)[1]
+    expected = samples / space
+    unvisited = space - len(counts)
+    chi2 = float(((counts - expected) ** 2 / expected).sum() + unvisited * expected)
+    dof = space - 1
+    emp_tv = float(0.5 * (np.abs(counts / samples - 1.0 / space).sum() + unvisited / space))
+    return EndStateReport(states=space, distinct_visited=len(counts), chi2=chi2, dof=dof,
+                          p_value=float(sps.chi2.sf(chi2, dof)), empirical_tv=emp_tv)
+
 
 STATISTICS = ("hamming", "xor", "lowbits")
 
@@ -343,7 +403,8 @@ def kwise_stat_mc(
     """Chi-square test of a projected circuit-output statistic against its
     exact law under uniform distinct tuples.
 
-    Circuits draw their gates from the parameter measure;
+    Circuits draw their gates from the parameter measure, one bounded
+    integer per gate and sample (see `chains._sample_rev`);
     ``sampler="uniform"`` replaces them by direct uniform tuples (the
     positive control for the harness itself). Sampling is split over a
     fixed number of Philox streams for scheduler-independent

@@ -368,3 +368,34 @@ def test_chain_rule_closed_form_indicator():
     f[tuple_index((1, 3), N)] = 1.0
     pi = np.full(size, 1.0 / size)
     assert entropy(pi, f) == pytest.approx(math.log(size) / size, rel=1e-14)
+
+
+def _chain_rule_per_color(f, i, k, N):
+    """The residual assembled from one `restrict_conditional` call per
+    color and one `marginal` call, each enumerating the tuple space."""
+    lhs = entropy(np.full(len(f), 1.0 / len(f)), f)
+    cond_terms = []
+    for c in range(N):
+        sliced = restrict_conditional(f, i, c, k, N)
+        cond_terms.append(entropy(np.full(len(sliced), 1.0 / len(sliced)), sliced))
+    rhs = math.fsum(cond_terms) / N + entropy(np.full(N, 1.0 / N), marginal(f, i, k, N))
+    return abs(lhs - rhs)
+
+
+@pytest.mark.parametrize("k,N", [(2, 3), (2, 5), (2, 7), (3, 4), (3, 6), (3, 7)])
+def test_chain_rule_residual_equals_the_per_color_path(k, N, monkeypatch):
+    rng = make_rng(100 * k + N)
+    size = tuple_space_size(k, N)
+    calls = []
+    original = analysis._tuple_states
+    monkeypatch.setattr(analysis, "_tuple_states",
+                        lambda *a: calls.append(a) or original(*a))
+    for trial in range(5):
+        f = rng.random(size) + 0.05
+        if trial == 4:
+            f[rng.random(size) < 0.5] = 0.0
+        for i in range(k):
+            calls.clear()
+            got = chain_rule_residual(f, i, k, N)
+            assert len(calls) == 1  # the tuple space is enumerated once
+            assert got == _chain_rule_per_color(f, i, k, N)

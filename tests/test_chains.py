@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 from kwmix.chains import (
     ChainSpec,
+    _gate_wires,
     build_grev_kernel,
     build_kernel,
     build_tgrev_kernel,
@@ -396,23 +397,27 @@ def test_sampler_rejects_families_without_moves_and_bad_shapes():
 
 
 # ---------------------------------------------------------------------------
-# the rev sampler equals the (S, k) uint64 step loop it replaced
+# the rev sampler equals an (S, k) uint64 step loop making the same draws
 # ---------------------------------------------------------------------------
 
 
 def _reference_rev_steps(x, t, rng, n, tables=None):
-    """rev steps on an (S, k) uint64 array: per row a target, two control
-    offsets and a truth table, or in set mode one deduplicated table."""
+    """rev steps on an (S, k) uint64 array: per row one uint32 draw v in
+    [0, 16 n (n-1)^2), read as truth table v & 15 and wire choice
+    q = v >> 4 = (target (n-1) + j1) (n-1) + j2, control i being the wire
+    target + 1 + ji (mod n); or in set mode one deduplicated table."""
     x = np.array(x, dtype=np.uint64)
     size = len(x)
     for _ in range(t):
         if tables is not None:
             x = tables[rng.integers(len(tables), size=size)[:, None], x]
             continue
-        target = rng.integers(0, n, size=size, dtype=np.uint64)
-        j1 = (target + 1 + rng.integers(0, n - 1, size=size, dtype=np.uint64)) % n
-        j2 = (target + 1 + rng.integers(0, n - 1, size=size, dtype=np.uint64)) % n
-        h = rng.integers(0, 16, size=size, dtype=np.uint64)
+        v = rng.integers(0, 16 * n * (n - 1) ** 2, size=size, dtype=np.uint32)
+        h = (v & 15).astype(np.uint64)
+        q = (v >> 4).astype(np.uint64)
+        target = q // (n - 1) ** 2
+        j1 = (target + 1 + q // (n - 1) % (n - 1)) % n
+        j2 = (target + 1 + q % (n - 1)) % n
         a = (x >> j1[:, None]) & 1
         b = (x >> j2[:, None]) & 1
         x ^= ((h[:, None] >> ((a << 1) | b)) & 1) << target[:, None]
@@ -450,3 +455,20 @@ def test_rev_set_sampler_equals_the_uint64_loop(n):
             assert got.dtype == np.uint64 and got.shape == x.shape
             np.testing.assert_array_equal(
                 got, _reference_rev_steps(x, 25, make_rng(seed), n, tables))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 12, 64])
+def test_one_draw_decodes_each_parameter_tuple_once(n):
+    # every v in [0, 16 n (n-1)^2) decodes to a distinct (target, control 1,
+    # control 2, truth table) with both controls off the target; there are
+    # exactly 16 n (n-1)^2 such tuples, so one uniform v draws each with
+    # probability 1 / (16 n (n-1)^2), the parameter measure
+    targets, controls1, controls2 = _gate_wires(n)
+    v = np.arange(16 * n * (n - 1) ** 2)
+    target, c1, c2, h = targets[v >> 4], controls1[v >> 4], controls2[v >> 4], v & 15
+    for wire in (target, c1, c2):
+        assert wire.min() >= 0 and wire.max() < n
+    assert (c1 != target).all() and (c2 != target).all()
+    assert h.min() == 0 and h.max() == 15
+    keys = ((target * n + c1) * n + c2) * 16 + h
+    assert len(np.unique(keys)) == len(v)

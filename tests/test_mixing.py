@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
-from kwmix.chains import ChainSpec, build_kernel
+from kwmix.chains import ChainSpec, build_kernel, enumerate_generic_states, sample_chain
 from kwmix.core import enumerate_tuples, sample_uniform_tuples, tuple_index
 from kwmix.generic import make_partition
 from kwmix.mixing import (
+    MIN_EXPECTED_COUNT,
     _orbit_labels,
     _worst_tv_series,
+    end_state_test,
     evolve,
     kwise_stat_mc,
     kwise_tv_exact,
@@ -320,10 +323,12 @@ def test_harness_is_deterministic():
 
 
 def test_circuit_draw_order_is_pinned():
-    # fixed by the order and dtype of the target, control and truth-table
-    # draws of the rev step; any change to them moves this value
+    # fixed by the rev step's one uint32 draw per gate and its split into
+    # truth table, target and controls; any change to them moves this
+    # value. It moved from 53.54800000000001 when the four draws per gate
+    # (target, two control offsets, truth table) became one.
     report = kwise_stat_mc(n=6, k=2, gates=50, samples=2000, seed=3)
-    assert report.chi2 == 53.54800000000001
+    assert report.chi2 == 71.75500000000002
 
 
 def test_harness_calibration_rejection_rate():
@@ -338,3 +343,50 @@ def test_harness_calibration_rejection_rate():
     )
     sigma = math.sqrt(runs * significance * (1 - significance))
     assert abs(rejections - runs * significance) <= 3 * sigma
+
+
+def test_end_state_test_of_a_point_mass_counts_every_unvisited_state():
+    # t = 0 leaves all m samples at the start: one visited state holding
+    # m, and 11 unvisited ones each expecting m / 12
+    spec = ChainSpec(family="ucc", k=2, ncolors=4)
+    report = end_state_test(spec, 0, 60)
+    assert (report.states, report.distinct_visited, report.dof) == (12, 1, 11)
+    assert report.chi2 == pytest.approx((60 - 5) ** 2 / 5 + 11 * 5, rel=1e-15)
+    assert report.empirical_tv == pytest.approx(11 / 12, rel=1e-15)
+    assert report.p_value == sps.chi2.sf(660.0, 11)
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(family="ucc", k=2, ncolors=4),
+    ChainSpec(family="cc", k=3, ncolors=5),
+    ChainSpec(family="rev", k=2, n=3),
+    ChainSpec(family="tgrev", k=2, n=3, partition=make_partition(3, 2, w=2, p=1)),
+], ids=lambda spec: spec.label())
+def test_end_state_test_matches_a_count_over_every_state(spec):
+    if spec.family == "tgrev":
+        states = enumerate_generic_states(spec.k, spec.partition)
+    else:
+        states = enumerate_tuples(spec.k, 1 << spec.n if spec.n else spec.ncolors)
+    m, t, seed = 40 * len(states), 3, 9
+    report = end_state_test(spec, t, m, seed)
+    ends = sample_chain(spec, np.tile(states[0], (m, 1)), t, make_rng(seed))
+    counts = {tuple(row): 0 for row in states.tolist()}
+    for row in ends.tolist():
+        counts[tuple(row)] += 1
+    assert len(counts) == len(states)  # every end state is a state
+    expected = m / len(states)
+    observed = np.array(list(counts.values()))
+    chi2 = math.fsum((observed - expected) ** 2 / expected)
+    assert report.states == len(states) and report.dof == len(states) - 1
+    assert report.distinct_visited == int((observed > 0).sum())
+    assert report.chi2 == pytest.approx(chi2, rel=1e-12)
+    assert report.p_value == pytest.approx(sps.chi2.sf(chi2, len(states) - 1), rel=1e-9)
+    assert report.empirical_tv == pytest.approx(
+        0.5 * np.abs(observed / m - 1 / len(states)).sum(), rel=1e-12)
+
+
+def test_end_state_test_refuses_too_few_samples_per_state():
+    spec = ChainSpec(family="rev", k=2, n=4)  # 240 states
+    with pytest.raises(ValueError, match=f"at least {MIN_EXPECTED_COUNT}"):
+        end_state_test(spec, 10, MIN_EXPECTED_COUNT * 240 - 1)
+    assert end_state_test(spec, 10, MIN_EXPECTED_COUNT * 240).states == 240
