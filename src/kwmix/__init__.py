@@ -46,11 +46,8 @@ from .core import (
     dedupe_gates,
     enumerate_gates,
     enumerate_tuples,
-    gate_table,
     recolor,
-    tuple_index,
     tuple_space_size,
-    tuple_unindex,
 )
 from .errors import InvariantViolation, KwmixError, StateCapExceeded, state_cap
 from .generic import (

@@ -189,18 +189,18 @@ def lsc_search(
                         restarts=restarts, evaluations=evaluations)
 
 
-def ucc_alpha_lower_bound(k: int, N: int, log_base: float = math.e) -> float:
+def ucc_alpha_lower_bound(k: int, N: int, base: float = math.e) -> float:
     """Claimed log-Sobolev floor 1 / (12 k log N) for the uniform
     recoloring chain, stated for k <= N/2. Natural log by default; the
     base is a parameter because the claim leaves it open."""
     if not 1 <= k or not k * 2 <= N:
         raise ValueError(f"bound is stated for k <= N/2, got k={k}, N={N}")
-    return 1.0 / (12.0 * k * math.log(N, log_base))
+    return 1.0 / (12.0 * k * math.log(N, base))
 
 
-def complete_alpha_lower_bound(N: int, log_base: float = math.e) -> float:
+def complete_alpha_lower_bound(N: int, base: float = math.e) -> float:
     """Known log-Sobolev floor 1 / (3 log N) for the complete graph."""
-    return 1.0 / (3.0 * math.log(N, log_base))
+    return 1.0 / (3.0 * math.log(N, base))
 
 
 def spectral_gap(kernel: Kernel) -> float:

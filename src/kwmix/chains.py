@@ -27,8 +27,8 @@ ulps.
 
 ``sample_chain`` runs rev, cc, ucc and tgrev on a batch: an (S, k) state
 array, one move drawn per row and step, drawn from the same moves the
-builders count. rev draws a gate as one bounded integer split into
-truth table, target and controls (or, in ``set`` mode, a deduplicated
+builders count. rev draws a gate's parameter index v and applies
+``core.enumerate_gates(n)[v]`` (or, in ``set`` mode, a deduplicated
 table), ucc a coordinate and a color (swapping on collision), cc the
 r-th color available to the coordinate, and tgrev a hold, a remainder-bit
 flip or the r-th block value free for its row. rev is stepped on the
@@ -54,7 +54,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .core import dedupe_gates, enumerate_tuples, tuple_space_size
+from .core import dedupe_gates, enumerate_tuples, gate_wires, tuple_space_size
 from .errors import InvariantViolation, check_state_cap
 from .generic import Partition, count_generic_states, extract_block, insert_block
 
@@ -195,11 +195,12 @@ def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
     The state is stepped transposed, as a C-contiguous (k, S) array in the
     narrowest unsigned word holding n bits, so each per-sample gate vector
     broadcasts along the long axis. In parameter mode each step makes one
-    exact bounded uint32 draw v in [0, 16 n (n-1)^2) per row: the truth
-    table is v & 15 and v >> 4 indexes the `_gate_wires` tables of target
-    and controls, so each parameter tuple is drawn with probability
-    exactly 1 / (16 n (n-1)^2). In set mode each step draws one
-    deduplicated table per row.
+    exact bounded uint32 draw per row of the gate's parameter index v in
+    [0, 16 n (n-1)^2) and applies ``core.enumerate_gates(n)[v]``: the
+    truth table is v & 15 and v >> 4 indexes the `core.gate_wires` tables
+    of target and controls, so each parameter tuple is drawn with
+    probability exactly 1 / (16 n (n-1)^2). In set mode each step draws
+    one deduplicated table per row.
     """
     if n < 64 and x.size and x.max() >> n:
         raise ValueError(f"rev states are {n}-bit strings")
@@ -211,7 +212,7 @@ def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
         for _ in range(t):
             x = tables[rng.integers(len(tables), size=size), x]
         return np.ascontiguousarray(x.T, dtype=np.uint64)
-    targets, controls1, controls2 = (w.astype(word) for w in _gate_wires(n))
+    targets, controls1, controls2 = (w.astype(word) for w in gate_wires(n))
     high = 16 * len(targets)
     a, b = np.empty_like(x), np.empty_like(x)
     for _ in range(t):
@@ -230,15 +231,6 @@ def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
         a <<= target
         x ^= a
     return np.ascontiguousarray(x.T, dtype=np.uint64)
-
-
-def _gate_wires(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Target, first control and second control of each of the n (n-1)^2
-    wire choices of a gate, index q = (target (n-1) + j1) (n-1) + j2 with
-    control i the wire target + 1 + ji (mod n)."""
-    target, j = np.divmod(np.arange(n * (n - 1) ** 2), (n - 1) ** 2)
-    j1, j2 = np.divmod(j, n - 1)
-    return target, (target + 1 + j1) % n, (target + 1 + j2) % n
 
 
 def _nth_free(values: np.ndarray, i: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -8,15 +8,17 @@ identical configuration and seed give byte-identical bytes.
 
 Exit codes: 0 success, 2 invalid configuration, 3 state-space cap
 exceeded or memory exhausted, 4 internal invariant violation. Exit 2
-also covers a mix-exact run that does not mix within --max-steps and a
+also covers a mix-exact run that does not mix within --max-steps, a
 mix-mc run that expects fewer than 5 samples per state (too few for its
-chi-square test).
+chi-square test), a batch file that cannot be read as a list of command
+lines, and an --out path that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import json
 import math
 import sys
 import time
@@ -213,11 +215,11 @@ def _run_gap(args):
         (spec.label(), kernel.size, gap)]
 
 
-def _paper_alpha_bound(spec: ChainSpec, log_base: float) -> float | None:
+def _paper_alpha_bound(spec: ChainSpec, base: float) -> float | None:
     if spec.family == "complete":
-        return complete_alpha_lower_bound(spec.ncolors, log_base)
+        return complete_alpha_lower_bound(spec.ncolors, base)
     if spec.family == "ucc" and 2 * spec.k <= spec.ncolors:
-        return ucc_alpha_lower_bound(spec.k, spec.ncolors, log_base)
+        return ucc_alpha_lower_bound(spec.k, spec.ncolors, base)
     return None
 
 
@@ -243,7 +245,13 @@ def _run_lsc_search(args):
     return obj, header, [row]
 
 
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"need --count >= 1, got {count}")
+
+
 def _run_chain_rule_check(args):
+    _check_count(args.count)
     k, N = args.k, args.ncolors
     size = tuple_space_size(k, N)
     rng = make_rng(args.seed)
@@ -285,6 +293,7 @@ def _run_congestion(args):
 
 
 def _run_compare_check(args):
+    _check_count(args.count)
     k, N = args.k, args.ncolors
     ucc = build_kernel(ChainSpec(family="ucc", k=k, ncolors=N))
     cc = build_kernel(ChainSpec(family="cc", k=k, ncolors=N))
@@ -431,19 +440,20 @@ def _write_result(args, argv: list[str], text: str, wall_time: float) -> None:
         fp.write(json_dumps(sidecar) + "\n")
 
 
-def _run_batch(args) -> int:
-    import json
-
-    with open(args.file) as fp:
+def _batch_commands(path: str) -> list[list[str]]:
+    """The argv lists of a batch file: a JSON list of argv lists or of
+    objects with a 'command' key (as written to sidecars), or one object."""
+    with open(path) as fp:
         payload = json.load(fp)
-    if isinstance(payload, dict):
-        payload = [payload]
-    status = 0
-    for entry in payload:
-        argv = entry["command"] if isinstance(entry, dict) else entry
-        code = main(list(argv))
-        status = max(status, code)
-    return status
+    entries = [payload] if isinstance(payload, dict) else payload
+    if not isinstance(entries, list):
+        raise ValueError(f"batch file {path} holds no list of command lines")
+    commands = [entry.get("command") if isinstance(entry, dict) else entry
+                for entry in entries]
+    for entry, argv in zip(entries, commands):
+        if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+            raise ValueError(f"batch entry {entry!r} holds no list of strings")
+    return commands
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -451,13 +461,14 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "batch":
-        return _run_batch(args)
-    runner = _RUNNERS[args.subcommand]
     started = time.perf_counter()
     try:
-        obj, header, rows = runner(args)
-    except (ValueError, IndexError) as exc:
+        if args.subcommand == "batch":
+            return max(map(main, _batch_commands(args.file)), default=0)
+        obj, header, rows = _RUNNERS[args.subcommand](args)
+        wall_time = time.perf_counter() - started
+        _write_result(args, argv, _render(args, obj, header, rows), wall_time)
+    except (ValueError, IndexError, OSError) as exc:
         print(f"kwmix: invalid configuration: {exc}", file=sys.stderr)
         return 2
     except StateCapExceeded as exc:
@@ -469,8 +480,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"kwmix: internal invariant violated: {exc}", file=sys.stderr)
         return 4
-    wall_time = time.perf_counter() - started
-    _write_result(args, argv, _render(args, obj, header, rows), wall_time)
     return 0
 
 

@@ -1,23 +1,24 @@
-"""Bit strings, 3-wire reversible gates, and distinct-tuple indexing.
+"""Bit strings, 3-wire reversible gates, and distinct tuples.
 
 A gate is parameterized by a target wire, two control wires and a 4-bit
 truth table h; it XORs h(control bits) into the target bit. Every such
 gate is an involution and therefore a permutation of {0,1}^n. The gate
-measure is `dedupe_gates`: the distinct permutation tables (n <= 12),
-each with the number of parameter tuples inducing it.
+has one parameter index v = 16 q + h, q indexing the wire choices of
+`gate_wires`: `enumerate_gates(n)[v]` is gate v, `dedupe_gates` lists the
+distinct permutation tables (n <= 12) in first-seen v order with the
+number of parameter tuples inducing each, and the rev sampler draws v.
 
 Tuples of k pairwise-distinct values from a ground set of size N (the
 common state space of the coloring chains, and of circuit states with
-N = 2^n) are indexed lexicographically so kernels can address them as a
-contiguous integer range. Uniform distinct tuples of n-bit strings are
-sampled as arrays of 64-bit words, so n is not bounded by a word.
+N = 2^n) are enumerated lexicographically, so kernels can address them
+as a contiguous integer range. Uniform distinct tuples of n-bit strings
+are sampled as arrays of 64-bit words, so n is not bounded by a word.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -27,11 +28,6 @@ H_AND = 0b1000
 H_XOR = 0b0110
 
 NUM_TRUTH_TABLES = 16
-
-
-def h_eval(h: int, a: int, b: int) -> int:
-    """Value of truth table h at control bits (a, b)."""
-    return (h >> ((a << 1) | b)) & 1
 
 
 @dataclass(frozen=True)
@@ -61,38 +57,26 @@ def apply_gate_to_int(value: int, g: Gate) -> int:
     h(bit j1, bit j2). Wires are not bounds-checked."""
     a = (value >> g.j1) & 1
     b = (value >> g.j2) & 1
-    return value ^ (h_eval(g.h, a, b) << g.target)
+    return value ^ (((g.h >> (a << 1 | b)) & 1) << g.target)
+
+
+def gate_wires(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Target, first control and second control of each of the n (n-1)^2
+    wire choices of a gate, index q = (target (n-1) + j1) (n-1) + j2 with
+    control i the wire target + 1 + ji (mod n). Controls range over all
+    wires other than the target, independently (so they may coincide)."""
+    if n < 3:
+        raise ValueError(f"need n >= 3 wires, got {n}")
+    target, j = np.divmod(np.arange(n * (n - 1) ** 2), (n - 1) ** 2)
+    j1, j2 = np.divmod(j, n - 1)
+    return target, (target + 1 + j1) % n, (target + 1 + j2) % n
 
 
 def enumerate_gates(n: int) -> list[Gate]:
-    """All gate parameter tuples for n wires, in deterministic order.
-
-    Counts 16 * n * (n-1)^2 tuples: controls range over all wires other
-    than the target, independently (so j1 == j2 appears).
-    """
-    if n < 3:
-        raise ValueError(f"need n >= 3 wires, got {n}")
-    gates = []
-    for target in range(n):
-        others = [j for j in range(n) if j != target]
-        for j1 in others:
-            for j2 in others:
-                for h in range(NUM_TRUTH_TABLES):
-                    gates.append(Gate(target, j1, j2, h))
-    return gates
-
-
-def gate_table(g: Gate, n: int) -> np.ndarray:
-    """Permutation table of g acting on {0,...,2^n - 1}."""
-    if n < 3:
-        raise ValueError(f"need n >= 3 wires, got {n}")
-    if max(g.target, g.j1, g.j2) >= n:
-        raise IndexError(f"gate {g} addresses wires beyond length {n}")
-    values = np.arange(1 << n, dtype=np.int64)
-    a = (values >> g.j1) & 1
-    b = (values >> g.j2) & 1
-    hbit = (g.h >> ((a << 1) | b)) & 1
-    return values ^ (hbit << g.target)
+    """All 16 n (n-1)^2 gate parameter tuples for n wires; entry v = 16 q + h
+    has the wires of `gate_wires` choice q and truth table h."""
+    return [Gate(*wires, h) for wires in zip(*(w.tolist() for w in gate_wires(n)))
+            for h in range(NUM_TRUTH_TABLES)]
 
 
 MAX_DEDUPE_WIRES = 12
@@ -103,21 +87,17 @@ def dedupe_gates(n: int) -> tuple[np.ndarray, np.ndarray]:
     enumerate_gates(n), with how many parameter tuples induce each.
 
     Returns (tables, counts): a (count, 2^n) uint16 array of permutation
-    tables in first-seen enumeration order, and the int64 multiplicity of
-    each, summing to 16 n (n-1)^2. The 16 truth tables of each (target,
-    j1, j2) are built in one broadcast. Requires n <= 12 so the tables
-    fit in uint16 and in memory.
+    tables in first-seen parameter-index order, and the int64 multiplicity
+    of each, summing to 16 n (n-1)^2. The 16 truth tables of each wire
+    choice are built in one broadcast. Requires n <= 12 so the tables fit
+    in uint16 and in memory.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3 wires, got {n}")
     if n > MAX_DEDUPE_WIRES:
         raise ValueError(f"dedupe_gates needs n <= {MAX_DEDUPE_WIRES}, got {n}")
     values = np.arange(1 << n, dtype=np.uint16)
     h = np.arange(NUM_TRUTH_TABLES, dtype=np.uint16)[:, None]
     counts: dict[bytes, int] = {}
-    for target, j1, j2 in itertools.product(range(n), repeat=3):
-        if target in (j1, j2):
-            continue
+    for target, j1, j2 in zip(*(w.tolist() for w in gate_wires(n))):
         controls = ((values >> j1) & 1) << 1 | (values >> j2) & 1
         for row in values ^ ((h >> controls) & 1) << target:
             key = row.tobytes()
@@ -147,43 +127,6 @@ def enumerate_tuples(k: int, N: int) -> np.ndarray:
     size = tuple_space_size(k, N)
     flat = itertools.chain.from_iterable(itertools.permutations(range(N), k))
     return np.fromiter(flat, dtype=np.int64, count=size * k).reshape(size, k)
-
-
-def tuple_index(t: Sequence[int], N: int) -> int:
-    """Lexicographic rank of a distinct tuple among all of Theta_{k,N}."""
-    k = len(t)
-    if k < 1 or k > N:
-        raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
-    if len(set(t)) != k:
-        raise ValueError(f"tuple entries must be distinct, got {tuple(t)}")
-    rank = 0
-    suffix = tuple_space_size(k, N) // N  # completions per choice at position 0
-    used: list[int] = []
-    for pos, v in enumerate(t):
-        if not 0 <= v < N:
-            raise ValueError(f"entry {v} out of range [0, {N})")
-        smaller_unused = v - sum(1 for u in used if u < v)
-        rank += smaller_unused * suffix
-        used.append(v)
-        if pos + 1 < k:
-            suffix //= N - 1 - pos
-    return rank
-
-
-def tuple_unindex(idx: int, k: int, N: int) -> tuple[int, ...]:
-    """Inverse of tuple_index: the idx-th distinct tuple in lex order."""
-    size = tuple_space_size(k, N)
-    if not 0 <= idx < size:
-        raise ValueError(f"index {idx} out of range [0, {size})")
-    available = list(range(N))
-    suffix = size // N
-    out = []
-    for pos in range(k):
-        choice, idx = divmod(idx, suffix)
-        out.append(available.pop(choice))
-        if pos + 1 < k:
-            suffix //= N - 1 - pos
-    return tuple(out)
 
 
 def sample_uniform_tuples(

@@ -36,7 +36,6 @@ class Partition:
     p: int
     blocks: tuple[tuple[int, ...], ...]
     remainder: tuple[int, ...]
-    log_base: float = 2.0
 
     def __post_init__(self) -> None:
         covered = [pos for block in self.blocks for pos in block]
@@ -58,12 +57,11 @@ class Partition:
             "p": self.p,
             "blocks": [list(b) for b in self.blocks],
             "remainder": list(self.remainder),
-            "log_base": self.log_base,
         }
 
 
-def default_block_width(n: int, k: int, log_base: float = 2.0) -> int:
-    return math.ceil(10.0 * (math.log(k, log_base) + math.log(n, log_base)))
+def default_block_width(n: int, k: int) -> int:
+    return math.ceil(10.0 * (math.log(k, 2.0) + math.log(n, 2.0)))
 
 
 def make_partition(
@@ -71,7 +69,6 @@ def make_partition(
     k: int,
     w: int | None = None,
     p: int | None = None,
-    log_base: float = 2.0,
 ) -> Partition:
     """Contiguous-block partition; default sizes unless (w, p) overridden.
 
@@ -81,7 +78,7 @@ def make_partition(
         raise ValueError(f"need n, k >= 1, got n={n}, k={k}")
     override = w is not None or p is not None
     if w is None:
-        w = default_block_width(n, k, log_base)
+        w = default_block_width(n, k)
     if p is None:
         p = math.ceil(n / (2 * w))
     if p < 1 and not override:
@@ -92,8 +89,7 @@ def make_partition(
         raise ValueError(f"blocks need {p * w} wires but only {n} exist")
     blocks = tuple(tuple(range(t * w, (t + 1) * w)) for t in range(p))
     remainder = tuple(range(p * w, n))
-    return Partition(n=n, k=k, w=w, p=p, blocks=blocks, remainder=remainder,
-                     log_base=log_base)
+    return Partition(n=n, k=k, w=w, p=p, blocks=blocks, remainder=remainder)
 
 
 def extract_block(value: int, positions: Sequence[int]) -> int:

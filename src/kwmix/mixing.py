@@ -378,18 +378,6 @@ def _statistic_values(statistic: str, tuples: np.ndarray, n: int, bins: int) -> 
     raise ValueError(f"unknown statistic {statistic!r}")
 
 
-def sample_circuit_outputs(n: int, k: int, gates: int, samples: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Apply `samples` independent random circuits to the fixed start tuple
-    (0, 1, ..., k-1); any fixed distinct start would do.
-
-    Returns a (samples, k) uint64 array of output strings: `gates` steps
-    of the parameter-uniform rev chain from every row of a tiled start.
-    """
-    x = np.tile(np.arange(k, dtype=np.uint64), (samples, 1))
-    return sample_chain(ChainSpec(family="rev", k=k, n=n), x, gates, rng)
-
-
 def kwise_stat_mc(
     n: int,
     k: int,
@@ -403,8 +391,9 @@ def kwise_stat_mc(
     """Chi-square test of a projected circuit-output statistic against its
     exact law under uniform distinct tuples.
 
-    Circuits draw their gates from the parameter measure, one bounded
-    integer per gate and sample (see `chains._sample_rev`);
+    Each sample runs `gates` steps of the parameter-measure rev chain
+    from the fixed start (0, 1, ..., k-1) (any fixed distinct start would
+    do), one bounded integer per gate and sample (`sample_chain`);
     ``sampler="uniform"`` replaces them by direct uniform tuples (the
     positive control for the harness itself). Sampling is split over a
     fixed number of Philox streams for scheduler-independent
@@ -425,7 +414,8 @@ def kwise_stat_mc(
     counts = np.zeros(bins, dtype=np.int64)
     for rng, chunk in mc_chunks(seed, samples):
         if sampler == "circuit":
-            tuples = sample_circuit_outputs(n, k, gates, chunk, rng)
+            start = np.tile(np.arange(k, dtype=np.uint64), (chunk, 1))
+            tuples = sample_chain(ChainSpec(family="rev", k=k, n=n), start, gates, rng)
         else:
             tuples = sample_uniform_tuples(n, k, chunk, rng)[..., 0]
         values = _statistic_values(statistic, tuples, n, bins)

@@ -15,6 +15,9 @@ import numpy as np
 # fixed stream split for Monte Carlo work; few enough that vectorized
 # chunks stay large, many enough to parcel out to workers
 MC_STREAMS = 8
+# most rows of one yielded piece, so Monte Carlo memory does not grow
+# with the sample count
+MC_PIECE = 1 << 16
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -34,11 +37,13 @@ def split_rngs(seed: int, count: int) -> list[np.random.Generator]:
 
 
 def mc_chunks(seed: int, samples: int) -> Iterator[tuple[np.random.Generator, int]]:
-    """`samples` split over the MC_STREAMS streams of `seed`: (stream,
-    share) pairs with nonempty shares, the first ``samples % MC_STREAMS``
-    streams taking one sample more than the rest."""
+    """`samples` split over the MC_STREAMS streams of `seed`, the first
+    ``samples % MC_STREAMS`` streams taking one sample more than the rest.
+    Each stream's share is yielded as (stream, size) pieces of at most
+    MC_PIECE rows, in order and all drawn from that stream; a share of at
+    most MC_PIECE is one piece."""
     base, extra = divmod(samples, MC_STREAMS)
     for ci, rng in enumerate(split_rngs(seed, MC_STREAMS)):
-        chunk = base + (1 if ci < extra else 0)
-        if chunk:
-            yield rng, chunk
+        share = base + (1 if ci < extra else 0)
+        for start in range(0, share, MC_PIECE):
+            yield rng, min(MC_PIECE, share - start)

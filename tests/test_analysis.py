@@ -22,9 +22,14 @@ from kwmix.analysis import (
     verify_reversible,
 )
 from kwmix.chains import ChainSpec, Kernel, build_kernel, build_tgrev_kernel, product_kernel
-from kwmix.core import enumerate_tuples, tuple_index, tuple_space_size, tuple_unindex
+from kwmix.core import enumerate_tuples, tuple_space_size
 from kwmix.generic import make_partition
 from kwmix.rng import make_rng
+
+
+def _ranks(k, N):
+    # rank of each distinct tuple: its row in the lexicographic enumeration
+    return {t: idx for idx, t in enumerate(map(tuple, enumerate_tuples(k, N).tolist()))}
 
 
 @pytest.fixture(scope="module")
@@ -282,7 +287,7 @@ def test_restriction_and_marginal_of_constant():
 def test_marginal_of_indicator_k2_n3():
     k, N = 2, 3
     f = np.zeros(tuple_space_size(k, N))
-    f[tuple_index((0, 1), N)] = 1.0
+    f[_ranks(k, N)[(0, 1)]] = 1.0
     m = marginal(f, 0, k, N)
     assert m[0] == pytest.approx(0.5, abs=0)
     assert m[1] == 0.0 and m[2] == 0.0
@@ -305,21 +310,21 @@ def test_restriction_indices_align_with_slice():
     for i in range(k):
         for c in range(N):
             r = restrict_conditional(f, i, c, k, N)
-            slice_vals = sorted(f[tuple_index(t, N)]
-                                for t in enumerate_tuples(k, N) if t[i] == c)
+            slice_vals = sorted(f[idx] for t, idx in _ranks(k, N).items() if t[i] == c)
             assert sorted(r.tolist()) == pytest.approx(slice_vals)
 
 
 def _restrict_reference(f, i, c, k, N):
-    """Per-tuple restriction: unrank each (k-1)-tuple, lift it past color c,
-    insert c at coordinate i and look the full tuple up."""
+    """Per-tuple restriction: take each (k-1)-tuple in lexicographic order,
+    lift it past color c, insert c at coordinate i and look the full tuple
+    up."""
+    rank = _ranks(k, N)
     if k == 1:
-        return np.array([f[tuple_index((c,), N)]])
+        return np.array([f[rank[(c,)]]])
     out = []
-    for idx in range(tuple_space_size(k - 1, N - 1)):
-        small = tuple_unindex(idx, k - 1, N - 1)
+    for small in _ranks(k - 1, N - 1):
         lifted = tuple(v if v < c else v + 1 for v in small)
-        out.append(f[tuple_index(lifted[:i] + (c,) + lifted[i:], N)])
+        out.append(f[rank[lifted[:i] + (c,) + lifted[i:]]])
     return np.array(out)
 
 
@@ -355,7 +360,7 @@ def test_chain_rule_random_functions_theta_2_6():
 def test_chain_rule_indicator_theta_2_4():
     size = tuple_space_size(2, 4)
     f = np.zeros(size)
-    f[tuple_index((2, 0), 4)] = 1.0
+    f[_ranks(2, 4)[(2, 0)]] = 1.0
     for i in range(2):
         assert chain_rule_residual(f, i, 2, 4) <= 1e-12
 
@@ -365,7 +370,7 @@ def test_chain_rule_closed_form_indicator():
     k, N = 2, 4
     size = tuple_space_size(k, N)
     f = np.zeros(size)
-    f[tuple_index((1, 3), N)] = 1.0
+    f[_ranks(k, N)[(1, 3)]] = 1.0
     pi = np.full(size, 1.0 / size)
     assert entropy(pi, f) == pytest.approx(math.log(size) / size, rel=1e-14)
 

@@ -9,7 +9,6 @@ from scipy.sparse.csgraph import connected_components
 
 from kwmix.chains import (
     ChainSpec,
-    _gate_wires,
     build_grev_kernel,
     build_kernel,
     build_tgrev_kernel,
@@ -22,7 +21,7 @@ from kwmix.core import (
     dedupe_gates,
     enumerate_gates,
     enumerate_tuples,
-    gate_table,
+    gate_wires,
 )
 from kwmix.errors import StateCapExceeded
 from kwmix.generic import make_partition
@@ -264,7 +263,8 @@ def _generic_successor_totals(kernel, n):
     generic = states @ place
     w = np.zeros(len(states), dtype=np.int64)
     for g in enumerate_gates(n):
-        w += np.isin(gate_table(g, n)[states] @ place, generic)
+        table = np.array([apply_gate_to_int(v, g) for v in range(1 << n)])
+        w += np.isin(table[states] @ place, generic)
     return w
 
 
@@ -463,7 +463,7 @@ def test_one_draw_decodes_each_parameter_tuple_once(n):
     # control 2, truth table) with both controls off the target; there are
     # exactly 16 n (n-1)^2 such tuples, so one uniform v draws each with
     # probability 1 / (16 n (n-1)^2), the parameter measure
-    targets, controls1, controls2 = _gate_wires(n)
+    targets, controls1, controls2 = gate_wires(n)
     v = np.arange(16 * n * (n - 1) ** 2)
     target, c1, c2, h = targets[v >> 4], controls1[v >> 4], controls2[v >> 4], v & 15
     for wire in (target, c1, c2):
@@ -472,3 +472,17 @@ def test_one_draw_decodes_each_parameter_tuple_once(n):
     assert h.min() == 0 and h.max() == 15
     keys = ((target * n + c1) * n + c2) * 16 + h
     assert len(np.unique(keys)) == len(v)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_parameter_step_applies_the_enumerated_gate_of_its_draw(n):
+    # one step draws v per row, replayed from the same seed, and applies
+    # the acceptance oracle's gate enumerate_gates(n)[v] to every coordinate
+    gates = enumerate_gates(n)
+    spec = ChainSpec(family="rev", k=3, n=n)
+    for seed in range(3):
+        x = _distinct_starts(n, 3, seed)
+        v = make_rng(seed).integers(0, len(gates), size=len(x), dtype=np.uint32)
+        want = [[apply_gate_to_int(value, gates[int(vi)]) for value in row]
+                for row, vi in zip(x.tolist(), v)]
+        assert sample_chain(spec, x, 1, make_rng(seed)).tolist() == want

@@ -321,6 +321,56 @@ def test_batch_of_identical_gap_commands_prints_identical_bytes(tmp_path, capsys
     assert len(lines) == 4 and lines[:2] == lines[2:]
 
 
+GAP_ARGV = ["gap", "--chain", "ucc", "--k", "2", "--N", "4"]
+
+
+@pytest.mark.parametrize("payload", [
+    None,                                     # no such file
+    "{not json",
+    json.dumps([{"params": {}}]),             # object without "command"
+    json.dumps([GAP_ARGV, 5]),                # entry that is no argv list
+    json.dumps([GAP_ARGV, ["gap", 4]]),
+    json.dumps("gap"),
+])
+def test_unreadable_batch_exits_2_before_any_command(tmp_path, capsys, payload):
+    batch_file = tmp_path / "batch.json"
+    if payload is not None:
+        batch_file.write_text(payload)
+    code, out, err = run_cli(capsys, "batch", str(batch_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("kwmix: invalid configuration: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "gap.csv"
+    code, stdout, err = run_cli(capsys, *GAP_ARGV, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("kwmix: invalid configuration: ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["chain-rule-check", "compare-check"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_nonpositive_count_exits_2(capsys, subcommand, count):
+    code, out, err = run_cli(capsys, subcommand, "--k", "2", "--N", "3", "--count", count)
+    assert (code, out) == (2, "")
+    assert err == f"kwmix: invalid configuration: need --count >= 1, got {count}\n"
+
+
+def test_cli_imports_no_private_kwmix_name():
+    import ast
+
+    # relative imports, and absolute ones from the package; dunders such as
+    # __version__ are public
+    with open(cli.__file__) as fp:
+        tree = ast.parse(fp.read())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").split(".")[0] == "kwmix")
+             for alias in node.names]
+    assert "build_kernel" in names
+    assert [n for n in names if n.startswith("_") and not n.endswith("__")] == []
+
+
 def test_mix_exact_without_mixing_exits_2(capsys):
     code, out, err = run_cli(capsys, "mix-exact", "--chain", "rev", "--n", "3",
                              "--k", "2", "--max-steps", "0")

@@ -1,4 +1,4 @@
-"""Gates and tuple indexing against brute-force oracles."""
+"""Gates and distinct tuples against brute-force oracles."""
 
 import itertools
 
@@ -16,11 +16,9 @@ from kwmix.core import (
     dedupe_gates,
     enumerate_gates,
     enumerate_tuples,
-    gate_table,
+    gate_wires,
     recolor,
-    tuple_index,
     tuple_space_size,
-    tuple_unindex,
 )
 
 
@@ -86,10 +84,18 @@ def test_enumerate_rejects_small_n():
         enumerate_gates(2)
 
 
-def test_gate_table_matches_pointwise_application():
-    for g in enumerate_gates(3)[::7]:
-        table = gate_table(g, 3)
-        assert [apply_gate_to_int(v, g) for v in range(8)] == list(table)
+def test_enumerate_gates_follows_the_gate_wires_index():
+    # gate v = 16 q + h has the wires of gate_wires choice q and table h;
+    # every (target, control 1, control 2) with controls off the target
+    # appears once
+    for n in (3, 4, 5):
+        targets, controls1, controls2 = gate_wires(n)
+        gates = enumerate_gates(n)
+        assert len(gates) == 16 * len(targets)
+        for v, g in enumerate(gates):
+            q, h = divmod(v, 16)
+            assert g == Gate(int(targets[q]), int(controls1[q]), int(controls2[q]), h)
+        assert len({(g.target, g.j1, g.j2) for g in gates}) == n * (n - 1) ** 2
 
 
 def _brute_force_distinct_tables(n):
@@ -121,10 +127,10 @@ def test_dedupe_contains_identity_exactly_once():
 
 
 def _dedupe_by_loop(n):
-    # reference: one gate_table per parameter tuple, keyed by its bytes
+    # reference: one pointwise table per parameter tuple, keyed by its bytes
     tables, counts = {}, {}
     for g in enumerate_gates(n):
-        table = gate_table(g, n)
+        table = np.array([apply_gate_to_int(v, g) for v in range(1 << n)])
         key = table.astype(np.uint16).tobytes()
         tables.setdefault(key, table)
         counts[key] = counts.get(key, 0) + 1
@@ -150,8 +156,13 @@ def test_dedupe_rejects_large_n():
 # ---------------------------------------------------------------------------
 
 
+def _ranks(k, N):
+    # rank of each distinct tuple: its row in the lexicographic enumeration
+    return {t: idx for idx, t in enumerate(map(tuple, enumerate_tuples(k, N).tolist()))}
+
+
 def test_first_tuple_has_index_zero():
-    assert tuple_index((0, 1), 3) == 0
+    assert _ranks(2, 3)[(0, 1)] == 0
     assert tuple_space_size(2, 3) == 6
 
 
@@ -160,33 +171,29 @@ def test_index_matches_lexicographic_enumeration():
         tuples = enumerate_tuples(k, N)
         assert tuples.shape == (tuple_space_size(k, N), k)
         assert tuples.dtype == np.int64
-        for idx, t in enumerate(map(tuple, tuples.tolist())):
-            assert tuple_index(t, N) == idx
-            assert tuple_unindex(idx, k, N) == t
+        assert list(map(tuple, tuples.tolist())) == list(itertools.permutations(range(N), k))
 
 
 def test_roundtrip_theta_3_5_exhaustive():
-    seen = set()
+    tuples = enumerate_tuples(3, 5)
+    ranks = _ranks(3, 5)
     for t in itertools.permutations(range(5), 3):
-        idx = tuple_index(t, 5)
-        assert tuple_unindex(idx, 3, 5) == t
-        seen.add(idx)
-    assert seen == set(range(60))
+        assert tuple(tuples[ranks[t]].tolist()) == t
+    assert sorted(ranks.values()) == list(range(60))
 
 
-def test_unindex_always_distinct():
-    for idx in range(tuple_space_size(3, 6)):
-        t = tuple_unindex(idx, 3, 6)
-        assert len(set(t)) == 3
+def test_enumerated_tuples_are_distinct():
+    tuples = np.sort(enumerate_tuples(3, 6), axis=1)
+    assert (tuples[:, 1:] != tuples[:, :-1]).all()
+    assert len(np.unique(tuples @ [36, 6, 1])) == tuple_space_size(3, 6) // 6
 
 
-def test_tuple_index_rejects_bad_input():
-    with pytest.raises(ValueError):
-        tuple_index((1, 1), 4)
-    with pytest.raises(ValueError):
-        tuple_index((0, 4), 4)
-    with pytest.raises(ValueError):
-        tuple_unindex(60, 3, 5)
+def test_tuple_space_rejects_bad_input():
+    for k, N in [(0, 4), (5, 4), (1, 0)]:
+        with pytest.raises(ValueError):
+            tuple_space_size(k, N)
+        with pytest.raises(ValueError):
+            enumerate_tuples(k, N)
 
 
 def test_recolor_swap_and_fresh_cases():

@@ -49,7 +49,7 @@ def test_blocks_are_contiguous_and_disjoint():
     assert part.blocks == ((0, 1, 2), (3, 4, 5))
     assert part.remainder == (6, 7, 8, 9)
     desc = part.descriptor()
-    assert desc["w"] == 3 and desc["p"] == 2 and desc["log_base"] == 2.0
+    assert desc["w"] == 3 and desc["p"] == 2
 
 
 def test_extract_insert_block_roundtrip():

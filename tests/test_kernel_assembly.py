@@ -1,7 +1,7 @@
 """Vectorized kernel assembly against short per-state loop references.
 
 Each reference walks the states one at a time, lists the draws of one
-step with the scalar helpers (core.recolor, core.gate_table,
+step with the scalar helpers (core.recolor, core.apply_gate_to_int,
 generic.is_generic), and divides the counts once. The exact families
 must match entry for entry; the product chains carry float weights.
 """
@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from kwmix import chains
 from kwmix.chains import ChainSpec, build_kernel, product_kernel
-from kwmix.core import dedupe_gates, enumerate_gates, enumerate_tuples, gate_table, recolor
+from kwmix.core import (
+    apply_gate_to_int,
+    dedupe_gates,
+    enumerate_gates,
+    enumerate_tuples,
+    recolor,
+)
 from kwmix.generic import extract_block, insert_block, is_generic, make_partition
 
 
@@ -44,7 +50,8 @@ def reference_gate_rows(states, n: int, gate_mode: str) -> dict:
     if gate_mode == "set":
         tables = [t.tolist() for t in dedupe_gates(n)[0]]
     else:
-        tables = [gate_table(g, n).tolist() for g in enumerate_gates(n)]
+        tables = [[apply_gate_to_int(v, g) for v in range(1 << n)]
+                  for g in enumerate_gates(n)]
     inside = set(states)
     rows = {}
     for x in states:

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+import kwmix.rng
+from kwmix import generic, mixing
 from kwmix.chains import ChainSpec, build_kernel, enumerate_generic_states, sample_chain
-from kwmix.core import enumerate_tuples, sample_uniform_tuples, tuple_index
-from kwmix.generic import make_partition
+from kwmix.core import enumerate_tuples, sample_uniform_tuples
+from kwmix.generic import generic_fraction_mc, make_partition
 from kwmix.mixing import (
     MIN_EXPECTED_COUNT,
     _orbit_labels,
@@ -29,7 +31,7 @@ from kwmix.mixing import (
     tv_curve,
     tv_distance,
 )
-from kwmix.rng import make_rng
+from kwmix.rng import make_rng, mc_chunks
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +227,11 @@ def _tuple_space_labels(k: int, n: int, blocks) -> np.ndarray:
     return _orbit_labels(enumerate_tuples(k, 1 << n), n, blocks)
 
 
+@functools.cache
+def _tuple_ranks(k: int, N: int) -> dict:
+    return {t: i for i, t in enumerate(map(tuple, enumerate_tuples(k, N).tolist()))}
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_orbit_labels_are_invariant_under_the_symmetries(data):
@@ -242,7 +249,8 @@ def test_orbit_labels_are_invariant_under_the_symmetries(data):
     order = data.draw(st.permutations(range(k)), label="rows")
     image = _permute_wires(x ^ mask, perm)[:, order]
     labels = _tuple_space_labels(k, n, blocks)
-    ranks = [[tuple_index(row, N) for row in y.tolist()] for y in (x, image)]
+    rank = _tuple_ranks(k, N)
+    ranks = [[rank[tuple(row)] for row in y.tolist()] for y in (x, image)]
     assert (labels[ranks[0]] == labels[ranks[1]]).all()
 
 
@@ -329,6 +337,31 @@ def test_circuit_draw_order_is_pinned():
     # (target, two control offsets, truth table) became one.
     report = kwise_stat_mc(n=6, k=2, gates=50, samples=2000, seed=3)
     assert report.chi2 == 71.75500000000002
+
+
+def test_monte_carlo_shares_are_drawn_in_bounded_pieces(monkeypatch):
+    kwise = dict(n=6, k=2, gates=50, seed=3, bins=16)
+    unsplit = kwise_stat_mc(samples=40, **kwise)
+    monkeypatch.setattr(kwmix.rng, "MC_PIECE", 5)
+    # shares of 13 or 12 samples come as pieces 5, 5, 3 or 5, 5, 2, each
+    # share from its own stream
+    pieces = list(mc_chunks(3, 100))
+    assert [size for _, size in pieces] == [5, 5, 3] * 4 + [5, 5, 2] * 4
+    streams = [stream for stream, _ in pieces]
+    assert all(streams[i] is streams[i - i % 3] for i in range(len(streams)))
+    assert len({id(stream) for stream in streams}) == kwmix.rng.MC_STREAMS
+    # shares of at most one piece draw as before
+    assert kwise_stat_mc(samples=40, **kwise) == unsplit
+
+    # no caller draws more rows at once than one piece
+    rows = []
+    monkeypatch.setattr(mixing, "sample_chain", lambda spec, x, t, stream: (
+        rows.append(len(x)) or sample_chain(spec, x, t, stream)))
+    monkeypatch.setattr(generic, "sample_uniform_tuples", lambda n, k, size, stream: (
+        rows.append(size) or sample_uniform_tuples(n, k, size, stream)))
+    kwise_stat_mc(samples=100, **kwise)
+    generic_fraction_mc(make_partition(8, 2, w=2, p=2), 100, seed=3)
+    assert max(rows) == 5 and sum(rows) == 200
 
 
 def test_harness_calibration_rejection_rate():
