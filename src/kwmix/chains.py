@@ -26,16 +26,15 @@ grev, the generic-successor total). Rows therefore sum to 1 up to a few
 ulps.
 
 ``sample_chain`` runs rev, cc, ucc and tgrev on a batch: an (S, k) state
-array, one move drawn per row and step, drawn from the same moves the
-builders count. rev draws a gate's parameter index v and applies
-``core.enumerate_gates(n)[v]`` (or, in ``set`` mode, a deduplicated
-table), ucc a coordinate and a color (swapping on collision), cc the
-r-th color available to the coordinate, and tgrev a hold, a remainder-bit
-flip or the r-th block value free for its row. rev is stepped on the
-transposed (k, S) array in the narrowest unsigned word holding n bits
-(uint16 up to n = 16, uint32 up to 32, uint64 up to 64), so the gate
-vectors broadcast along the long axis; its (S, k) uint64 result is that
-of a loop on the (S, k) uint64 array making the same draws.
+array, one move drawn per row and step. A ucc, cc or tgrev step is
+written once: `_draw_bounds` gives the ranges of the integers it draws
+and `_move` applies them, to per-row draws in the sampler and to every
+draw in the builders and ``comparison.congestion_delta``. rev draws a
+gate's parameter index v and applies ``core.enumerate_gates(n)[v]`` (or,
+in ``set`` mode, a deduplicated table), stepped on the transposed (k, S)
+array in the narrowest unsigned word holding n bits (uint16 up to
+n = 16, uint32 up to 32, uint64 up to 64); its (S, k) uint64 result is
+that of a loop on the (S, k) uint64 array making the same draws.
 
 Gate randomness has two documented measures, both weights on the one
 table set of ``core.dedupe_gates`` (n <= 12 for the exact kernels):
@@ -49,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,8 +86,9 @@ class ChainSpec:
         if self.family == "complete" and (self.ncolors is None or self.ncolors < 1):
             raise ValueError("complete needs N >= 1")
         if self.family in ("rev", "grev", "tgrev"):
-            if self.n is None or self.n < 3:
-                raise ValueError(f"{self.family} needs n >= 3")
+            least = 1 if self.family == "tgrev" else 3  # a gate acts on 3 wires
+            if self.n is None or self.n < least:
+                raise ValueError(f"{self.family} needs n >= {least}")
             if not 1 <= self.k <= (1 << self.n):
                 raise ValueError("need 1 <= k <= 2^n")
         if self.family in ("grev", "tgrev") and self.partition is None:
@@ -147,8 +148,6 @@ def sample_chain(spec: ChainSpec, x: np.ndarray, t: int,
     Each step draws one move per row, the moves the kernel builders count.
     Returns a new (S, k) array, uint64 for rev (n <= 64) and int64 otherwise.
     """
-    if spec.family not in ("rev", "cc", "ucc", "tgrev"):
-        raise ValueError(f"no step sampler for {spec.family!r}")
     if t < 0:
         raise ValueError("need t >= 0")
     if spec.family == "rev" and spec.n > 64:
@@ -158,34 +157,57 @@ def sample_chain(spec: ChainSpec, x: np.ndarray, t: int,
         raise ValueError(f"need an (S, {spec.k}) state array, got shape {x.shape}")
     if spec.family == "rev":
         return _sample_rev(spec.n, spec.gate_mode, x, t, rng)
-    size, k, N = len(x), spec.k, spec.ncolors
-    rows = np.arange(size)
+    bounds = _draw_bounds(spec)
+    for _ in range(t):
+        x = _move(spec, x, [rng.integers(b, size=len(x)) for b in bounds])
+    return x
+
+
+def _draw_bounds(spec: ChainSpec) -> tuple[int, ...]:
+    """Ranges of the integers one ucc, cc or tgrev step draws per row, in
+    draw order: ucc a coordinate and a color; cc a coordinate and the r-th
+    color available to it; tgrev a kind (0 holds, 1 flips a remainder bit,
+    2 and 3 recolor a block), a row, a remainder bit, a block and the r-th
+    block value free for the row."""
+    k = spec.k
+    if spec.family == "ucc":
+        return k, spec.ncolors
+    if spec.family == "cc":
+        return k, spec.ncolors - k + 1
     if spec.family == "tgrev":
         part = spec.partition
-        _check_tgrev_partition(k, part)
-        remainder = np.array(part.remainder)
-    for _ in range(t):
-        if spec.family == "ucc":  # recolor, swapping on collision
-            i = rng.integers(k, size=size)
-            color = rng.integers(N, size=size)
-            x = np.where(x == color[:, None], x[rows, i][:, None], x)
-            x[rows, i] = color
-        elif spec.family == "cc":
-            i = rng.integers(k, size=size)
-            x[rows, i] = _nth_free(x, i, rng.integers(N - k + 1, size=size))
-        else:  # tgrev: hold 1/4, remainder flip 1/4, block recoloring 1/2
-            kind = rng.integers(4, size=size)
-            i = rng.integers(k, size=size)
-            flip = kind == 1
-            bit = remainder[rng.integers(len(remainder), size=size)]
-            x[rows[flip], i[flip]] ^= 1 << bit[flip]
-            ell = rng.integers(part.p, size=size)
-            r = rng.integers((1 << part.w) - k + 1, size=size)
-            for j, block in enumerate(part.blocks):
-                m = np.flatnonzero((kind >= 2) & (ell == j))
-                u = _nth_free(extract_block(x[m], block), i[m], r[m])
-                x[m, i[m]] = insert_block(x[m, i[m]], block, u)
-    return x
+        _check_partition_rows(k, part)
+        if not part.remainder:
+            raise ValueError("product chain needs a nonempty remainder")
+        return 4, k, len(part.remainder), part.p, (1 << part.w) - k + 1
+    raise ValueError(f"no move rule for {spec.family!r}")
+
+
+def _move(spec: ChainSpec, x: np.ndarray, draw: Sequence) -> np.ndarray:
+    """Successor of every row of an (S, k) int64 state array under one
+    ucc, cc or tgrev step making the draws of `_draw_bounds`. Each draw
+    value is an array with one entry per row or a scalar shared by all."""
+    rows = np.arange(len(x))
+    draw = [np.broadcast_to(d, rows.shape) for d in draw]
+    if spec.family == "ucc":  # recolor, swapping on collision
+        i, color = draw
+        y = np.where(x == color[:, None], x[rows, i][:, None], x)
+        y[rows, i] = color
+        return y
+    y = x.copy()
+    if spec.family == "cc":
+        i, r = draw
+        y[rows, i] = _nth_free(x, i, r)
+        return y
+    kind, i, bit, ell, r = draw
+    part = spec.partition
+    flip = np.flatnonzero(kind == 1)
+    y[flip, i[flip]] ^= 1 << np.array(part.remainder)[bit[flip]]
+    for j, block in enumerate(part.blocks):
+        m = np.flatnonzero((kind >= 2) & (ell == j))
+        u = _nth_free(extract_block(x[m], block), i[m], r[m])
+        y[m, i[m]] = insert_block(x[m, i[m]], block, u)
+    return y
 
 
 def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
@@ -245,12 +267,6 @@ def _nth_free(values: np.ndarray, i: np.ndarray, r: np.ndarray) -> np.ndarray:
     return free
 
 
-def _check_tgrev_partition(k: int, partition: Partition) -> None:
-    _check_partition_rows(k, partition)
-    if not partition.remainder:
-        raise ValueError("product chain needs a nonempty remainder")
-
-
 # ---------------------------------------------------------------------------
 # Exact kernel builders
 # ---------------------------------------------------------------------------
@@ -267,7 +283,7 @@ def build_kernel(spec: ChainSpec) -> Kernel:
     """Exact kernel for the requested chain. Raises StateCapExceeded when
     the state space is larger than the configured cap."""
     if spec.family in ("ucc", "cc"):
-        return _build_coloring(spec.family, spec.k, spec.ncolors)
+        return _build_coloring(spec)
     if spec.family == "complete":
         return _build_complete(spec.ncolors)
     if spec.family == "rev":
@@ -341,28 +357,21 @@ def _tuple_states(k: int, N: int, what: str) -> np.ndarray:
     return enumerate_tuples(k, N)
 
 
-def _recolor_moves(states: np.ndarray, N: int, index, swaps: bool) -> Moves:
-    """One move per (state, coordinate, color) under ``recolor``. Without
-    swaps only the colors available to the coordinate (unused, or its
-    own) are drawn."""
+def _step_moves(spec: ChainSpec, states: np.ndarray, index, draws: Iterable,
+                count: int = 1) -> Moves:
+    """One move per (state, draw) to its `_move` successor, counting `count`."""
     src = np.arange(len(states))
-    for color in range(N):
-        holder = states == color
-        held = holder.any(axis=1)
-        for i in range(states.shape[1]):
-            y = np.where(holder, states[:, i:i + 1], states)
-            y[:, i] = color
-            keep = slice(None) if swaps else ~held | holder[:, i]
-            yield src[keep], index(y[keep]), 1
+    for draw in draws:
+        yield src, index(_move(spec, states, draw)), count
 
 
-def _build_coloring(family: str, k: int, N: int) -> Kernel:
-    states = _tuple_states(k, N, f"{family}(k={k},N={N})")
-    swaps = family == "ucc"
-    moves = _recolor_moves(states, N, _state_index(states, N), swaps)
-    denom = k * N if swaps else k * (N - k + 1)
-    return _kernel(_assemble(moves, len(states), denom),
-                   {"family": family, "k": k, "N": N}, states)
+def _build_coloring(spec: ChainSpec) -> Kernel:
+    k, N = spec.k, spec.ncolors
+    states = _tuple_states(k, N, spec.label())
+    bounds = _draw_bounds(spec)
+    moves = _step_moves(spec, states, _state_index(states, N), product(*map(range, bounds)))
+    return _kernel(_assemble(moves, len(states), math.prod(bounds)),
+                   {"family": spec.family, "k": k, "N": N}, states)
 
 
 def _build_complete(N: int) -> Kernel:
@@ -442,37 +451,23 @@ def _check_partition_rows(k: int, partition: Partition) -> None:
 def build_tgrev_kernel(k: int, partition: Partition) -> Kernel:
     """Exact kernel of the product chain on generic states.
 
-    Counts share the denominator 4 k |C| p (2^w - k + 1), C the remainder:
-    the hold (probability 1/4) counts k |C| p (2^w - k + 1), each
-    remainder-bit flip p (2^w - k + 1) and each block move 2 |C|.
+    The draws of `_draw_bounds` are grouped by the values each kind reads,
+    over the denominator 4 k |C| p (2^w - k + 1), C the remainder: the
+    hold counts k |C| p (2^w - k + 1), each (row, remainder bit) flip
+    p (2^w - k + 1) and each (row, block, r) block move 2 |C|.
     """
-    _check_tgrev_partition(k, partition)
+    spec = ChainSpec(family="tgrev", k=k, n=partition.n, partition=partition)
+    _, _, rem, p, avail = bounds = _draw_bounds(spec)
     x = enumerate_generic_states(k, partition)
     index = _state_index(x, 1 << partition.n)
-    rem, p = len(partition.remainder), partition.p
-    avail = (1 << partition.w) - k + 1
-    src = np.arange(len(x))
-
-    def moves() -> Moves:
-        yield src, src, k * rem * p * avail
-        for r in range(k):
-            for pos in partition.remainder:
-                y = x.copy()
-                y[:, r] ^= 1 << pos
-                yield src, index(y), p * avail
-        for block in partition.blocks:
-            values = np.stack([extract_block(x[:, i], block) for i in range(k)], axis=1)
-            for r in range(k):
-                others = np.delete(values, r, axis=1)
-                for u in range(1 << partition.w):
-                    free = ~(others == u).any(axis=1)
-                    y = x[free]
-                    y[:, r] = insert_block(y[:, r], block, u)
-                    yield src[free], index(y), 2 * rem
-
+    moves = chain(
+        _step_moves(spec, x, index, [(0, 0, 0, 0, 0)], k * rem * p * avail),
+        _step_moves(spec, x, index, product([1], range(k), range(rem), [0], [0]), p * avail),
+        _step_moves(spec, x, index, product([2], range(k), [0], range(p), range(avail)),
+                    2 * rem))
     meta = {"family": "tgrev", "k": k, "n": partition.n,
             "partition": partition.descriptor()}
-    return _kernel(_assemble(moves(), len(x), 4 * k * rem * p * avail), meta, x)
+    return _kernel(_assemble(moves, len(x), math.prod(bounds)), meta, x)
 
 
 def build_grev_kernel(

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -385,14 +386,7 @@ def _run_tgrev_verify(args):
     report = verify_tgrev_product_structure(partition, args.k)
     obj = {
         "n": args.n, "k": args.k, "w": partition.w, "p": partition.p,
-        "max_mixture_deviation": report.max_mixture_deviation,
-        "max_block_factor_deviation": report.max_block_factor_deviation,
-        "max_remainder_deviation": report.max_remainder_deviation,
-        "gap_product": report.gap_product,
-        "gap_blocks": report.gap_blocks,
-        "gap_remainder": report.gap_remainder,
-        "gap_identity_error": report.gap_identity_error,
-        "passes": report.passes(),
+        **asdict(report), "passes": report.passes(),
     }
     header = tuple(obj)
     return obj, header, [tuple(obj[h] for h in header)]
@@ -453,7 +447,17 @@ def _batch_commands(path: str) -> list[list[str]]:
     for entry, argv in zip(entries, commands):
         if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
             raise ValueError(f"batch entry {entry!r} holds no list of strings")
+        if argv[:1] == ["batch"]:
+            raise ValueError(f"batch entry {entry!r} is itself a batch")
     return commands
+
+
+def _batch_entry(argv: list[str]) -> int:
+    """Exit code of one batch entry, an argparse rejection included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -464,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         if args.subcommand == "batch":
-            return max(map(main, _batch_commands(args.file)), default=0)
+            return max(map(_batch_entry, _batch_commands(args.file)), default=0)
         obj, header, rows = _RUNNERS[args.subcommand](args)
         wall_time = time.perf_counter() - started
         _write_result(args, argv, _render(args, obj, header, rows), wall_time)

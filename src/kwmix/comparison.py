@@ -16,7 +16,7 @@ path that builds the kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -26,8 +26,9 @@ from .chains import (
     Kernel,
     Moves,
     _count_matrix,
-    _recolor_moves,
+    _draw_bounds,
     _state_index,
+    _step_moves,
     _tuple_states,
     build_kernel,
 )
@@ -157,10 +158,11 @@ def congestion_delta(k: int, N: int) -> CongestionResult:
     x = _tuple_states(k, N, f"congestion(k={k},N={N})")
     index = _state_index(x, N)
     src = np.arange(len(x))
+    cc = ChainSpec(family="cc", k=k, ncolors=N)
+    cc_draws = list(product(*map(range, _draw_bounds(cc))))
 
     def loaded_moves() -> Moves:
-        for a, b, _ in _recolor_moves(x, N, index, swaps=False):
-            yield a, b, N - k
+        yield from _step_moves(cc, x, index, cc_draws, N - k)
         for free in range(N):
             unused = ~(x == free).any(axis=1)
             for i, j in permutations(range(k), 2):
@@ -173,7 +175,7 @@ def congestion_delta(k: int, N: int) -> CongestionResult:
                 for a, b in zip(ranks, ranks[1:]):
                     yield a, b, 3
 
-    draws = _count_matrix(_recolor_moves(x, N, index, swaps=False), len(x))
+    draws = _count_matrix(_step_moves(cc, x, index, cc_draws), len(x))
     loads = _count_matrix(loaded_moves(), len(x))
     # every standard edge is loaded, so equal patterns mean no other edge is
     if not (np.array_equal(loads.indptr, draws.indptr)

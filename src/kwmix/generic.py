@@ -159,8 +159,8 @@ def union_bound_generic_fraction(partition: Partition) -> float:
     return 1.0 - partition.p * partition.k**2 * 2.0 ** (1 - partition.w)
 
 
-def _wilson(hits: int, samples: int, z: float = 2.5758293035489004) -> tuple[float, float]:
-    # 99% two-sided normal quantile by default
+def _wilson(hits: int, samples: int) -> tuple[float, float]:
+    z = 2.5758293035489004  # two-sided 99% normal quantile
     if samples == 0:
         raise ValueError("need at least one sample")
     phat = hits / samples
@@ -217,12 +217,12 @@ class ProductStructureReport:
     gap_remainder: float
     gap_identity_error: float
 
-    def passes(self, entry_tol: float = 1e-12, gap_tol: float = 1e-9) -> bool:
+    def passes(self) -> bool:
         return bool(
-            self.max_mixture_deviation <= entry_tol
-            and self.max_block_factor_deviation <= entry_tol
-            and self.max_remainder_deviation <= entry_tol
-            and self.gap_identity_error <= gap_tol
+            self.max_mixture_deviation <= 1e-12
+            and self.max_block_factor_deviation <= 1e-12
+            and self.max_remainder_deviation <= 1e-12
+            and self.gap_identity_error <= 1e-9
         )
 
 

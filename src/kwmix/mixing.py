@@ -46,18 +46,26 @@ TRANSITIVE_FAMILIES = {"ucc", "cc", "complete"}
 ORBIT_FAMILIES = {"rev", "grev", "tgrev"}
 
 
+def _evolution(kernel: Kernel, starts: Sequence[int]) -> Iterator[np.ndarray]:
+    """The (S, R) distributions at t = 0, 1, 2, ... (without end) of the
+    chain started from point masses at `starts`, one column per start."""
+    starts = np.asarray(starts, dtype=np.int64)
+    bad = starts[(starts < 0) | (starts >= kernel.size)]
+    if len(bad):
+        raise IndexError(f"start state {bad[0]} out of range")
+    pt = kernel.transpose_csr()
+    dists = np.zeros((kernel.size, len(starts)))
+    dists[starts, np.arange(len(starts))] = 1.0
+    while True:
+        yield dists
+        dists = pt @ dists
+
+
 def evolve(kernel: Kernel, start: int, t: int) -> np.ndarray:
     """Exact t-step distribution from a point mass at state `start`."""
     if t < 0:
         raise ValueError("need t >= 0")
-    if not 0 <= start < kernel.size:
-        raise IndexError(f"start state {start} out of range")
-    pt = kernel.transpose_csr()
-    p = np.zeros(kernel.size)
-    p[start] = 1.0
-    for _ in range(t):
-        p = pt @ p
-    return p
+    return next(islice(_evolution(kernel, [start]), t, None))[:, 0]
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -71,14 +79,10 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 def tv_curve(kernel: Kernel, start: int, t_max: int) -> list[float]:
     """TV(p_start^t, stationary) for t = 0..t_max."""
-    pt = kernel.transpose_csr()
-    p = np.zeros(kernel.size)
-    p[start] = 1.0
-    out = [tv_distance(p, kernel.stationary)]
-    for _ in range(t_max):
-        p = pt @ p
-        out.append(tv_distance(p, kernel.stationary))
-    return out
+    if t_max < 0:
+        raise ValueError("need t_max >= 0")
+    return [tv_distance(p[:, 0], kernel.stationary)
+            for p in islice(_evolution(kernel, [start]), t_max + 1)]
 
 
 def pointwise_relative_error(kernel: Kernel, start: int, t: int) -> float:
@@ -187,12 +191,8 @@ def _worst_tv_series(kernel: Kernel, all_starts: bool | None = None) -> Iterator
     (`orbit_starts`), any other chain every start. ``all_starts`` true
     tracks every start, false state 0 alone.
     """
-    starts = _starts(kernel, all_starts)
-    pt = kernel.transpose_csr()
-    dists = np.zeros((kernel.size, len(starts)))
-    dists[starts, np.arange(len(starts))] = 1.0
     pi = kernel.stationary[:, None]
-    while True:
+    for dists in _evolution(kernel, _starts(kernel, all_starts)):
         # column sums of |dists - pi|, added pairwise by halving the rows
         dev = dists - pi
         np.abs(dev, out=dev)
@@ -202,7 +202,6 @@ def _worst_tv_series(kernel: Kernel, all_starts: bool | None = None) -> Iterator
             dev[:half] += dev[rows - half:rows]
             rows -= half
         yield float(np.max(0.5 * dev[0]))
-        dists = pt @ dists
 
 
 def _scan_to_mixing(kernel: Kernel, epsilon: float, max_steps: int,

@@ -1,6 +1,8 @@
 """Exact kernels: closed-form entries, symmetry, and sampler agreement."""
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +11,11 @@ from scipy.sparse.csgraph import connected_components
 
 from kwmix.chains import (
     ChainSpec,
+    _count_matrix,
+    _draw_bounds,
+    _move,
+    _state_index,
+    _step_moves,
     build_grev_kernel,
     build_kernel,
     build_tgrev_kernel,
@@ -24,7 +31,7 @@ from kwmix.core import (
     gate_wires,
 )
 from kwmix.errors import StateCapExceeded
-from kwmix.generic import make_partition
+from kwmix.generic import Partition, make_partition
 from kwmix.rng import make_rng
 
 SIGNIFICANCE = 0.001
@@ -344,6 +351,49 @@ def test_step_sampler_matches_kernel_row(name):
     chi2 = ((observed[support] - samples * row[support]) ** 2
             / (samples * row[support])).sum()
     assert sps.chi2.sf(chi2, int(support.sum()) - 1) > SIGNIFICANCE
+
+
+@pytest.mark.parametrize("partition", [
+    make_partition(3, 2, w=2, p=1),
+    make_partition(5, 3, w=2, p=2),
+    make_partition(6, 2, w=2, p=2),
+    Partition(n=5, k=2, w=2, p=2, blocks=((0, 3), (4, 1)), remainder=(2,)),
+], ids=["3-2-2-1", "5-3-2-2", "6-2-2-2", "noncontiguous"])
+def test_tgrev_grouped_weights_equal_the_full_draw_product(partition):
+    # the builder counts one draw per kind and values read, weighted by the
+    # draws that agree on them; counting every draw gives the same integers
+    k = partition.k
+    spec = ChainSpec(family="tgrev", k=k, n=partition.n, partition=partition)
+    bounds = _draw_bounds(spec)
+    states = enumerate_generic_states(k, partition)
+    index = _state_index(states, 1 << partition.n)
+    full = _count_matrix(_step_moves(spec, states, index, product(*map(range, bounds))),
+                         len(states))
+    kernel = build_tgrev_kernel(k, partition)
+    assert np.array_equal(kernel.matrix.indptr, full.indptr)
+    assert np.array_equal(kernel.matrix.indices, full.indices)
+    assert np.array_equal(kernel.matrix.data, full.data / math.prod(bounds))
+    assert np.array_equal(np.rint(kernel.matrix.data * math.prod(bounds)), full.data)
+
+
+@pytest.mark.parametrize("name", ["ucc", "cc-k3", "tgrev-k3"])
+def test_move_reads_a_scalar_draw_as_one_value_per_row(name):
+    spec = SAMPLED_SPECS[name]
+    states = build_kernel(spec).states
+    for draw in product(*map(range, _draw_bounds(spec))):
+        rows = [np.full(len(states), d) for d in draw]
+        assert np.array_equal(_move(spec, states, draw), _move(spec, states, rows))
+
+
+def test_tgrev_on_two_wires_builds_and_samples():
+    # the product chain has no gates, so it runs below the 3 wires of rev
+    partition = make_partition(2, 2, w=1, p=1)
+    spec = ChainSpec(family="tgrev", k=2, n=2, partition=partition)
+    kernel = build_tgrev_kernel(2, partition)
+    assert kernel.size == 8
+    assert (build_kernel(spec).matrix != kernel.matrix).nnz == 0
+    ends = sample_chain(spec, np.tile(kernel.states[0], (100, 1)), 5, make_rng(0))
+    assert set(map(tuple, ends.tolist())) <= set(map(tuple, kernel.states.tolist()))
 
 
 def _assert_distinct_for_50_steps(spec, seed):

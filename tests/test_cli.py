@@ -341,6 +341,27 @@ def test_unreadable_batch_exits_2_before_any_command(tmp_path, capsys, payload):
     assert err.startswith("kwmix: invalid configuration: ") and err.count("\n") == 1
 
 
+def test_batch_runs_every_entry_after_an_argparse_rejection(tmp_path, capsys):
+    batch_file = tmp_path / "batch.json"
+    batch_file.write_text(json.dumps([["gap"], GAP_ARGV]))
+    code, out, err = run_cli(capsys, "batch", str(batch_file))
+    assert code == 2
+    assert "required: --chain" in err
+    assert out.splitlines()[0] == "kernel,states,spectral_gap"
+
+
+@pytest.mark.parametrize("nested", ["self", "other"])
+def test_batch_that_lists_a_batch_exits_2_before_any_command(tmp_path, capsys, nested):
+    batch_file = tmp_path / "batch.json"
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps([GAP_ARGV]))
+    target = batch_file if nested == "self" else other
+    batch_file.write_text(json.dumps([GAP_ARGV, ["batch", str(target)]]))
+    code, out, err = run_cli(capsys, "batch", str(batch_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("kwmix: invalid configuration: ") and "is itself a batch" in err
+
+
 def test_unwritable_out_path_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "gap.csv"
     code, stdout, err = run_cli(capsys, *GAP_ARGV, "--out", str(out))

@@ -55,6 +55,40 @@ def test_evolution_conserves_mass(rev32):
     assert abs(p.sum() - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("spec", [
+    ChainSpec(family="rev", k=2, n=4),
+    ChainSpec(family="ucc", k=3, ncolors=7),
+    ChainSpec(family="cc", k=3, ncolors=6),
+    ChainSpec(family="grev", k=2, n=5, partition=make_partition(5, 2, w=2, p=2)),
+], ids=["rev", "ucc", "cc", "grev"])
+def test_one_column_evolution_equals_the_matvec_loop_bit_for_bit(spec):
+    # evolve and tv_curve step an (S, 1) matrix; its products must be
+    # those of the plain vector loop, to the last bit
+    kernel = build_kernel(spec)
+    pt = kernel.transpose_csr()
+    for start in (0, kernel.size - 1):
+        p = np.zeros(kernel.size)
+        p[start] = 1.0
+        curve = [tv_distance(p, kernel.stationary)]
+        for _ in range(60):
+            p = pt @ p
+            curve.append(tv_distance(p, kernel.stationary))
+        assert np.array_equal(evolve(kernel, start, 60), p)
+        assert tv_curve(kernel, start, 60) == curve
+
+
+def test_evolution_refuses_out_of_range_starts_and_negative_times(rev32):
+    for start in (-1, rev32.size):
+        with pytest.raises(IndexError):
+            evolve(rev32, start, 3)
+        with pytest.raises(IndexError):
+            tv_curve(rev32, start, 3)
+    with pytest.raises(ValueError):
+        evolve(rev32, 0, -1)
+    with pytest.raises(ValueError):
+        tv_curve(rev32, 0, -1)
+
+
 def test_tv_identical_and_disjoint():
     assert tv_distance(np.array([0.3, 0.7]), np.array([0.3, 0.7])) == 0.0
     assert tv_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
