@@ -9,7 +9,10 @@ bound would disprove it, and failing to find one is evidence in favor.
 
 Entropy and the Dirichlet form use natural log and the 0*log(0) = 0
 convention; reported sums run through math.fsum so the tight acceptance
-tolerances are not eaten by accumulation error.
+tolerances are not eaten by accumulation error. The lsc_search objective
+sums with ufunc reductions, not np.dot: numpy and scipy each bring their
+own OpenBLAS thread pool, and a threaded ddot on numpy's pool fights
+scipy's L-BFGS-B pool for the same cores on every step.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ class SearchResult:
     best_ratio: float
     witness: np.ndarray
     restarts: int
-    evaluations: int
+    evaluations: int  # objective calls over all restarts, collapsed ones included
 
 
 def _symmetric_weights(kernel: Kernel):
@@ -110,7 +113,11 @@ def lsc_search(
     Parameterizes f = g^2 and runs L-BFGS on g from multiplicatively
     perturbed starts (one Philox stream per restart). Returns the
     smallest ratio found and its witness; the value is a certified upper
-    bound on the log-Sobolev constant.
+    bound on the log-Sobolev constant. The objective's sums are ufunc
+    reductions, not np.dot, because numpy and scipy bring separate
+    OpenBLAS pools: a threaded dot on numpy's pool would busy-wait
+    against scipy's L-BFGS-B pool, and the result would depend on
+    numpy's BLAS thread count.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -127,16 +134,16 @@ def lsc_search(
         def objective(g: np.ndarray):
             tracker[2] += 1
             diff = g[erow] - g[ecol]
-            energy = 0.5 * float(np.dot(diff * diff, eweight))
+            energy = 0.5 * float(np.add.reduce(diff * diff * eweight))
             g2 = g * g
-            mean = float(np.dot(pi, g2))
+            mean = float(np.add.reduce(pi * g2))
             if mean <= 0.0:
                 return np.inf, np.zeros_like(g)
             dev = g2 - mean
             with np.errstate(divide="ignore", invalid="ignore"):
                 stable = np.where(g2 > 0, g2 * np.log1p(dev / mean) - dev, mean)
                 logterm = np.where(g2 > 0, log(g2) - math.log(mean), 0.0)
-            ent = float(np.dot(pi, stable))
+            ent = float(np.add.reduce(pi * stable))
             if ent < 1e-300:
                 return np.inf, np.zeros_like(g)
             grad_energy = 2.0 * (deg * g - w @ g)
@@ -150,7 +157,9 @@ def lsc_search(
 
         return objective
 
-    def run_restart(r: int) -> tuple[float, np.ndarray, int] | None:
+    def run_restart(r: int) -> tuple[float, np.ndarray | None, int]:
+        # (ratio, witness, evaluations); a collapsed restart has no
+        # witness and ratio inf, but its evaluations still count
         rng = streams[r]
         if r % 3 == 0:
             g0 = np.exp(0.8 * rng.standard_normal(kernel.size))
@@ -165,28 +174,21 @@ def lsc_search(
             options={"maxiter": 500, "ftol": tol * 1e-3, "gtol": 1e-12},
         )
         if tracker[1] is None:
-            return None
+            return np.inf, None, tracker[2]
         g = np.abs(tracker[1])
         f = g * g
         if entropy(pi, f) <= 1e-13:
-            return None
+            return np.inf, None, tracker[2]
         return lsc_ratio(kernel, f), f, tracker[2]
 
     streams = split_rngs(seed, restarts)
     outcomes = [run_restart(r) for r in range(restarts)]
-
-    best: tuple[float, np.ndarray] | None = None
-    evaluations = 0
-    for out in outcomes:
-        if out is None:
-            continue
-        evaluations += out[2]
-        if best is None or out[0] < best[0]:
-            best = (out[0], out[1])
-    if best is None:
+    # min keeps the first of equal ratios
+    best_ratio, witness, _ = min(outcomes, key=lambda out: out[0])
+    if witness is None:
         raise ValueError("every restart collapsed to a constant function")
-    return SearchResult(best_ratio=best[0], witness=best[1],
-                        restarts=restarts, evaluations=evaluations)
+    return SearchResult(best_ratio=best_ratio, witness=witness, restarts=restarts,
+                        evaluations=sum(out[2] for out in outcomes))
 
 
 def ucc_alpha_lower_bound(k: int, N: int, base: float = math.e) -> float:
@@ -215,9 +217,10 @@ def spectral_gap(kernel: Kernel) -> float:
     fixed positive vector (make_rng(0)), not ARPACK's own random one, so
     the same kernel gives the same float on every call.
 
-    Raises ValueError for a kernel of fewer than 2 states or if eigsh
-    does not converge, and InvariantViolation
-    if the top eigenvalue is further than 1e-10 from 1.
+    Raises ValueError for a kernel of fewer than 2 states, for a
+    reducible kernel (more than one strongly connected class, whose gap
+    is 0 and would print as roundoff) or if eigsh does not converge, and
+    InvariantViolation if the top eigenvalue is further than 1e-10 from 1.
     """
     if kernel.size < 2:
         raise ValueError(f"spectral gap needs at least 2 states, got {kernel.size}")
@@ -225,6 +228,7 @@ def spectral_gap(kernel: Kernel) -> float:
     if not report.passes:
         raise ValueError(
             f"kernel is not reversible (violation {report.max_violation:.3e})")
+    kernel.check_irreducible("its spectral gap is 0")
     if kernel.stationary.min() <= 0:
         raise ValueError("spectral gap needs a strictly positive stationary law")
     a, deg = _symmetric_weights(kernel)[:2]

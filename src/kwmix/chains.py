@@ -53,6 +53,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .core import dedupe_gates, enumerate_tuples, gate_wires, tuple_space_size
 from .errors import InvariantViolation, check_state_cap
@@ -134,6 +135,18 @@ class Kernel:
 
     def transpose_csr(self) -> sparse.csr_matrix:
         return self.matrix.transpose().tocsr()
+
+    def strong_classes(self) -> int:
+        """Number of strongly connected classes (one O(nnz) pass); more
+        than one means the kernel is reducible."""
+        return connected_components(self.matrix, connection="strong")[0]
+
+    def check_irreducible(self, consequence: str) -> None:
+        """Raise ValueError, naming the consequence, for a reducible kernel."""
+        classes = self.strong_classes()
+        if classes > 1:
+            raise ValueError(f"kernel has {classes} strongly connected classes; "
+                             f"it is reducible and {consequence}")
 
 
 # ---------------------------------------------------------------------------

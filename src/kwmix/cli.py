@@ -239,9 +239,10 @@ def _run_lsc_search(args):
         "margin": None if bound_ln is None else result.best_ratio - bound_ln,
         "paper_bound_log2": bound_lg2,
         "margin_log2": None if bound_lg2 is None else result.best_ratio - bound_lg2,
+        "evaluations": result.evaluations,
     }
     header = ("kernel", "restarts", "best_ratio", "paper_bound", "margin",
-              "paper_bound_log2", "margin_log2")
+              "paper_bound_log2", "margin_log2", "evaluations")
     row = tuple("" if obj[h] is None else obj[h] for h in header)
     return obj, header, [row]
 

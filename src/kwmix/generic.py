@@ -235,7 +235,8 @@ def verify_tgrev_product_structure(partition: Partition, k: int) -> ProductStruc
         k-tuples of block values;
     (c) the remainder chain equals the product of k*|C| lazy two-state
         kernels;
-    (d) gap(product) = (1/2) * min(factor gaps).
+    (d) gap(product) = (1/2) * min(factor gaps), a reducible kernel's
+        gap being exactly 0.
 
     Needs a toy-scale partition: every kernel is built exactly.
     """
@@ -264,9 +265,14 @@ def verify_tgrev_product_structure(partition: Partition, k: int) -> ProductStruc
     max_rem = _factor_deviation(tgrev.matrix, sizes, range(partition.p, len(sizes)),
                                 lazy_bit, weight=2.0 * rem_bits)
 
-    gap_product = spectral_gap(tgrev)
-    gap_blocks = spectral_gap(blocks_chain)
-    gap_remainder = spectral_gap(remainder_chain)
+    def gap(kernel):
+        # spectral_gap refuses a reducible kernel; its gap is exactly 0
+        # (2^w = k leaves no block value free, so the blocks never move)
+        return 0.0 if kernel.strong_classes() > 1 else spectral_gap(kernel)
+
+    gap_product = gap(tgrev)
+    gap_blocks = gap(blocks_chain)
+    gap_remainder = gap(remainder_chain)
     gap_err = abs(gap_product - 0.5 * min(gap_blocks, gap_remainder))
     return ProductStructureReport(
         max_mixture_deviation=max_mixture,

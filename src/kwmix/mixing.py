@@ -214,10 +214,7 @@ def _scan_to_mixing(kernel: Kernel, epsilon: float, max_steps: int,
         raise ValueError("need 0 < epsilon < 1")
     if max_steps < 0:
         raise ValueError("need max_steps >= 0")
-    classes = connected_components(kernel.matrix, connection="strong")[0]
-    if classes > 1:
-        raise ValueError(f"kernel has {classes} strongly connected classes; "
-                         "it is reducible and never mixes")
+    kernel.check_irreducible("never mixes")
     series = _worst_tv_series(kernel, all_starts)
     seen = []
     for worst in islice(series, max_steps + 1):

@@ -143,6 +143,56 @@ def test_search_runs_above_ten_thousand_states():
     assert result.best_ratio > ucc_alpha_lower_bound(3, 24)
 
 
+def _no_blas_dot(*args, **kwargs):
+    raise AssertionError("a BLAS dot product ran during the search")
+
+
+@pytest.fixture
+def no_blas_dot(monkeypatch):
+    for name in ("dot", "vdot", "inner"):
+        monkeypatch.setattr(np, name, _no_blas_dot)
+
+
+def test_search_objective_makes_no_blas_dot_call(no_blas_dot):
+    # 17280 off-diagonal edges, above OpenBLAS's threaded-ddot threshold:
+    # a dot there wakes numpy's BLAS pool against scipy's L-BFGS-B pool
+    kernel = build_kernel(ChainSpec(family="ucc", k=3, ncolors=10))
+    coo = kernel.matrix.tocoo()
+    assert np.count_nonzero(coo.row != coo.col) == 17280
+    result = lsc_search(kernel, restarts=12, seed=0)
+    assert result.best_ratio == pytest.approx(0.12838395071555075, rel=1e-12)
+    assert result.evaluations == 389
+
+
+def test_gate_chain_search_is_pinned(no_blas_dot):
+    kernel = build_kernel(ChainSpec(family="rev", k=2, n=4))
+    result = lsc_search(kernel, restarts=24, seed=0)
+    assert result.best_ratio == pytest.approx(0.060371399645593384, rel=1e-12)
+    assert result.evaluations == 1133
+
+
+def test_search_counts_the_evaluations_of_a_collapsed_restart(monkeypatch):
+    # restart 0 starts at a constant function, where the objective returns
+    # inf with a zero gradient: L-BFGS-B ends without a witness, but every
+    # call it made still counts
+    calls = []
+    minimize = optimize.minimize
+
+    def counting(fun, x0, **kwargs):
+        def counted(g):
+            calls[-1] += 1
+            return fun(g)
+
+        calls.append(0)
+        return minimize(counted, np.ones_like(x0) if len(calls) == 1 else x0, **kwargs)
+
+    monkeypatch.setattr(analysis.optimize, "minimize", counting)
+    kernel = build_kernel(ChainSpec(family="ucc", k=2, ncolors=5))
+    result = lsc_search(kernel, restarts=4, seed=0)
+    assert len(calls) == 4 and calls[0] >= 1
+    assert result.evaluations == sum(calls)
+
+
 def test_recurrence_direction_compatibility():
     # searched inverse constants should satisfy the one-step recurrence
     # up to search slack: both searches sit near the true constants

@@ -1,6 +1,10 @@
 """Subcommand behavior: outputs, determinism, sidecars, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,44 @@ def test_lsc_search_reports_margin(capsys):
     assert obj["best_ratio"] > 0
     assert obj["margin"] > 0
     assert obj["paper_bound_log2"] < obj["paper_bound"]
+
+
+def test_lsc_search_appends_its_evaluation_count(capsys):
+    args = ("lsc-search", "--chain", "ucc", "--k", "2", "--N", "4", "--restarts", "5")
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert list(obj) == ["kernel", "restarts", "best_ratio", "paper_bound", "margin",
+                         "paper_bound_log2", "margin_log2", "evaluations"]
+    assert obj["evaluations"] >= 5
+    code, out, _ = run_cli(capsys, *args)
+    header, row = out.strip().split("\n")
+    assert header.endswith(",margin_log2,evaluations")
+    assert row.endswith(f",{obj['evaluations']}")
+
+
+def test_lsc_search_is_seed_deterministic(capsys):
+    args = ("lsc-search", "--chain", "ucc", "--k", "2", "--N", "5", "--restarts", "6")
+    outputs = {seed: [run_cli(capsys, *args, "--seed", seed)[1] for _ in range(2)]
+               for seed in ("0", "1")}
+    assert outputs["0"][0] == outputs["0"][1]
+    assert outputs["1"][0] == outputs["1"][1]
+    assert outputs["0"][0] != outputs["1"][0]
+
+
+def test_lsc_search_does_not_depend_on_blas_threads():
+    # ucc k=3 N=10 has 17280 edges, where a BLAS dot would be threaded
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = ["lsc-search", "--chain", "ucc", "--k", "3", "--N", "10", "--restarts", "4"]
+    code = f"import sys; from kwmix.cli import main; sys.exit(main({argv!r}))"
+    env = {key: value for key, value in os.environ.items()
+           if not key.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    runs = [subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
+                           text=True, check=True).stdout
+            for child_env in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})]
+    assert runs[0] == runs[1]
+    assert "ucc(k=3,N=10)" in runs[0]
 
 
 def test_chain_rule_check(capsys):
@@ -210,6 +252,20 @@ def test_gap_and_tgrev_verify_above_ten_thousand_states(capsys):
     code, out, _ = run_cli(capsys, "tgrev-verify", *part)
     assert code == 0
     assert json.loads(out)["passes"] is True
+
+
+def test_reducible_kernel_has_no_roundoff_gap(capsys):
+    # 2^w = k: no block value is ever free, so the block tuples never move
+    part = ("--n", "3", "--k", "2", "--part-w", "1", "--part-p", "1")
+    code, out, err = run_cli(capsys, "gap", "--chain", "tgrev", *part)
+    assert code == 2 and out == ""
+    assert "2 strongly connected classes" in err
+    # the verifier's factorization still holds; the reducible gaps are exact zeros
+    code, out, _ = run_cli(capsys, "tgrev-verify", *part, "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["gap_product"] == obj["gap_blocks"] == obj["gap_identity_error"] == 0
+    assert obj["passes"] is True
 
 
 def test_kernel_dump_roundtrip(tmp_path, capsys):
