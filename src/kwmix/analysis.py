@@ -12,12 +12,18 @@ convention; reported sums run through math.fsum so the tight acceptance
 tolerances are not eaten by accumulation error. The lsc_search objective
 sums with ufunc reductions, not np.dot: numpy and scipy each bring their
 own OpenBLAS thread pool, and a threaded ddot on numpy's pool fights
-scipy's L-BFGS-B pool for the same cores on every step.
+scipy's L-BFGS-B pool for the same cores on every step. The restarts run
+with every loaded OpenBLAS pinned to one thread (_one_blas_thread), since
+otherwise scipy's idle pool busy-waits after each L-BFGS-B step.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +89,67 @@ def lsc_ratio(kernel: Kernel, f: np.ndarray) -> float:
     return dirichlet_form(kernel, np.sqrt(f)) / ent
 
 
+# where Linux lists the shared objects mapped into this process
+_PROC_MAPS = "/proc/self/maps"
+# (get, set) thread-count symbols of the OpenBLAS builds that numpy and
+# scipy bundle (scipy-openblas, 64- and 32-bit ints) and of a plain build
+_BLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this
+    process, found in _PROC_MAPS; none where that file is missing."""
+    paths = set()
+    try:
+        with open(_PROC_MAPS) as fp:
+            for line in fp:
+                path = line.split()[-1]
+                name = os.path.basename(path).lower()
+                if "openblas" in name and ".so" in name:
+                    paths.add(path)
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+# held while the thread counts are pinned, so that a second caller reads
+# the counts only after the first has restored them
+_BLAS_PIN_LOCK = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin every loaded OpenBLAS to one thread, then restore each count.
+
+    Process-wide while it is held; concurrent callers take turns. A no-op
+    where no OpenBLAS is found.
+    """
+    with _BLAS_PIN_LOCK:
+        saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
+        try:
+            for set_, _ in saved:
+                set_(1)
+            yield
+        finally:
+            for set_, threads in saved:
+                set_(threads)
+
+
 @dataclass
 class SearchResult:
     best_ratio: float
@@ -117,7 +184,9 @@ def lsc_search(
     reductions, not np.dot, because numpy and scipy bring separate
     OpenBLAS pools: a threaded dot on numpy's pool would busy-wait
     against scipy's L-BFGS-B pool, and the result would depend on
-    numpy's BLAS thread count.
+    numpy's BLAS thread count. The vectors are too short for threaded
+    BLAS to help, so the restarts run with every OpenBLAS pinned to one
+    thread; the previous counts are restored on return and on error.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -182,7 +251,8 @@ def lsc_search(
         return lsc_ratio(kernel, f), f, tracker[2]
 
     streams = split_rngs(seed, restarts)
-    outcomes = [run_restart(r) for r in range(restarts)]
+    with _one_blas_thread():
+        outcomes = [run_restart(r) for r in range(restarts)]
     # min keeps the first of equal ratios
     best_ratio, witness, _ = min(outcomes, key=lambda out: out[0])
     if witness is None:

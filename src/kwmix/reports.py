@@ -92,9 +92,18 @@ def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
     return lines
 
 
+# Cap on the (row, col, prob) lines dump_kernel joins into one write; one
+# join over all entries would grow the peak memory with the kernel.
+DUMP_PIECE_ENTRIES = 1 << 16
+
+
 def dump_kernel(kernel: Kernel, fp: IO[str]) -> None:
     """Kernel dump: one JSON header line, then CSV (row, col, prob) triples
-    in (row, col) order, duplicate entries summed."""
+    in (row, col) order, duplicate entries summed.
+
+    A kernel has few distinct probabilities, so each distinct value and
+    each index is turned into text once.
+    """
     header = dict(kernel.meta)
     fp.write(json_dumps(header))
     fp.write("\n")
@@ -104,8 +113,14 @@ def dump_kernel(kernel: Kernel, fp: IO[str]) -> None:
         m = m.copy()
         m.sum_duplicates()
     rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    fp.writelines(f"{r},{c},{fmt_float(p)}\n" for r, c, p in
-                  zip(rows.tolist(), m.indices.tolist(), m.data.tolist()))
+    distinct, value = np.unique(m.data, return_inverse=True)
+    probs = [fmt_float(p) for p in distinct.tolist()]
+    index = [str(i) for i in range(max(m.shape))]
+    for lo in range(0, m.nnz, DUMP_PIECE_ENTRIES):
+        piece = slice(lo, lo + DUMP_PIECE_ENTRIES)
+        fp.write("".join(
+            f"{index[r]},{index[c]},{probs[v]}\n" for r, c, v in
+            zip(rows[piece].tolist(), m.indices[piece].tolist(), value[piece].tolist())))
 
 
 def load_kernel_dump(fp: IO[str]) -> tuple[dict, list[tuple[int, int, float]]]:

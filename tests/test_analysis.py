@@ -1,6 +1,8 @@
 """Dirichlet forms, entropy, ratio search, and the entropy chain rule."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -454,3 +456,78 @@ def test_chain_rule_residual_equals_the_per_color_path(k, N, monkeypatch):
             got = chain_rule_residual(f, i, k, N)
             assert len(calls) == 1  # the tuple space is enumerated once
             assert got == _chain_rule_per_color(f, i, k, N)
+
+
+def _blas_threads() -> list[int]:
+    return [get() for get, _ in analysis._openblas_thread_controls()]
+
+
+def _numpy_uses_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return sys.platform.startswith("linux") and "openblas" in str(blas.get("name")).lower()
+
+
+def test_search_runs_every_restart_on_one_blas_thread(monkeypatch):
+    before = _blas_threads()
+    # numpy's and scipy's bundled copies, where numpy links OpenBLAS
+    assert len(before) >= 2 or not _numpy_uses_openblas()
+    seen = []
+    minimize = optimize.minimize
+
+    def recording(*args, **kwargs):
+        seen.append(_blas_threads())
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(analysis.optimize, "minimize", recording)
+    kernel = build_kernel(ChainSpec(family="ucc", k=3, ncolors=10))
+    result = lsc_search(kernel, restarts=12, seed=0)
+    assert seen == [[1] * len(before)] * 12
+    assert _blas_threads() == before
+    # pinning the pools changes no digit of the search
+    assert result.best_ratio == 0.12838395071555075
+    assert result.evaluations == 389
+
+
+def test_blas_thread_counts_are_restored_when_a_restart_raises(monkeypatch):
+    before = _blas_threads()
+    minimize = optimize.minimize
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("restart failed")
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(analysis.optimize, "minimize", failing)
+    kernel = build_kernel(ChainSpec(family="ucc", k=2, ncolors=5))
+    with pytest.raises(RuntimeError, match="restart failed"):
+        lsc_search(kernel, restarts=4, seed=0)
+    assert _blas_threads() == before
+
+
+def test_search_runs_where_no_openblas_is_found(monkeypatch, tmp_path):
+    kernel = build_kernel(ChainSpec(family="ucc", k=2, ncolors=5))
+    expected = lsc_search(kernel, restarts=4, seed=0)
+    monkeypatch.setattr(analysis, "_PROC_MAPS", str(tmp_path / "missing"))
+    assert analysis._openblas_thread_controls() == []
+    result = lsc_search(kernel, restarts=4, seed=0)
+    assert result.best_ratio == expected.best_ratio
+    assert result.evaluations == expected.evaluations
+
+
+def test_concurrent_searches_restore_the_blas_thread_counts():
+    before = _blas_threads()
+    kernel = build_kernel(ChainSpec(family="ucc", k=3, ncolors=10))
+    expected = lsc_search(kernel, restarts=6, seed=0)
+    results = []
+    workers = [threading.Thread(target=lambda: results.append(lsc_search(kernel, 6, seed=0)))
+               for _ in range(2)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    assert [(r.best_ratio, r.evaluations) for r in results] == \
+        [(expected.best_ratio, expected.evaluations)] * 2
+    assert _blas_threads() == before
