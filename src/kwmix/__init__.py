@@ -35,10 +35,8 @@ from .chains import (
 )
 from .comparison import (
     CongestionResult,
-    Path,
     congestion_delta,
     congestion_formula_bound,
-    delta_path,
     dirichlet_comparison_residual,
 )
 from .core import (
@@ -46,7 +44,6 @@ from .core import (
     dedupe_gates,
     enumerate_gates,
     enumerate_tuples,
-    recolor,
     tuple_space_size,
 )
 from .errors import InvariantViolation, KwmixError, StateCapExceeded, state_cap
@@ -54,7 +51,6 @@ from .generic import (
     Partition,
     generic_fraction_exact,
     generic_fraction_mc,
-    is_generic,
     make_partition,
     verify_tgrev_product_structure,
 )

@@ -92,8 +92,14 @@ class ChainSpec:
                 raise ValueError(f"{self.family} needs n >= {least}")
             if not 1 <= self.k <= (1 << self.n):
                 raise ValueError("need 1 <= k <= 2^n")
-        if self.family in ("grev", "tgrev") and self.partition is None:
-            raise ValueError(f"{self.family} needs a partition")
+        if self.family in ("grev", "tgrev"):
+            if (part := self.partition) is None:
+                raise ValueError(f"{self.family} needs a partition")
+            if part.n != self.n:
+                raise ValueError(f"partition covers n={part.n}, chain has n={self.n}")
+            _check_partition_rows(self.k, part)
+            if self.family == "tgrev" and not part.remainder:
+                raise ValueError("product chain needs a nonempty remainder")
 
     def label(self) -> str:
         if self.family in ("cc", "ucc"):
@@ -189,9 +195,6 @@ def _draw_bounds(spec: ChainSpec) -> tuple[int, ...]:
         return k, spec.ncolors - k + 1
     if spec.family == "tgrev":
         part = spec.partition
-        _check_partition_rows(k, part)
-        if not part.remainder:
-            raise ValueError("product chain needs a nonempty remainder")
         return 4, k, len(part.remainder), part.p, (1 << part.w) - k + 1
     raise ValueError(f"no move rule for {spec.family!r}")
 
@@ -416,8 +419,6 @@ def _gate_kernel(states: np.ndarray, n: int, gate_mode: str, meta: dict) -> Kern
     (Levin, Peres and Wilmer, Markov Chains and Mixing Times, section
     1.5). For rev every gate counts, so w is the draw total and pi uniform.
     """
-    if gate_mode not in GATE_MODES:
-        raise ValueError(f"unknown gate mode {gate_mode!r}")
     tables, weights = dedupe_gates(n)
     if gate_mode == "set":
         weights = np.ones_like(weights)
@@ -489,8 +490,7 @@ def build_grev_kernel(
     """Gate chain restricted to generic states, rows renormalized by the
     generic-successor total w(x); its stationary law is w / sum(w)
     (`_gate_kernel`), not uniform."""
-    if partition.n != n:
-        raise ValueError(f"partition covers n={partition.n}, chain has n={n}")
+    ChainSpec(family="grev", k=k, n=n, partition=partition, gate_mode=gate_mode)  # validates
     states = enumerate_generic_states(k, partition)
     meta = {"family": "grev", "k": k, "n": n, "gate_mode": gate_mode,
             "partition": partition.descriptor()}

@@ -35,7 +35,7 @@ from .analysis import (
     spectral_gap,
     ucc_alpha_lower_bound,
 )
-from .chains import ChainSpec, build_kernel
+from .chains import FAMILIES, GATE_MODES, ChainSpec, build_kernel
 from .comparison import (
     UNIVERSAL_CONGESTION_BOUND,
     congestion_delta,
@@ -49,7 +49,14 @@ from .generic import (
     make_partition,
     verify_tgrev_product_structure,
 )
-from .mixing import end_state_test, kwise_stat_mc, kwise_tv_exact, mixing_curve
+from .mixing import (
+    SAMPLERS,
+    STATISTICS,
+    end_state_test,
+    kwise_stat_mc,
+    kwise_tv_exact,
+    mixing_curve,
+)
 from .reports import csv_lines, dump_kernel, json_dumps
 from .rng import make_rng
 
@@ -59,7 +66,7 @@ def _chain_arguments(sub: argparse.ArgumentParser, families: tuple[str, ...]) ->
     sub.add_argument("--k", type=int, default=1)
     sub.add_argument("--n", type=int, help="wires (rev/grev/tgrev)")
     sub.add_argument("--N", type=int, dest="ncolors", help="colors (cc/ucc/complete)")
-    sub.add_argument("--gate-mode", choices=("parameter", "set"), default="parameter")
+    sub.add_argument("--gate-mode", choices=GATE_MODES, default="parameter")
     sub.add_argument("--part-w", type=int, help="partition block width override")
     sub.add_argument("--part-p", type=int, help="partition block count override")
 
@@ -78,6 +85,8 @@ def _spec_from_args(args: argparse.Namespace) -> ChainSpec:
         if args.n is None:
             raise ValueError(f"--chain {args.chain} needs --n")
         partition = make_partition(args.n, args.k, w=args.part_w, p=args.part_p)
+    elif args.part_w is not None or args.part_p is not None:
+        raise ValueError(f"--chain {args.chain} takes no --part-w or --part-p")
     return ChainSpec(
         family=args.chain,
         k=args.k,
@@ -99,11 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("kernel-dump", help="write an exact kernel "
                           "(JSON header line + row,col,prob CSV triples)")
-    _chain_arguments(sub, ("rev", "cc", "ucc", "grev", "tgrev", "complete"))
+    _chain_arguments(sub, FAMILIES)
     _common_arguments(sub)
 
     sub = subs.add_parser("gap", help="spectral gap of an exact kernel")
-    _chain_arguments(sub, ("rev", "cc", "ucc", "grev", "tgrev", "complete"))
+    _chain_arguments(sub, FAMILIES)
     _common_arguments(sub)
 
     sub = subs.add_parser("lsc-search", help="multi-start search for small "
@@ -134,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common_arguments(sub, seed=True)
 
     sub = subs.add_parser("mix-exact", help="exact mixing time and TV decay")
-    _chain_arguments(sub, ("rev", "cc", "ucc", "grev", "tgrev", "complete"))
+    _chain_arguments(sub, FAMILIES)
     sub.add_argument("--eps", type=float, default=0.25)
     sub.add_argument("--max-steps", type=int, default=100_000)
     _common_arguments(sub)
@@ -151,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--t", type=int, required=True)
-    sub.add_argument("--gate-mode", choices=("parameter", "set"), default="parameter")
+    sub.add_argument("--gate-mode", choices=GATE_MODES, default="parameter")
     _common_arguments(sub)
 
     sub = subs.add_parser("kwise-test", help="chi-square test of a projected "
@@ -160,10 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", type=int, required=True)
     sub.add_argument("--gates", type=int, required=True)
     sub.add_argument("--samples", type=int, default=100_000)
-    sub.add_argument("--statistic", choices=("hamming", "xor", "lowbits"),
-                     default="xor")
+    sub.add_argument("--statistic", choices=STATISTICS, default="xor")
     sub.add_argument("--bins", type=int)
-    sub.add_argument("--sampler", choices=("circuit", "uniform"), default="circuit")
+    sub.add_argument("--sampler", choices=SAMPLERS, default="circuit")
     _common_arguments(sub, seed=True)
 
     sub = subs.add_parser("generic-frac", help="generic-state fraction "
@@ -199,6 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _one_row(obj: dict) -> tuple[dict, tuple, list[tuple]]:
+    """A result whose CSV is one row of all its JSON values, keys as header."""
+    return obj, tuple(obj), [tuple(obj.values())]
+
+
 def _run_kernel_dump(args) -> tuple[dict, None, None]:
     spec = _spec_from_args(args)
     kernel = build_kernel(spec)
@@ -211,9 +224,7 @@ def _run_gap(args):
     spec = _spec_from_args(args)
     kernel = build_kernel(spec)
     gap = spectral_gap(kernel)
-    obj = {"kernel": spec.label(), "states": kernel.size, "spectral_gap": gap}
-    return obj, ("kernel", "states", "spectral_gap"), [
-        (spec.label(), kernel.size, gap)]
+    return _one_row({"kernel": spec.label(), "states": kernel.size, "spectral_gap": gap})
 
 
 def _paper_alpha_bound(spec: ChainSpec, base: float) -> float | None:
@@ -231,7 +242,7 @@ def _run_lsc_search(args):
                         seed=args.seed)
     bound_ln = _paper_alpha_bound(spec, math.e)
     bound_lg2 = _paper_alpha_bound(spec, 2.0)
-    obj = {
+    return _one_row({
         "kernel": spec.label(),
         "restarts": result.restarts,
         "best_ratio": result.best_ratio,
@@ -240,11 +251,7 @@ def _run_lsc_search(args):
         "paper_bound_log2": bound_lg2,
         "margin_log2": None if bound_lg2 is None else result.best_ratio - bound_lg2,
         "evaluations": result.evaluations,
-    }
-    header = ("kernel", "restarts", "best_ratio", "paper_bound", "margin",
-              "paper_bound_log2", "margin_log2", "evaluations")
-    row = tuple("" if obj[h] is None else obj[h] for h in header)
-    return obj, header, [row]
+    })
 
 
 def _check_count(count: int) -> None:
@@ -280,18 +287,13 @@ def _run_chain_rule_check(args):
 
 def _run_congestion(args):
     result = congestion_delta(args.k, args.ncolors)
-    edge = f"{result.argmax_edge[0]}->{result.argmax_edge[1]}"
-    obj = {
+    return _one_row({
         "k": result.k, "N": result.N,
         "A_delta_exact": result.a_delta,
         "paper_bound_19": UNIVERSAL_CONGESTION_BOUND,
         "formula_bound": result.formula_bound,
-        "argmax_edge": edge,
-    }
-    header = ("k", "N", "A_delta_exact", "paper_bound_19", "formula_bound",
-              "argmax_edge")
-    return obj, header, [(result.k, result.N, result.a_delta,
-                          UNIVERSAL_CONGESTION_BOUND, result.formula_bound, edge)]
+        "argmax_edge": f"{result.argmax_edge[0]}->{result.argmax_edge[1]}",
+    })
 
 
 def _run_compare_check(args):
@@ -306,10 +308,8 @@ def _run_compare_check(args):
         f = rng.random(ucc.size)
         worst = max(worst, dirichlet_comparison_residual(
             np.sqrt(f), k, N, a_delta, ucc, cc))
-    obj = {"k": k, "N": N, "count": args.count, "A_delta": a_delta,
-           "max_residual": worst}
-    header = ("k", "N", "count", "A_delta", "max_residual")
-    return obj, header, [(k, N, args.count, a_delta, worst)]
+    return _one_row({"k": k, "N": N, "count": args.count, "A_delta": a_delta,
+                     "max_residual": worst})
 
 
 def _run_mix_exact(args):
@@ -351,14 +351,11 @@ def _run_kwise_test(args):
         statistic=args.statistic, seed=args.seed, bins=args.bins,
         sampler=args.sampler,
     )
-    obj = {"n": report.n, "k": report.k, "gates": report.gates,
-           "M": report.samples, "statistic": report.statistic,
-           "bins": report.bins, "chi2": report.chi2, "dof": report.dof,
-           "p_value": report.p_value, "seed": report.seed,
-           "gate_mode": report.gate_mode, "sampler": report.sampler}
-    header = ("n", "k", "gates", "M", "statistic", "bins", "chi2", "dof",
-              "p_value", "seed", "gate_mode", "sampler")
-    return obj, header, [tuple(obj[h] for h in header)]
+    return _one_row({"n": report.n, "k": report.k, "gates": report.gates,
+                     "M": report.samples, "statistic": report.statistic,
+                     "bins": report.bins, "chi2": report.chi2, "dof": report.dof,
+                     "p_value": report.p_value, "seed": report.seed,
+                     "gate_mode": report.gate_mode, "sampler": report.sampler})
 
 
 def _run_generic_frac(args):
@@ -385,12 +382,10 @@ def _run_generic_frac(args):
 def _run_tgrev_verify(args):
     partition = make_partition(args.n, args.k, w=args.part_w, p=args.part_p)
     report = verify_tgrev_product_structure(partition, args.k)
-    obj = {
+    return _one_row({
         "n": args.n, "k": args.k, "w": partition.w, "p": partition.p,
         **asdict(report), "passes": report.passes(),
-    }
-    header = tuple(obj)
-    return obj, header, [tuple(obj[h] for h in header)]
+    })
 
 
 _RUNNERS = {

@@ -6,11 +6,12 @@ vertices' colors. A swap is simulated by three standard moves routed
 through a uniformly random free color l': park vertex i on l', move
 vertex j to i's old color, then move i to j's old color.
 
-The congestion of this map is computed exactly: for every standard-chain
-edge, the expected weighted load over all uniform-chain moves, with the
-expectation over l' evaluated by exact averaging rather than sampling.
-The loads are assembled as integer moves on the state array, the same
-path that builds the kernels.
+`congestion_delta` applies the map to the whole state array and computes
+its congestion exactly: for every standard-chain edge, the expected
+weighted load over all uniform-chain moves, the expectation over l'
+averaged rather than sampled. The loads are integer moves on the state
+array, assembled as the kernels are. The map's scalar statement, one path
+per (state, move), is the test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,95 +33,9 @@ from .chains import (
     _tuple_states,
     build_kernel,
 )
-from .core import recolor
 from .errors import InvariantViolation
 
 UNIVERSAL_CONGESTION_BOUND = 19.0  # 1 + 9*2, valid whenever k <= N/2
-
-
-@dataclass(frozen=True)
-class Path:
-    """Edge sequence between tuple states; consecutive edges share states."""
-
-    edges: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    def __post_init__(self) -> None:
-        if not self.edges:
-            raise InvariantViolation("a path needs at least one edge")
-        for (a, b), (c, _) in zip(self.edges, self.edges[1:]):
-            if b != c:
-                raise InvariantViolation("consecutive edges must share a state")
-
-    @property
-    def start(self) -> tuple[int, ...]:
-        return self.edges[0][0]
-
-    @property
-    def end(self) -> tuple[int, ...]:
-        return self.edges[-1][1]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-def is_cc_move(x: tuple[int, ...], y: tuple[int, ...], N: int) -> bool:
-    """True iff y is reachable from x in one standard-recoloring step."""
-    if x == y:
-        return True
-    diff = [i for i, (a, b) in enumerate(zip(x, y)) if a != b]
-    if len(diff) != 1:
-        return False
-    i = diff[0]
-    return y[i] not in x and 0 <= y[i] < N
-
-
-def delta_path(
-    x: tuple[int, ...],
-    i: int,
-    color: int,
-    N: int,
-    rng: np.random.Generator | None = None,
-    free_color: int | None = None,
-) -> Path:
-    """Path of standard moves simulating the uniform move (x, x^{i,color}).
-
-    Fresh or held-by-i colors give the single-edge path. A swap with
-    vertex j needs a detour color: pass one explicitly via ``free_color``
-    or let it be drawn uniformly from the colors unused in x.
-    """
-    k = len(x)
-    if not 0 <= i < k:
-        raise IndexError(f"coordinate {i} out of range for k={k}")
-    if not 0 <= color < N:
-        raise IndexError(f"color {color} out of range for N={N}")
-    if color == x[i] or color not in x:
-        return Path(edges=((x, recolor(x, i, color)),))
-
-    j = x.index(color)
-    unused = [c for c in range(N) if c not in x]
-    if not unused:
-        raise ValueError(f"swap case needs a free color but k={k} equals N={N}")
-    if free_color is None:
-        if rng is None:
-            raise ValueError("swap case needs either rng or an explicit free_color")
-        free_color = unused[int(rng.integers(len(unused)))]
-    if free_color in x or not 0 <= free_color < N:
-        raise ValueError(f"free color {free_color} is not unused in {x}")
-
-    y = recolor(x, i, free_color)
-    z = recolor(y, j, x[i])
-    end = recolor(z, i, x[j])
-    path = Path(edges=((x, y), (y, z), (z, end)))
-    _validate_swap_path(path, x, i, color, N)
-    return path
-
-
-def _validate_swap_path(path: Path, x, i, color, N) -> None:
-    if path.start != x or path.end != recolor(x, i, color):
-        raise InvariantViolation("path endpoints do not match the simulated edge")
-    for a, b in path.edges:
-        if a == b or not is_cc_move(a, b, N):
-            raise InvariantViolation(f"illegal standard-chain edge {(a, b)}")
 
 
 @dataclass

@@ -23,10 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 # Truth tables are 4-bit ints: bit (2*a + b) holds h(a, b).
-H_ZERO = 0b0000
-H_AND = 0b1000
-H_XOR = 0b0110
-
 NUM_TRUTH_TABLES = 16
 
 
@@ -154,20 +150,3 @@ def sample_uniform_tuples(
             x[rows, i] = draw(len(rows))
     return x
 
-
-def recolor(x: tuple[int, ...], i: int, color: int) -> tuple[int, ...]:
-    """Assign `color` to coordinate i; if another coordinate already holds
-    it, the two coordinates swap values. Output stays distinct."""
-    k = len(x)
-    if not 0 <= i < k:
-        raise IndexError(f"coordinate {i} out of range for k={k}")
-    if color == x[i]:
-        return x
-    y = list(x)
-    try:
-        j = x.index(color)
-    except ValueError:
-        y[i] = color
-        return tuple(y)
-    y[i], y[j] = x[j], x[i]
-    return tuple(y)

@@ -93,7 +93,8 @@ def make_partition(
 
 
 def extract_block(value: int, positions: Sequence[int]) -> int:
-    """Bits of `value` at `positions`, packed into an int (LSB first)."""
+    """Bits of `value` at `positions`, packed into an int (LSB first); also
+    elementwise on an int64 array, as `chains._move` uses it."""
     out = 0
     for m, pos in enumerate(positions):
         out |= ((value >> pos) & 1) << m
@@ -101,23 +102,13 @@ def extract_block(value: int, positions: Sequence[int]) -> int:
 
 
 def insert_block(value: int, positions: Sequence[int], block_value: int) -> int:
-    """Replace the bits of `value` at `positions` with those of block_value."""
+    """Replace the bits of `value` at `positions` with those of block_value;
+    also elementwise on int64 arrays, as `chains._move` and
+    `chains.enumerate_generic_states` use it."""
     for m, pos in enumerate(positions):
         bit = (block_value >> m) & 1
         value = (value & ~(1 << pos)) | (bit << pos)
     return value
-
-
-def is_generic(state: Sequence[int], partition: Partition) -> bool:
-    """True iff every pair of rows differs on every block."""
-    k = len(state)
-    for block in partition.blocks:
-        seen = set()
-        for row in state:
-            seen.add(extract_block(row, block))
-        if len(seen) != k:
-            return False
-    return True
 
 
 def generic_mask(words: np.ndarray, partition: Partition) -> np.ndarray:

@@ -313,6 +313,7 @@ def end_state_test(spec: ChainSpec, t: int, samples: int, seed: int = 0) -> EndS
 
 
 STATISTICS = ("hamming", "xor", "lowbits")
+SAMPLERS = ("circuit", "uniform")
 
 
 @dataclass
@@ -395,7 +396,7 @@ def kwise_stat_mc(
     fixed number of Philox streams for scheduler-independent
     reproducibility.
     """
-    if sampler not in ("circuit", "uniform"):
+    if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
     if samples < 1:
         raise ValueError("need at least one sample")

@@ -77,6 +77,7 @@ def _escape(s: str) -> str:
 
 
 def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
+    """Header and rows as CSV lines; floats at 17 digits, None as an empty cell."""
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -84,7 +85,7 @@ def csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
             if isinstance(cell, float):
                 cells.append(fmt_float(cell))
             else:
-                text = str(cell)
+                text = "" if cell is None else str(cell)
                 if "," in text or '"' in text or "\n" in text:
                     text = '"' + text.replace('"', '""') + '"'
                 cells.append(text)
@@ -122,19 +123,3 @@ def dump_kernel(kernel: Kernel, fp: IO[str]) -> None:
             f"{index[r]},{index[c]},{probs[v]}\n" for r, c, v in
             zip(rows[piece].tolist(), m.indices[piece].tolist(), value[piece].tolist())))
 
-
-def load_kernel_dump(fp: IO[str]) -> tuple[dict, list[tuple[int, int, float]]]:
-    """Inverse of dump_kernel, for round-trip checks."""
-    import json
-
-    header = json.loads(fp.readline())
-    columns = fp.readline().strip()
-    if columns != "row,col,prob":
-        raise ValueError(f"unexpected column header {columns!r}")
-    triples = []
-    for line in fp:
-        if not line.strip():
-            continue
-        r, c, p = line.split(",")
-        triples.append((int(r), int(c), float(p)))
-    return header, triples

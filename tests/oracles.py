@@ -1,0 +1,155 @@
+"""Scalar statements of kwmix's move rules, for tests to compare against.
+
+The package states each rule once, on arrays: the recolor move and the
+swap path in ``chains._move`` and ``comparison.congestion_delta``,
+genericity in ``generic.generic_mask``, the dump format in
+``reports.dump_kernel``. The functions here restate them one tuple at a
+time, written independently, so a test can check the array code entry
+for entry.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from typing import IO, Sequence
+
+import numpy as np
+
+from kwmix.errors import InvariantViolation
+from kwmix.generic import Partition, extract_block
+
+# Truth tables are 4-bit ints: bit (2*a + b) holds h(a, b).
+H_ZERO = 0b0000
+H_AND = 0b1000
+H_XOR = 0b0110
+
+
+def recolor(x: tuple[int, ...], i: int, color: int) -> tuple[int, ...]:
+    """Assign `color` to coordinate i; if another coordinate already holds
+    it, the two coordinates swap values. Output stays distinct."""
+    k = len(x)
+    if not 0 <= i < k:
+        raise IndexError(f"coordinate {i} out of range for k={k}")
+    if color == x[i]:
+        return x
+    y = list(x)
+    try:
+        j = x.index(color)
+    except ValueError:
+        y[i] = color
+        return tuple(y)
+    y[i], y[j] = x[j], x[i]
+    return tuple(y)
+
+
+@dataclass(frozen=True)
+class Path:
+    """Edge sequence between tuple states; consecutive edges share states."""
+
+    edges: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    def __post_init__(self) -> None:
+        if not self.edges:
+            raise InvariantViolation("a path needs at least one edge")
+        for (a, b), (c, _) in zip(self.edges, self.edges[1:]):
+            if b != c:
+                raise InvariantViolation("consecutive edges must share a state")
+
+    @property
+    def start(self) -> tuple[int, ...]:
+        return self.edges[0][0]
+
+    @property
+    def end(self) -> tuple[int, ...]:
+        return self.edges[-1][1]
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+
+def is_cc_move(x: tuple[int, ...], y: tuple[int, ...], N: int) -> bool:
+    """True iff y is reachable from x in one standard-recoloring step."""
+    if x == y:
+        return True
+    diff = [i for i, (a, b) in enumerate(zip(x, y)) if a != b]
+    if len(diff) != 1:
+        return False
+    i = diff[0]
+    return y[i] not in x and 0 <= y[i] < N
+
+
+def delta_path(
+    x: tuple[int, ...],
+    i: int,
+    color: int,
+    N: int,
+    rng: np.random.Generator | None = None,
+    free_color: int | None = None,
+) -> Path:
+    """Path of standard moves simulating the uniform move (x, x^{i,color}).
+
+    Fresh or held-by-i colors give the single-edge path. A swap with
+    vertex j needs a detour color: pass one explicitly via ``free_color``
+    or let it be drawn uniformly from the colors unused in x.
+    """
+    k = len(x)
+    if not 0 <= i < k:
+        raise IndexError(f"coordinate {i} out of range for k={k}")
+    if not 0 <= color < N:
+        raise IndexError(f"color {color} out of range for N={N}")
+    if color == x[i] or color not in x:
+        return Path(edges=((x, recolor(x, i, color)),))
+
+    j = x.index(color)
+    unused = [c for c in range(N) if c not in x]
+    if not unused:
+        raise ValueError(f"swap case needs a free color but k={k} equals N={N}")
+    if free_color is None:
+        if rng is None:
+            raise ValueError("swap case needs either rng or an explicit free_color")
+        free_color = unused[int(rng.integers(len(unused)))]
+    if free_color in x or not 0 <= free_color < N:
+        raise ValueError(f"free color {free_color} is not unused in {x}")
+
+    y = recolor(x, i, free_color)
+    z = recolor(y, j, x[i])
+    end = recolor(z, i, x[j])
+    path = Path(edges=((x, y), (y, z), (z, end)))
+    _validate_swap_path(path, x, i, color, N)
+    return path
+
+
+def _validate_swap_path(path: Path, x, i, color, N) -> None:
+    if path.start != x or path.end != recolor(x, i, color):
+        raise InvariantViolation("path endpoints do not match the simulated edge")
+    for a, b in path.edges:
+        if a == b or not is_cc_move(a, b, N):
+            raise InvariantViolation(f"illegal standard-chain edge {(a, b)}")
+
+
+def is_generic(state: Sequence[int], partition: Partition) -> bool:
+    """True iff every pair of rows differs on every block."""
+    k = len(state)
+    for block in partition.blocks:
+        seen = set()
+        for row in state:
+            seen.add(extract_block(row, block))
+        if len(seen) != k:
+            return False
+    return True
+
+
+def load_kernel_dump(fp: IO[str]) -> tuple[dict, list[tuple[int, int, float]]]:
+    """Inverse of ``reports.dump_kernel``, for round-trip checks."""
+    header = json.loads(fp.readline())
+    columns = fp.readline().strip()
+    if columns != "row,col,prob":
+        raise ValueError(f"unexpected column header {columns!r}")
+    triples = []
+    for line in fp:
+        if not line.strip():
+            continue
+        r, c, p = line.split(",")
+        triples.append((int(r), int(c), float(p)))
+    return header, triples

@@ -33,6 +33,7 @@ from kwmix.core import (
 from kwmix.errors import StateCapExceeded
 from kwmix.generic import Partition, make_partition
 from kwmix.rng import make_rng
+from oracles import is_generic
 
 SIGNIFICANCE = 0.001
 
@@ -167,8 +168,6 @@ def toy_partition():
 
 
 def test_generic_enumeration_matches_filter(toy_partition):
-    from kwmix.generic import is_generic
-
     listed = set(map(tuple, enumerate_generic_states(2, toy_partition).tolist()))
     filtered = {t for t in map(tuple, enumerate_tuples(2, 8).tolist())
                 if is_generic(t, toy_partition)}
@@ -415,8 +414,6 @@ def test_step_coloring_preserves_distinctness():
 
 
 def test_step_tgrev_stays_generic():
-    from kwmix.generic import is_generic
-
     rng = make_rng(11)
     for spec in (SAMPLED_SPECS["tgrev"], SAMPLED_SPECS["tgrev-k3"]):
         x = np.tile(enumerate_generic_states(spec.k, spec.partition)[0], (500, 1))
@@ -427,11 +424,32 @@ def test_step_tgrev_stays_generic():
 
 
 def test_step_tgrev_rejects_degenerate_partition():
-    # (w, p) = (2, 2) leaves no remainder on 4 wires; (1, 0) has no block
-    for w, p in ((2, 2), (1, 0)):
-        spec = ChainSpec(family="tgrev", k=2, n=4, partition=make_partition(4, 2, w=w, p=p))
-        with pytest.raises(ValueError):
-            sample_chain(spec, np.array([[0, 1]]), 1, make_rng(0))
+    # (w, p) = (2, 2) leaves no remainder on 4 wires; (1, 0) has no block;
+    # the spec refuses both, so no step can be drawn from one
+    for w, p, message in ((2, 2, "nonempty remainder"), (1, 0, "at least one block")):
+        with pytest.raises(ValueError, match=message):
+            ChainSpec(family="tgrev", k=2, n=4, partition=make_partition(4, 2, w=w, p=p))
+
+
+# part holds the (n, k, w, p) arguments of make_partition
+@pytest.mark.parametrize("family", ["grev", "tgrev"])
+@pytest.mark.parametrize("n,k,part,message", [
+    (5, 2, (6, 2, 2, 2), "partition covers n=6, chain has n=5"),
+    (6, 3, (6, 2, 2, 2), "partition was built for k=2, got k=3"),
+    (6, 3, (6, 3, 1, 2), "more rows than block values"),
+    (6, 2, (6, 2, 1, 0), "at least one block"),
+])
+def test_spec_refuses_a_partition_that_does_not_fit(family, n, k, part, message):
+    with pytest.raises(ValueError, match=message):
+        ChainSpec(family=family, k=k, n=n, partition=make_partition(*part))
+
+
+def test_gate_and_product_builders_refuse_a_mismatched_partition():
+    part = make_partition(6, 2, w=2, p=2)
+    with pytest.raises(ValueError, match="partition covers n=6, chain has n=5"):
+        build_grev_kernel(2, 5, part)
+    with pytest.raises(ValueError, match="partition was built for k=2, got k=3"):
+        build_tgrev_kernel(3, part)
 
 
 def test_sampler_rejects_families_without_moves_and_bad_shapes():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kwmix import cli
-from kwmix.reports import load_kernel_dump
+from oracles import load_kernel_dump
 
 
 def run_cli(capsys, *argv):
@@ -512,6 +512,16 @@ def test_mix_mc_is_seed_deterministic(capsys):
     outs = [run_cli(capsys, *argv, seed) for seed in ("4", "4", "5")]
     assert all(code == 0 for code, _, _ in outs)
     assert outs[0][1] == outs[1][1] != outs[2][1]
+
+
+@pytest.mark.parametrize("chain", [("rev", "--n", "3"), ("cc", "--N", "4"), ("ucc", "--N", "6"),
+                                   ("complete", "--N", "4")], ids=lambda c: c[0])
+@pytest.mark.parametrize("flag", [("--part-w", "3"), ("--part-p", "1")], ids=lambda f: f[0])
+def test_partition_flags_without_a_partition_exit_2(capsys, chain, flag):
+    code, out, err = run_cli(capsys, "gap", "--chain", *chain, "--k", "2", *flag)
+    assert (code, out) == (2, "")
+    assert err == (f"kwmix: invalid configuration: --chain {chain[0]} takes no "
+                   "--part-w or --part-p\n")
 
 
 def test_zero_block_partition_exits_2(capsys):

@@ -10,12 +10,11 @@ from kwmix.comparison import (
     UNIVERSAL_CONGESTION_BOUND,
     congestion_delta,
     congestion_formula_bound,
-    delta_path,
     dirichlet_comparison_residual,
-    is_cc_move,
 )
-from kwmix.core import enumerate_tuples, recolor, tuple_space_size
+from kwmix.core import enumerate_tuples, tuple_space_size
 from kwmix.rng import make_rng
+from oracles import delta_path, is_cc_move, recolor
 
 
 def test_unused_color_gives_single_edge():
@@ -156,10 +155,15 @@ def test_congestion_argmax_is_first_maximal_edge():
 
 
 def test_congestion_below_both_bounds():
-    for k, N in [(2, 8), (3, 8), (4, 10), (2, 4), (3, 6)]:
+    # color and coordinate permutations act transitively on the non-loop
+    # cc edges, so every such edge carries the same load and the exact
+    # congestion equals the closed form, not merely stays below it
+    for k, N in [(2, 8), (3, 8), (4, 10), (2, 4), (3, 6), (1, 5), (2, 6), (2, 10),
+                 (2, 12), (4, 9), (5, 11)]:
         result = congestion_delta(k, N)
         assert result.a_delta <= UNIVERSAL_CONGESTION_BOUND + 1e-12
         assert result.a_delta <= congestion_formula_bound(k, N) + 1e-12
+        assert result.a_delta == pytest.approx(congestion_formula_bound(k, N), rel=1e-12)
 
 
 def test_is_cc_move_classification():

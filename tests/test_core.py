@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 
 from kwmix.core import (
     Gate,
-    H_AND,
-    H_XOR,
-    H_ZERO,
     apply_gate_to_int,
     dedupe_gates,
     enumerate_gates,
     enumerate_tuples,
     gate_wires,
-    recolor,
     tuple_space_size,
 )
+from oracles import H_AND, H_XOR, H_ZERO, recolor
 
 
 def test_apply_gate_and_case():

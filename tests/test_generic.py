@@ -18,12 +18,12 @@ from kwmix.generic import (
     generic_fraction_mc,
     generic_mask,
     insert_block,
-    is_generic,
     make_partition,
     union_bound_generic_fraction,
     verify_tgrev_product_structure,
 )
 from kwmix.rng import make_rng
+from oracles import is_generic
 
 
 def test_default_partition_n512_k2():

@@ -1,8 +1,9 @@
 """Vectorized kernel assembly against short per-state loop references.
 
 Each reference walks the states one at a time, lists the draws of one
-step with the scalar helpers (core.recolor, core.apply_gate_to_int,
-generic.is_generic), and divides the counts once. The exact families
+step with the scalar helpers (``core.apply_gate_to_int`` and the test
+oracles ``recolor`` and ``is_generic`` of ``tests/oracles.py``), and
+divides the counts once. The exact families
 must match entry for entry; the product chains carry float weights.
 """
 
@@ -22,9 +23,9 @@ from kwmix.core import (
     dedupe_gates,
     enumerate_gates,
     enumerate_tuples,
-    recolor,
 )
-from kwmix.generic import extract_block, insert_block, is_generic, make_partition
+from kwmix.generic import extract_block, insert_block, make_partition
+from oracles import is_generic, recolor
 
 
 def _rows(states: np.ndarray) -> tuple:

@@ -1,4 +1,4 @@
-"""Kernel dumps: byte-identical to the per-entry rendering."""
+"""Kernel dumps: byte-identical to the per-entry rendering; CSV cells."""
 
 import io
 import math
@@ -9,7 +9,7 @@ import pytest
 from kwmix import reports
 from kwmix.chains import ChainSpec, build_kernel, build_tgrev_kernel, product_kernel
 from kwmix.generic import make_partition
-from kwmix.reports import dump_kernel, fmt_float, json_dumps
+from kwmix.reports import csv_lines, dump_kernel, fmt_float, json_dumps
 
 
 def _per_entry_dump(kernel) -> str:
@@ -63,3 +63,8 @@ def test_dump_of_a_non_finite_entry_raises():
     with pytest.raises(ValueError, match="non-finite"):
         _dump(kernel)
 
+
+
+def test_csv_writes_none_as_an_empty_cell_and_quotes_commas():
+    assert csv_lines(("a", "b", "c", "d"), [(None, 0.1, "x,y", 3)]) == [
+        "a,b,c,d", ',0.10000000000000001,"x,y",3']
