@@ -26,9 +26,7 @@ from .analysis import (
 from .chains import (
     ChainSpec,
     Kernel,
-    build_grev_kernel,
     build_kernel,
-    build_tgrev_kernel,
     enumerate_generic_states,
     product_kernel,
     sample_chain,

@@ -13,7 +13,9 @@ Families:
                   mixed half/half with per-block recoloring.
 * ``complete`` -- jump to a uniform state (the complete-graph kernel).
 
-Every exact builder takes one path. States are an (S, k) int64 array,
+``build_kernel(spec)`` is the one entry point, and each builder reads the
+validated ``ChainSpec``, which refuses a field its family does not read.
+Every builder takes one path. States are an (S, k) int64 array,
 kept as ``Kernel.states`` (None for product kernels), and successor
 tuples are ranked by sorted base-N keys (``_state_index``, which also
 ranks the symmetry images of ``mixing.orbit_starts``). A builder emits
@@ -81,23 +83,33 @@ class ChainSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.gate_mode not in GATE_MODES:
             raise ValueError(f"unknown gate mode {self.gate_mode!r}")
-        if self.family in ("cc", "ucc"):
-            if self.ncolors is None or not 1 <= self.k <= self.ncolors:
-                raise ValueError(f"{self.family} needs 1 <= k <= N")
-        if self.family == "complete" and (self.ncolors is None or self.ncolors < 1):
-            raise ValueError("complete needs N >= 1")
-        if self.family in ("rev", "grev", "tgrev"):
+        gates = self.family in ("rev", "grev")
+        wires = gates or self.family == "tgrev"
+        generic = self.family in ("grev", "tgrev")
+        unread = [what for what, given in (
+            ("n", not wires and self.n is not None),
+            ("N", wires and self.ncolors is not None),
+            ("partition", not generic and self.partition is not None),
+            ("k other than 1", self.family == "complete" and self.k != 1),
+            ("gate mode 'set'", not gates and self.gate_mode == "set")) if given]
+        if unread:
+            raise ValueError(f"{self.family} takes no {', '.join(unread)}")
+        if not wires and (self.ncolors is None or not 1 <= self.k <= self.ncolors):
+            raise ValueError(f"{self.family} needs 1 <= k <= N")
+        if wires:
             least = 1 if self.family == "tgrev" else 3  # a gate acts on 3 wires
             if self.n is None or self.n < least:
                 raise ValueError(f"{self.family} needs n >= {least}")
             if not 1 <= self.k <= (1 << self.n):
                 raise ValueError("need 1 <= k <= 2^n")
-        if self.family in ("grev", "tgrev"):
+        if generic:
             if (part := self.partition) is None:
                 raise ValueError(f"{self.family} needs a partition")
             if part.n != self.n:
                 raise ValueError(f"partition covers n={part.n}, chain has n={self.n}")
-            _check_partition_rows(self.k, part)
+            if part.k != self.k:
+                raise ValueError(f"partition was built for k={part.k}, got k={self.k}")
+            _check_partition_rows(part)
             if self.family == "tgrev" and not part.remainder:
                 raise ValueError("product chain needs a nonempty remainder")
 
@@ -301,14 +313,10 @@ def build_kernel(spec: ChainSpec) -> Kernel:
     if spec.family in ("ucc", "cc"):
         return _build_coloring(spec)
     if spec.family == "complete":
-        return _build_complete(spec.ncolors)
-    if spec.family == "rev":
-        return _build_rev(spec.k, spec.n, spec.gate_mode)
+        return _build_complete(spec)
     if spec.family == "tgrev":
-        return build_tgrev_kernel(spec.k, spec.partition)
-    if spec.family == "grev":
-        return build_grev_kernel(spec.k, spec.n, spec.partition, spec.gate_mode)
-    raise ValueError(f"unknown family {spec.family!r}")
+        return _build_tgrev(spec)
+    return _build_gate(spec)
 
 
 def _count_matrix(moves: Moves, size: int) -> sparse.csr_matrix:
@@ -390,7 +398,8 @@ def _build_coloring(spec: ChainSpec) -> Kernel:
                    {"family": spec.family, "k": k, "N": N}, states)
 
 
-def _build_complete(N: int) -> Kernel:
+def _build_complete(spec: ChainSpec) -> Kernel:
+    N = spec.ncolors
     check_state_cap(N * N, f"complete(N={N}) kernel entries")
     c = np.arange(N)
     matrix = _assemble([(np.repeat(c, N), np.tile(c, N), 1)], N, N)
@@ -409,20 +418,26 @@ def _gate_moves(states: np.ndarray, tables: np.ndarray, weights: np.ndarray,
         yield src[hit], dst[hit], np.broadcast_to(weights[:, None], dst.shape)[hit]
 
 
-def _gate_kernel(states: np.ndarray, n: int, gate_mode: str, meta: dict) -> Kernel:
-    """The gate chain restricted to the rows of `states`, each row
-    renormalized: the weighted count c(u, v) of gates moving u to v is
-    divided by the row total w(u). A gate table weighs the number of
+def _build_gate(spec: ChainSpec) -> Kernel:
+    """The gate chain on distinct tuples (rev) or on generic states (grev),
+    each row renormalized: the weighted count c(u, v) of gates moving u to
+    v is divided by the row total w(u). A gate table weighs the number of
     parameter tuples inducing it, or 1 in ``set`` mode. Every gate is an
     involution, so c is symmetric: the chain is a random walk on a
     weighted graph with stationary law pi(u) = w(u) / sum(w) exactly
     (Levin, Peres and Wilmer, Markov Chains and Mixing Times, section
     1.5). For rev every gate counts, so w is the draw total and pi uniform.
     """
-    tables, weights = dedupe_gates(n)
-    if gate_mode == "set":
+    meta = {"family": spec.family, "k": spec.k, "n": spec.n, "gate_mode": spec.gate_mode}
+    if spec.family == "rev":
+        states = _tuple_states(spec.k, 1 << spec.n, f"rev(k={spec.k},n={spec.n})")
+    else:
+        states = enumerate_generic_states(spec.partition)
+        meta["partition"] = spec.partition.descriptor()
+    tables, weights = dedupe_gates(spec.n)
+    if spec.gate_mode == "set":
         weights = np.ones_like(weights)
-    index = _state_index(states, 1 << n)
+    index = _state_index(states, 1 << spec.n)
     counts = _count_matrix(_gate_moves(states, tables, weights, index), len(states))
     w = np.asarray(counts.sum(axis=1)).ravel()
     matrix = counts.astype(np.float64)
@@ -430,17 +445,12 @@ def _gate_kernel(states: np.ndarray, n: int, gate_mode: str, meta: dict) -> Kern
     return _kernel(matrix, meta, states, w / w.sum())
 
 
-def _build_rev(k: int, n: int, gate_mode: str) -> Kernel:
-    states = _tuple_states(k, 1 << n, f"rev(k={k},n={n})")
-    return _gate_kernel(states, n, gate_mode,
-                        {"family": "rev", "k": k, "n": n, "gate_mode": gate_mode})
-
-
-def enumerate_generic_states(k: int, partition: Partition) -> np.ndarray:
-    """All generic states as the rows of an (S, k) int64 array, ordered as
-    the product of per-block tuple indices (major) and remainder bits in
-    (row, wire) order (minor)."""
-    _check_partition_rows(k, partition)
+def enumerate_generic_states(partition: Partition) -> np.ndarray:
+    """All generic states as the rows of an (S, k) int64 array, k being
+    the partition's, ordered as the product of per-block tuple indices
+    (major) and remainder bits in (row, wire) order (minor)."""
+    _check_partition_rows(partition)
+    k = partition.k
     check_state_cap(count_generic_states(partition), f"generic(k={k},n={partition.n})")
     block_tuples = _tuple_states(k, 1 << partition.w, f"block(k={k},w={partition.w})")
     digits = np.indices((len(block_tuples),) * partition.p).reshape(partition.p, -1)
@@ -453,16 +463,14 @@ def enumerate_generic_states(k: int, partition: Partition) -> np.ndarray:
     return (base[:, None, :] | tails[None, :, :]).reshape(-1, k)
 
 
-def _check_partition_rows(k: int, partition: Partition) -> None:
-    if k != partition.k:
-        raise ValueError(f"partition was built for k={partition.k}, got k={k}")
+def _check_partition_rows(partition: Partition) -> None:
     if partition.p < 1:
         raise ValueError("generic states need at least one block")
-    if k > (1 << partition.w):
+    if partition.k > (1 << partition.w):
         raise ValueError("more rows than block values; no state is generic")
 
 
-def build_tgrev_kernel(k: int, partition: Partition) -> Kernel:
+def _build_tgrev(spec: ChainSpec) -> Kernel:
     """Exact kernel of the product chain on generic states.
 
     The draws of `_draw_bounds` are grouped by the values each kind reads,
@@ -470,31 +478,17 @@ def build_tgrev_kernel(k: int, partition: Partition) -> Kernel:
     hold counts k |C| p (2^w - k + 1), each (row, remainder bit) flip
     p (2^w - k + 1) and each (row, block, r) block move 2 |C|.
     """
-    spec = ChainSpec(family="tgrev", k=k, n=partition.n, partition=partition)
+    k, partition = spec.k, spec.partition
     _, _, rem, p, avail = bounds = _draw_bounds(spec)
-    x = enumerate_generic_states(k, partition)
-    index = _state_index(x, 1 << partition.n)
+    x = enumerate_generic_states(partition)
+    index = _state_index(x, 1 << spec.n)
     moves = chain(
         _step_moves(spec, x, index, [(0, 0, 0, 0, 0)], k * rem * p * avail),
         _step_moves(spec, x, index, product([1], range(k), range(rem), [0], [0]), p * avail),
         _step_moves(spec, x, index, product([2], range(k), [0], range(p), range(avail)),
                     2 * rem))
-    meta = {"family": "tgrev", "k": k, "n": partition.n,
-            "partition": partition.descriptor()}
+    meta = {"family": "tgrev", "k": k, "n": spec.n, "partition": partition.descriptor()}
     return _kernel(_assemble(moves, len(x), math.prod(bounds)), meta, x)
-
-
-def build_grev_kernel(
-    k: int, n: int, partition: Partition, gate_mode: str = "parameter"
-) -> Kernel:
-    """Gate chain restricted to generic states, rows renormalized by the
-    generic-successor total w(x); its stationary law is w / sum(w)
-    (`_gate_kernel`), not uniform."""
-    ChainSpec(family="grev", k=k, n=n, partition=partition, gate_mode=gate_mode)  # validates
-    states = enumerate_generic_states(k, partition)
-    meta = {"family": "grev", "k": k, "n": n, "gate_mode": gate_mode,
-            "partition": partition.descriptor()}
-    return _gate_kernel(states, n, gate_mode, meta)
 
 
 def product_kernel(factors: Sequence[Kernel]) -> Kernel:

@@ -307,7 +307,7 @@ def _run_compare_check(args):
     for _ in range(args.count):
         f = rng.random(ucc.size)
         worst = max(worst, dirichlet_comparison_residual(
-            np.sqrt(f), k, N, a_delta, ucc, cc))
+            np.sqrt(f), ucc, cc, a_delta))
     return _one_row({"k": k, "N": N, "count": args.count, "A_delta": a_delta,
                      "max_residual": worst})
 
@@ -381,7 +381,7 @@ def _run_generic_frac(args):
 
 def _run_tgrev_verify(args):
     partition = make_partition(args.n, args.k, w=args.part_w, p=args.part_p)
-    report = verify_tgrev_product_structure(partition, args.k)
+    report = verify_tgrev_product_structure(partition)
     return _one_row({
         "n": args.n, "k": args.k, "w": partition.w, "p": partition.p,
         **asdict(report), "passes": report.passes(),

@@ -31,7 +31,6 @@ from .chains import (
     _state_index,
     _step_moves,
     _tuple_states,
-    build_kernel,
 )
 from .errors import InvariantViolation
 
@@ -106,23 +105,11 @@ def congestion_delta(k: int, N: int) -> CongestionResult:
     )
 
 
-def dirichlet_comparison_residual(
-    f: np.ndarray,
-    k: int,
-    N: int,
-    a_delta: float | None = None,
-    ucc_kernel: Kernel | None = None,
-    cc_kernel: Kernel | None = None,
-) -> float:
-    """max(0, E_ucc(f, f) - A * E_cc(f, f)); the comparison bound says 0.
-
-    Pass precomputed kernels and congestion when evaluating many f."""
-    if ucc_kernel is None:
-        ucc_kernel = build_kernel(ChainSpec(family="ucc", k=k, ncolors=N))
-    if cc_kernel is None:
-        cc_kernel = build_kernel(ChainSpec(family="cc", k=k, ncolors=N))
-    if a_delta is None:
-        a_delta = congestion_delta(k, N).a_delta
+def dirichlet_comparison_residual(f: np.ndarray, ucc_kernel: Kernel, cc_kernel: Kernel,
+                                  a_delta: float) -> float:
+    """max(0, E_ucc(f, f) - A * E_cc(f, f)) for the ucc and cc kernels of
+    one (k, N) and A = ``congestion_delta(k, N).a_delta``; the comparison
+    bound says 0."""
     e_ucc = dirichlet_form(ucc_kernel, f)
     e_cc = dirichlet_form(cc_kernel, f)
     return max(0.0, e_ucc - a_delta * e_cc)

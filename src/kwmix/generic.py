@@ -217,7 +217,7 @@ class ProductStructureReport:
         )
 
 
-def verify_tgrev_product_structure(partition: Partition, k: int) -> ProductStructureReport:
+def verify_tgrev_product_structure(partition: Partition) -> ProductStructureReport:
     """Check the factorization of the product chain on generic states.
 
     (a) the kernel equals the half/half mixture of the block chain and
@@ -232,12 +232,10 @@ def verify_tgrev_product_structure(partition: Partition, k: int) -> ProductStruc
     Needs a toy-scale partition: every kernel is built exactly.
     """
     from .analysis import spectral_gap
-    from .chains import (ChainSpec, build_kernel, build_tgrev_kernel,
-                         product_kernel)
+    from .chains import ChainSpec, build_kernel, product_kernel
 
-    if k != partition.k:
-        raise ValueError(f"partition was built for k={partition.k}, got k={k}")
-    tgrev = build_tgrev_kernel(k, partition)
+    k = partition.k
+    tgrev = build_kernel(ChainSpec(family="tgrev", k=k, n=partition.n, partition=partition))
 
     cc_block = build_kernel(ChainSpec(family="cc", k=k, ncolors=1 << partition.w))
     blocks_chain = product_kernel([cc_block] * partition.p)

@@ -291,7 +291,7 @@ def end_state_test(spec: ChainSpec, t: int, samples: int, seed: int = 0) -> EndS
     """
     if spec.family == "tgrev":
         space = count_generic_states(spec.partition)
-        start = enumerate_generic_states(spec.k, spec.partition)[0]
+        start = enumerate_generic_states(spec.partition)[0]
     else:
         ground = 1 << spec.n if spec.family == "rev" else spec.ncolors
         space = tuple_space_size(spec.k, ground)

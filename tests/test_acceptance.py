@@ -9,17 +9,15 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from kwmix.analysis import (
     complete_alpha_lower_bound,
     dirichlet_form,
     lsc_search,
-    spectral_gap,
     ucc_alpha_lower_bound,
     verify_reversible,
 )
-from kwmix.chains import ChainSpec, build_kernel, build_tgrev_kernel, product_kernel
+from kwmix.chains import ChainSpec, build_kernel
 from kwmix.comparison import congestion_delta, congestion_formula_bound
 from kwmix.core import apply_gate_to_int, enumerate_gates, tuple_space_size
 from kwmix.generic import (
@@ -200,7 +198,7 @@ def test_criterion_8_kwise_statistical_test():
 def test_criterion_9_product_structure():
     started = time.perf_counter()
     partition = make_partition(3, 2, w=2, p=1)
-    report = verify_tgrev_product_structure(partition, 2)
+    report = verify_tgrev_product_structure(partition)
     ok = (report.max_mixture_deviation <= 1e-12
           and report.max_block_factor_deviation <= 1e-12
           and report.max_remainder_deviation <= 1e-12

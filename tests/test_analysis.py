@@ -23,7 +23,7 @@ from kwmix.analysis import (
     ucc_alpha_lower_bound,
     verify_reversible,
 )
-from kwmix.chains import ChainSpec, Kernel, build_kernel, build_tgrev_kernel, product_kernel
+from kwmix.chains import ChainSpec, Kernel, build_kernel, product_kernel
 from kwmix.core import enumerate_tuples, tuple_space_size
 from kwmix.generic import make_partition
 from kwmix.rng import make_rng
@@ -248,7 +248,8 @@ def _lazy_bits(count):
     # degenerate second eigenvalues: 0 six times, and 3/4 four times
     lambda: build_kernel(ChainSpec(family="complete", ncolors=7)),
     lambda: _lazy_bits(4),
-    lambda: build_tgrev_kernel(2, make_partition(5, 2, w=2, p=2)),
+    lambda: build_kernel(ChainSpec(family="tgrev", k=2, n=5,
+                                   partition=make_partition(5, 2, w=2, p=2))),
 ], ids=["rev", "rev-set", "grev", "cc", "ucc", "complete", "lazy-bits", "tgrev"])
 def test_sparse_spectral_gap_matches_dense_oracle(make, monkeypatch):
     kernel = make()
@@ -258,7 +259,8 @@ def test_sparse_spectral_gap_matches_dense_oracle(make, monkeypatch):
 
 def test_spectral_gap_above_the_dense_cutoff():
     ucc = build_kernel(ChainSpec(family="ucc", k=3, ncolors=16))
-    tgrev = build_tgrev_kernel(2, make_partition(6, 2, w=2, p=2))
+    tgrev = build_kernel(ChainSpec(family="tgrev", k=2, n=6,
+                                   partition=make_partition(6, 2, w=2, p=2)))
     assert min(ucc.size, tgrev.size) > analysis.DENSE_GAP_STATES
     assert spectral_gap(ucc) == pytest.approx(1 / 3, abs=1e-12)
     assert spectral_gap(tgrev) == pytest.approx(1 / 12, abs=1e-12)

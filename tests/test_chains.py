@@ -16,9 +16,7 @@ from kwmix.chains import (
     _move,
     _state_index,
     _step_moves,
-    build_grev_kernel,
     build_kernel,
-    build_tgrev_kernel,
     enumerate_generic_states,
     product_kernel,
     sample_chain,
@@ -168,7 +166,7 @@ def toy_partition():
 
 
 def test_generic_enumeration_matches_filter(toy_partition):
-    listed = set(map(tuple, enumerate_generic_states(2, toy_partition).tolist()))
+    listed = set(map(tuple, enumerate_generic_states(toy_partition).tolist()))
     filtered = {t for t in map(tuple, enumerate_tuples(2, 8).tolist())
                 if is_generic(t, toy_partition)}
     assert listed == filtered
@@ -204,13 +202,13 @@ def _generic_states_reference(k, partition):
                                      (4, 5, 2, 1)])
 def test_generic_enumeration_order_matches_nested_loop(k, n, w, p):
     part = make_partition(n, k, w=w, p=p)
-    states = enumerate_generic_states(k, part)
+    states = enumerate_generic_states(part)
     assert states.dtype == np.int64
     assert np.array_equal(states, np.array(_generic_states_reference(k, part)))
 
 
 def test_tgrev_rows_and_symmetry(toy_partition):
-    kernel = build_tgrev_kernel(2, toy_partition)
+    kernel = build_kernel(ChainSpec(family="tgrev", k=2, n=3, partition=toy_partition))
     dense = kernel.dense()
     assert np.abs(dense.sum(axis=1) - 1).max() <= 1e-12
     assert np.abs(dense - dense.T).max() <= 1e-12
@@ -219,7 +217,7 @@ def test_tgrev_rows_and_symmetry(toy_partition):
 
 def test_grev_rows_renormalize_rev_rows(toy_partition):
     # oracle: per state, count gate successors landing in the generic set
-    kernel = build_grev_kernel(2, 3, toy_partition)
+    kernel = build_kernel(ChainSpec(family="grev", k=2, n=3, partition=toy_partition))
     states = list(map(tuple, kernel.states.tolist()))
     index = {s: i for i, s in enumerate(states)}
     generic = set(states)
@@ -241,14 +239,14 @@ def test_grev_rows_renormalize_rev_rows(toy_partition):
 def test_grev_row_equals_rev_row_when_all_successors_generic():
     # with k=1 every state is generic, so the restriction changes nothing
     part = make_partition(3, 1, w=2, p=1)
-    grev = build_grev_kernel(1, 3, part)
+    grev = build_kernel(ChainSpec(family="grev", k=1, n=3, partition=part))
     rev = build_kernel(ChainSpec(family="rev", k=1, n=3))
     order = [rev.states.tolist().index(s) for s in grev.states.tolist()]
     assert np.allclose(grev.dense(), rev.dense()[np.ix_(order, order)], atol=1e-15)
 
 
 def test_grev_stationary_is_left_eigenvector(toy_partition):
-    kernel = build_grev_kernel(2, 3, toy_partition)
+    kernel = build_kernel(ChainSpec(family="grev", k=2, n=3, partition=toy_partition))
     pi = kernel.stationary
     assert np.abs(pi @ kernel.dense() - pi).max() <= 1e-12
     # renormalization by generic-successor mass: stationary tracks that mass
@@ -276,7 +274,8 @@ def _generic_successor_totals(kernel, n):
 
 @pytest.mark.parametrize("n, k, w, p", [(3, 2, 2, 1), (5, 2, 2, 2), (5, 2, 1, 2)])
 def test_grev_stationary_is_the_correctly_rounded_row_total_share(n, k, w, p):
-    kernel = build_grev_kernel(k, n, make_partition(n, k, w=w, p=p))
+    kernel = build_kernel(ChainSpec(family="grev", k=k, n=n,
+                                    partition=make_partition(n, k, w=w, p=p)))
     totals = [int(v) for v in _generic_successor_totals(kernel, n)]
     grand = sum(totals)
     assert kernel.stationary.tolist() == [float(Fraction(v, grand)) for v in totals]
@@ -300,7 +299,8 @@ def _power_iteration_stationary(matrix, tol=1e-15, max_iter=200_000):
     (6, 2, 2, 2, "parameter"), (5, 3, 2, 1, "parameter"),
 ])
 def test_grev_stationary_matches_power_iteration(n, k, w, p, gate_mode):
-    kernel = build_grev_kernel(k, n, make_partition(n, k, w=w, p=p), gate_mode)
+    kernel = build_kernel(ChainSpec(family="grev", k=k, n=n, gate_mode=gate_mode,
+                                    partition=make_partition(n, k, w=w, p=p)))
     reference = _power_iteration_stationary(kernel.matrix)
     assert np.abs(kernel.stationary / reference - 1).max() <= 1e-13
 
@@ -310,7 +310,7 @@ def test_grev_reversible_under_measured_stationary(toy_partition):
     # its own (non-uniform) stationary law
     from kwmix.analysis import verify_reversible
 
-    kernel = build_grev_kernel(2, 3, toy_partition)
+    kernel = build_kernel(ChainSpec(family="grev", k=2, n=3, partition=toy_partition))
     assert np.ptp(kernel.stationary) > 1e-4  # visibly non-uniform
     assert verify_reversible(kernel, tol=1e-12).passes
 
@@ -364,11 +364,11 @@ def test_tgrev_grouped_weights_equal_the_full_draw_product(partition):
     k = partition.k
     spec = ChainSpec(family="tgrev", k=k, n=partition.n, partition=partition)
     bounds = _draw_bounds(spec)
-    states = enumerate_generic_states(k, partition)
+    states = enumerate_generic_states(partition)
     index = _state_index(states, 1 << partition.n)
     full = _count_matrix(_step_moves(spec, states, index, product(*map(range, bounds))),
                          len(states))
-    kernel = build_tgrev_kernel(k, partition)
+    kernel = build_kernel(spec)
     assert np.array_equal(kernel.matrix.indptr, full.indptr)
     assert np.array_equal(kernel.matrix.indices, full.indices)
     assert np.array_equal(kernel.matrix.data, full.data / math.prod(bounds))
@@ -388,9 +388,8 @@ def test_tgrev_on_two_wires_builds_and_samples():
     # the product chain has no gates, so it runs below the 3 wires of rev
     partition = make_partition(2, 2, w=1, p=1)
     spec = ChainSpec(family="tgrev", k=2, n=2, partition=partition)
-    kernel = build_tgrev_kernel(2, partition)
+    kernel = build_kernel(spec)
     assert kernel.size == 8
-    assert (build_kernel(spec).matrix != kernel.matrix).nnz == 0
     ends = sample_chain(spec, np.tile(kernel.states[0], (100, 1)), 5, make_rng(0))
     assert set(map(tuple, ends.tolist())) <= set(map(tuple, kernel.states.tolist()))
 
@@ -416,7 +415,7 @@ def test_step_coloring_preserves_distinctness():
 def test_step_tgrev_stays_generic():
     rng = make_rng(11)
     for spec in (SAMPLED_SPECS["tgrev"], SAMPLED_SPECS["tgrev-k3"]):
-        x = np.tile(enumerate_generic_states(spec.k, spec.partition)[0], (500, 1))
+        x = np.tile(enumerate_generic_states(spec.partition)[0], (500, 1))
         for _ in range(20):
             x = sample_chain(spec, x, 1, rng)
             assert all(is_generic(tuple(int(v) for v in row), spec.partition)
@@ -444,12 +443,33 @@ def test_spec_refuses_a_partition_that_does_not_fit(family, n, k, part, message)
         ChainSpec(family=family, k=k, n=n, partition=make_partition(*part))
 
 
-def test_gate_and_product_builders_refuse_a_mismatched_partition():
-    part = make_partition(6, 2, w=2, p=2)
-    with pytest.raises(ValueError, match="partition covers n=6, chain has n=5"):
-        build_grev_kernel(2, 5, part)
-    with pytest.raises(ValueError, match="partition was built for k=2, got k=3"):
-        build_tgrev_kernel(3, part)
+_PART_5_2 = make_partition(5, 2, w=2, p=1)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(family="cc", k=2, ncolors=4, n=5), "cc takes no n"),
+    (dict(family="ucc", k=2, ncolors=6, n=9), "ucc takes no n"),
+    (dict(family="complete", ncolors=4, n=3), "complete takes no n"),
+    (dict(family="rev", k=2, n=3, ncolors=6), "rev takes no N"),
+    (dict(family="grev", k=2, n=5, ncolors=6, partition=_PART_5_2), "grev takes no N"),
+    (dict(family="tgrev", k=2, n=5, ncolors=6, partition=_PART_5_2), "tgrev takes no N"),
+    (dict(family="rev", k=2, n=5, partition=_PART_5_2), "rev takes no partition"),
+    (dict(family="cc", k=2, ncolors=4, partition=_PART_5_2), "cc takes no partition"),
+    (dict(family="ucc", k=2, ncolors=6, partition=_PART_5_2), "ucc takes no partition"),
+    (dict(family="complete", ncolors=4, partition=_PART_5_2), "complete takes no partition"),
+    (dict(family="complete", k=3, ncolors=4), "complete takes no k other than 1"),
+    (dict(family="cc", k=2, ncolors=4, gate_mode="set"), "cc takes no gate mode 'set'"),
+    (dict(family="ucc", k=2, ncolors=4, gate_mode="set"), "ucc takes no gate mode 'set'"),
+    (dict(family="complete", ncolors=4, gate_mode="set"),
+     "complete takes no gate mode 'set'"),
+    (dict(family="tgrev", k=2, n=5, partition=_PART_5_2, gate_mode="set"),
+     "tgrev takes no gate mode 'set'"),
+    (dict(family="ucc", k=2, ncolors=6, n=9, partition=_PART_5_2),
+     "ucc takes no n, partition"),
+])
+def test_spec_refuses_a_field_its_family_does_not_read(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ChainSpec(**fields)
 
 
 def test_sampler_rejects_families_without_moves_and_bad_shapes():

@@ -291,6 +291,46 @@ def test_kernel_dump_roundtrip(tmp_path, capsys):
         assert p == dense[r, c]
 
 
+_PARTITION_5_2_2_2 = ('"partition": {"n": 5, "k": 2, "w": 2, "p": 2, '
+                      '"blocks": [[0, 1], [2, 3]], "remainder": [4]}')
+
+
+@pytest.mark.parametrize("argv, header", [
+    ("--chain rev --n 3 --k 2",
+     '{"family": "rev", "k": 2, "n": 3, "gate_mode": "parameter"}'),
+    ("--chain rev --n 4 --gate-mode set",
+     '{"family": "rev", "k": 1, "n": 4, "gate_mode": "set"}'),
+    ("--chain grev --n 5 --k 2 --part-w 2 --part-p 2",
+     '{"family": "grev", "k": 2, "n": 5, "gate_mode": "parameter", '
+     + _PARTITION_5_2_2_2 + "}"),
+    ("--chain grev --n 4 --part-w 1 --part-p 2 --gate-mode set",
+     '{"family": "grev", "k": 1, "n": 4, "gate_mode": "set", "partition": {"n": 4, '
+     '"k": 1, "w": 1, "p": 2, "blocks": [[0], [1]], "remainder": [2, 3]}}'),
+    ("--chain tgrev --n 5 --k 2 --part-w 2 --part-p 2",
+     '{"family": "tgrev", "k": 2, "n": 5, ' + _PARTITION_5_2_2_2 + "}"),
+    ("--chain cc --k 2 --N 4", '{"family": "cc", "k": 2, "N": 4}'),
+    ("--chain complete --N 4", '{"family": "complete", "N": 4}'),
+], ids=["rev", "rev-set", "grev", "grev-set", "tgrev", "cc", "complete"])
+def test_kernel_dump_header_of_every_family(capsys, argv, header):
+    code, out, _ = run_cli(capsys, "kernel-dump", *argv.split())
+    assert code == 0
+    assert out.split("\n", 1)[0] == header
+
+
+def test_kernel_dump_header_of_a_product_kernel():
+    import io
+
+    from kwmix.chains import ChainSpec, build_kernel, product_kernel
+    from kwmix.reports import dump_kernel
+
+    buf = io.StringIO()
+    dump_kernel(product_kernel([build_kernel(ChainSpec(family="complete", ncolors=2)),
+                                build_kernel(ChainSpec(family="ucc", k=2, ncolors=3))]), buf)
+    assert buf.getvalue().split("\n", 1)[0] == (
+        '{"family": "product", "factors": [{"family": "complete", "N": 2}, '
+        '{"family": "ucc", "k": 2, "N": 3}]}')
+
+
 def test_determinism_and_sidecar_roundtrip(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -522,6 +562,20 @@ def test_partition_flags_without_a_partition_exit_2(capsys, chain, flag):
     assert (code, out) == (2, "")
     assert err == (f"kwmix: invalid configuration: --chain {chain[0]} takes no "
                    "--part-w or --part-p\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("--chain ucc --k 2 --N 6 --n 5", "ucc takes no n"),
+    ("--chain rev --n 3 --k 2 --N 6", "rev takes no N"),
+    ("--chain complete --N 4 --k 3", "complete takes no k other than 1"),
+    ("--chain tgrev --n 3 --k 2 --part-w 2 --part-p 1 --gate-mode set",
+     "tgrev takes no gate mode 'set'"),
+    ("--chain cc --k 2 --N 4 --gate-mode set", "cc takes no gate mode 'set'"),
+], ids=["ucc-n", "rev-N", "complete-k", "tgrev-set", "cc-set"])
+def test_fields_the_chain_does_not_read_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "gap", *argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"kwmix: invalid configuration: {message}\n"
 
 
 def test_zero_block_partition_exits_2(capsys):

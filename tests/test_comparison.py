@@ -173,20 +173,24 @@ def test_is_cc_move_classification():
     assert not is_cc_move((0, 1), (2, 3), 4)   # two coordinates changed
 
 
+def _residual_inputs(k, N):
+    # the ucc and cc kernels and the congestion that the residual compares
+    return (build_kernel(ChainSpec(family="ucc", k=k, ncolors=N)),
+            build_kernel(ChainSpec(family="cc", k=k, ncolors=N)),
+            congestion_delta(k, N).a_delta)
+
+
 def test_comparison_residual_constant_f_is_zero():
     f = np.full(tuple_space_size(2, 5), 2.0)
-    assert dirichlet_comparison_residual(f, 2, 5) == 0.0
+    assert dirichlet_comparison_residual(f, *_residual_inputs(2, 5)) == 0.0
 
 
 def test_comparison_residual_random_f_theta_3_6():
     rng = make_rng(12)
-    k, N = 3, 6
-    ucc = build_kernel(ChainSpec(family="ucc", k=k, ncolors=N))
-    cc = build_kernel(ChainSpec(family="cc", k=k, ncolors=N))
-    a_delta = congestion_delta(k, N).a_delta
+    ucc, cc, a_delta = _residual_inputs(3, 6)
     for _ in range(25):
         f = rng.random(ucc.size)
-        res = dirichlet_comparison_residual(np.sqrt(f), k, N, a_delta, ucc, cc)
+        res = dirichlet_comparison_residual(np.sqrt(f), ucc, cc, a_delta)
         assert res <= 1e-12
 
 
@@ -194,4 +198,4 @@ def test_comparison_residual_indicator_theta_2_6():
     k, N = 2, 6
     f = np.zeros(tuple_space_size(k, N))
     f[7] = 1.0
-    assert dirichlet_comparison_residual(f, k, N) <= 1e-12
+    assert dirichlet_comparison_residual(f, *_residual_inputs(k, N)) <= 1e-12

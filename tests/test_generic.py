@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from kwmix.chains import ChainSpec, build_kernel, build_tgrev_kernel
+from kwmix.chains import ChainSpec, build_kernel
 from kwmix.core import sample_uniform_tuples, tuple_space_size
 from kwmix.generic import (
     Partition,
@@ -227,7 +227,7 @@ def test_default_partition_fraction_beats_union_bound():
 
 def test_product_structure_toy_partition():
     part = make_partition(3, 2, w=2, p=1)
-    report = verify_tgrev_product_structure(part, 2)
+    report = verify_tgrev_product_structure(part)
     assert report.max_mixture_deviation <= 1e-12
     assert report.max_block_factor_deviation <= 1e-12
     assert report.max_remainder_deviation <= 1e-12
@@ -238,14 +238,8 @@ def test_product_structure_toy_partition():
 
 def test_product_structure_two_blocks():
     part = make_partition(5, 2, w=1, p=2)
-    report = verify_tgrev_product_structure(part, 2)
+    report = verify_tgrev_product_structure(part)
     assert report.passes()
-
-
-def test_product_structure_wrong_k():
-    part = make_partition(3, 2, w=2, p=1)
-    with pytest.raises(ValueError):
-        verify_tgrev_product_structure(part, 3)
 
 
 def _dense_factor_deviation(dense, factor_matrices, factor_count, weight, which):
@@ -276,13 +270,13 @@ def _dense_factor_deviation(dense, factor_matrices, factor_count, weight, which)
 @pytest.mark.parametrize("n,k,w,p", [(3, 2, 2, 1), (5, 2, 1, 2), (6, 2, 2, 2)])
 def test_sparse_factor_deviations_match_dense_loop(n, k, w, p):
     part = make_partition(n, k, w=w, p=p)
-    tgrev = build_tgrev_kernel(k, part)
+    tgrev = build_kernel(ChainSpec(family="tgrev", k=k, n=n, partition=part))
     cc_block = build_kernel(ChainSpec(family="cc", k=k, ncolors=1 << w))
     lazy_bit = build_kernel(ChainSpec(family="complete", ncolors=2))
     rem_bits = k * len(part.remainder)
     sizes = [cc_block.size] * p + [2] * rem_bits
     factors = [cc_block.dense()] * p + [lazy_bit.dense()] * rem_bits
-    report = verify_tgrev_product_structure(part, k)
+    report = verify_tgrev_product_structure(part)
     # the kernel itself, then a copy with every entry perturbed, so that the
     # deviations are far from zero and differ from entry to entry
     noisy = tgrev.matrix.copy()

@@ -431,7 +431,7 @@ def test_end_state_test_of_a_point_mass_counts_every_unvisited_state():
 ], ids=lambda spec: spec.label())
 def test_end_state_test_matches_a_count_over_every_state(spec):
     if spec.family == "tgrev":
-        states = enumerate_generic_states(spec.k, spec.partition)
+        states = enumerate_generic_states(spec.partition)
     else:
         states = enumerate_tuples(spec.k, 1 << spec.n if spec.n else spec.ncolors)
     m, t, seed = 40 * len(states), 3, 9

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kwmix import reports
-from kwmix.chains import ChainSpec, build_kernel, build_tgrev_kernel, product_kernel
+from kwmix.chains import ChainSpec, build_kernel, product_kernel
 from kwmix.generic import make_partition
 from kwmix.reports import csv_lines, dump_kernel, fmt_float, json_dumps
 
@@ -40,7 +40,8 @@ KERNELS = {
     "rev-set": lambda: build_kernel(ChainSpec(family="rev", k=2, n=4, gate_mode="set")),
     "grev": lambda: build_kernel(ChainSpec(family="grev", k=2, n=5,
                                            partition=make_partition(5, 2, w=2, p=2))),
-    "tgrev": lambda: build_tgrev_kernel(2, make_partition(5, 2, w=2, p=2)),
+    "tgrev": lambda: build_kernel(ChainSpec(family="tgrev", k=2, n=5,
+                                            partition=make_partition(5, 2, w=2, p=2))),
     "product": lambda: product_kernel([build_kernel(ChainSpec(family="complete", ncolors=3)),
                                        build_kernel(ChainSpec(family="ucc", k=2, ncolors=4))]),
 }
