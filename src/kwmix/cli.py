@@ -50,6 +50,7 @@ from .generic import (
     verify_tgrev_product_structure,
 )
 from .mixing import (
+    MIN_EXPECTED_COUNT,
     SAMPLERS,
     STATISTICS,
     end_state_test,
@@ -71,11 +72,12 @@ def _chain_arguments(sub: argparse.ArgumentParser, families: tuple[str, ...]) ->
     sub.add_argument("--part-p", type=int, help="partition block count override")
 
 
-def _common_arguments(sub: argparse.ArgumentParser, seed: bool = False) -> None:
+def _common_arguments(sub: argparse.ArgumentParser, seed: bool = False,
+                      format_help: str | None = None) -> None:
     """--format and --out; --seed only for subcommands that draw randomness."""
     if seed:
         sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv", help=format_help)
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
 
 
@@ -109,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("kernel-dump", help="write an exact kernel "
                           "(JSON header line + row,col,prob CSV triples)")
     _chain_arguments(sub, FAMILIES)
-    _common_arguments(sub)
+    _common_arguments(sub, format_help="ignored: the dump is always a JSON header "
+                      "line and row,col,prob CSV triples")
 
     sub = subs.add_parser("gap", help="spectral gap of an exact kernel")
     _chain_arguments(sub, FAMILIES)
@@ -170,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--gates", type=int, required=True)
     sub.add_argument("--samples", type=int, default=100_000)
     sub.add_argument("--statistic", choices=STATISTICS, default="xor")
-    sub.add_argument("--bins", type=int)
+    sub.add_argument("--bins", type=int, help="default: n + 1 for hamming; otherwise "
+                     f"min(64, 2^n), halved while a bin expects fewer than "
+                     f"{MIN_EXPECTED_COUNT} samples")
     sub.add_argument("--sampler", choices=SAMPLERS, default="circuit")
     _common_arguments(sub, seed=True)
 

@@ -30,6 +30,7 @@ from scipy.sparse.csgraph import connected_components
 from .chains import (
     ChainSpec,
     Kernel,
+    _sample_rev,
     _state_index,
     build_kernel,
     enumerate_generic_states,
@@ -38,7 +39,7 @@ from .chains import (
 from .core import sample_uniform_tuples, tuple_space_size
 from .errors import InvariantViolation
 from .generic import count_generic_states
-from .rng import make_rng, mc_chunks
+from .rng import make_rng, mc_chunks, mc_groups
 
 # chains whose color-permutation symmetry makes every start equivalent
 TRANSITIVE_FAMILIES = {"ucc", "cc", "complete"}
@@ -390,11 +391,21 @@ def kwise_stat_mc(
 
     Each sample runs `gates` steps of the parameter-measure rev chain
     from the fixed start (0, 1, ..., k-1) (any fixed distinct start would
-    do), one bounded integer per gate and sample (`sample_chain`);
-    ``sampler="uniform"`` replaces them by direct uniform tuples (the
-    positive control for the harness itself). Sampling is split over a
-    fixed number of Philox streams for scheduler-independent
-    reproducibility.
+    do), one bounded integer per gate and sample; ``sampler="uniform"``
+    replaces them by direct uniform tuples (the positive control for the
+    harness itself). Sampling is split over a fixed number of Philox
+    streams for scheduler-independent reproducibility, in the pieces of
+    `rng.mc_chunks`. The circuit sampler steps the pieces of several
+    streams together, one `rng.mc_groups` group per batch, each piece
+    drawing from its own stream, so the draws per seed are those of one
+    `sample_chain` call per piece and memory is still bounded by MC_PIECE
+    rows.
+
+    `bins` defaults to n + 1 for hamming, and for xor and lowbits to
+    min(64, 2^n) bins, halved (down to 2) while the least likely bin
+    expects fewer than MIN_EXPECTED_COUNT samples. Raises ValueError where
+    the least likely bin still expects fewer, too few for the chi-square
+    approximation.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
@@ -404,22 +415,35 @@ def kwise_stat_mc(
         raise ValueError(f"need gates >= 0, got {gates}")
     if n > 64:
         raise ValueError(f"statistics are taken on one 64-bit word, need n <= 64, got {n}")
+    halve = bins is None and statistic != "hamming"
     if bins is None:
         bins = n + 1 if statistic == "hamming" else min(64, 1 << n)
     law = statistic_law(statistic, n, k, bins)
+    while halve and bins > 2 and samples * law[law > 0].min() < MIN_EXPECTED_COUNT:
+        bins //= 2
+        law = statistic_law(statistic, n, k, bins)
+    if sampler == "circuit":
+        ChainSpec(family="rev", k=k, n=n)  # refuse a bad n or k before the count check
+    expected = law * samples
+    support = expected > 0
+    least = expected[support].min()
+    if least < MIN_EXPECTED_COUNT:
+        raise ValueError(
+            f"{samples} samples over {bins} bins expect {least:.3g} in the "
+            f"least likely bin; the chi-square test needs at least {MIN_EXPECTED_COUNT}")
 
+    if sampler == "circuit":
+        start = np.arange(k, dtype=np.uint64)
+        batches = (_sample_rev(n, "parameter", np.tile(start, (sum(r for _, r in group), 1)),
+                               gates, group) for group in mc_groups(seed, samples))
+    else:
+        batches = (sample_uniform_tuples(n, k, chunk, rng)[..., 0]
+                   for rng, chunk in mc_chunks(seed, samples))
     counts = np.zeros(bins, dtype=np.int64)
-    for rng, chunk in mc_chunks(seed, samples):
-        if sampler == "circuit":
-            start = np.tile(np.arange(k, dtype=np.uint64), (chunk, 1))
-            tuples = sample_chain(ChainSpec(family="rev", k=k, n=n), start, gates, rng)
-        else:
-            tuples = sample_uniform_tuples(n, k, chunk, rng)[..., 0]
+    for tuples in batches:
         values = _statistic_values(statistic, tuples, n, bins)
         counts += np.bincount(values.astype(np.int64), minlength=bins)
 
-    expected = law * samples
-    support = expected > 0
     chi2 = float(np.sum((counts[support] - expected[support]) ** 2 / expected[support]))
     if counts[~support].any():
         chi2 = math.inf

@@ -47,3 +47,21 @@ def mc_chunks(seed: int, samples: int) -> Iterator[tuple[np.random.Generator, in
         share = base + (1 if ci < extra else 0)
         for start in range(0, share, MC_PIECE):
             yield rng, min(MC_PIECE, share - start)
+
+
+def mc_groups(seed: int, samples: int) -> Iterator[list[tuple[np.random.Generator, int]]]:
+    """The pieces of `mc_chunks`, consecutive ones grouped while their
+    rows sum to at most MC_PIECE, for a sampler that steps a group as one
+    batch (each piece drawing from its own stream) in memory still bounded
+    by MC_PIECE rows. Shares differ by at most one row, so a share of more
+    than MC_PIECE rows has each of its pieces in a group alone, and no
+    group holds two pieces of one stream: every stream draws in the order
+    of one call per piece."""
+    group: list[tuple[np.random.Generator, int]] = []
+    for rng, size in mc_chunks(seed, samples):
+        if group and sum(rows for _, rows in group) + size > MC_PIECE:
+            yield group
+            group = []
+        group.append((rng, size))
+    if group:
+        yield group

@@ -9,11 +9,13 @@ import pytest
 from scipy import stats as sps
 from scipy.sparse.csgraph import connected_components
 
+from kwmix import chains
 from kwmix.chains import (
     ChainSpec,
     _count_matrix,
     _draw_bounds,
     _move,
+    _sample_rev,
     _state_index,
     _step_moves,
     build_kernel,
@@ -543,6 +545,39 @@ def test_rev_set_sampler_equals_the_uint64_loop(n):
             assert got.dtype == np.uint64 and got.shape == x.shape
             np.testing.assert_array_equal(
                 got, _reference_rev_steps(x, 25, make_rng(seed), n, tables))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100, 1000])
+@pytest.mark.parametrize("rows", [1, 40])
+@pytest.mark.parametrize("t", [0, 25])
+@pytest.mark.parametrize("gate_mode", ["parameter", "set"])
+def test_rev_draw_blocks_do_not_change_the_draws(monkeypatch, block_bytes, rows, t, gate_mode):
+    # blocks of 1 step, of a few steps (t=25 crosses several) or of all 25
+    monkeypatch.setattr(chains, "DRAW_BLOCK_BYTES", block_bytes)
+    n = 5
+    tables = dedupe_gates(n)[0].astype(np.uint64) if gate_mode == "set" else None
+    spec = ChainSpec(family="rev", k=3, n=n, gate_mode=gate_mode)
+    for seed in range(3):
+        x = _distinct_starts(n, 3, seed, rows)
+        np.testing.assert_array_equal(sample_chain(spec, x, t, make_rng(seed)),
+                                      _reference_rev_steps(x, t, make_rng(seed), n, tables))
+
+
+@pytest.mark.parametrize("gate_mode", ["parameter", "set"])
+def test_rev_streams_step_together_as_they_would_apart(monkeypatch, gate_mode):
+    # consecutive row ranges, each drawing from its own stream (one range
+    # empty), equal one sample_chain call per range, across draw blocks
+    monkeypatch.setattr(chains, "DRAW_BLOCK_BYTES", 500)
+    n, k, t = 6, 2, 25
+    spec = ChainSpec(family="rev", k=k, n=n, gate_mode=gate_mode)
+    x = _distinct_starts(n, k, 0, rows=40)
+    ranges = [(0, 3), (3, 3), (3, 30), (30, 40)]
+    got = _sample_rev(n, gate_mode, x, t,
+                      [(make_rng(i), hi - lo) for i, (lo, hi) in enumerate(ranges)])
+    apart = [sample_chain(spec, x[lo:hi], t, make_rng(i)) for i, (lo, hi) in enumerate(ranges)]
+    np.testing.assert_array_equal(got, np.concatenate(apart))
+    with pytest.raises(ValueError, match="do not sum to the 40 states"):
+        _sample_rev(n, gate_mode, x, t, [(make_rng(0), 39)])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 12, 64])

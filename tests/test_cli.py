@@ -291,6 +291,15 @@ def test_kernel_dump_roundtrip(tmp_path, capsys):
         assert p == dense[r, c]
 
 
+def test_kernel_dump_ignores_format_as_its_help_says(capsys):
+    outs = {fmt: run_cli(capsys, "kernel-dump", "--chain", "cc", "--k", "2", "--N", "4",
+                         "--format", fmt) for fmt in ("csv", "json")}
+    assert outs["csv"] == outs["json"] and outs["csv"][0] == 0
+    with pytest.raises(SystemExit):
+        cli.main(["kernel-dump", "--help"])
+    assert "--format {csv,json} ignored:" in " ".join(capsys.readouterr().out.split())
+
+
 _PARTITION_5_2_2_2 = ('"partition": {"n": 5, "k": 2, "w": 2, "p": 2, '
                       '"blocks": [[0, 1], [2, 3]], "remainder": [4]}')
 
@@ -541,6 +550,15 @@ def test_mix_mc_refuses_too_few_samples_per_state(capsys):
     # 50 samples over the 240 states of rev(k=2, n=4): 0.21 expected each
     code, out, err = run_cli(capsys, "mix-mc", "--chain", "rev", "--n", "4",
                              "--k", "2", "--t", "10", "--samples", "50")
+    assert code == 2
+    assert out == ""
+    assert "invalid configuration" in err and "at least 5" in err
+
+
+def test_kwise_test_refuses_bins_that_expect_too_few_samples(capsys):
+    # 10 samples over the 63 nonzero xor bins: 0.159 expected each
+    code, out, err = run_cli(capsys, "kwise-test", "--n", "6", "--k", "2", "--gates", "5",
+                             "--samples", "10", "--bins", "64")
     assert code == 2
     assert out == ""
     assert "invalid configuration" in err and "at least 5" in err

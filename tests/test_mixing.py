@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import kwmix.rng
-from kwmix import generic, mixing
+from kwmix import chains, generic, mixing
 from kwmix.chains import ChainSpec, build_kernel, enumerate_generic_states, sample_chain
 from kwmix.core import enumerate_tuples, sample_uniform_tuples
 from kwmix.generic import generic_fraction_mc, make_partition
@@ -374,7 +374,16 @@ def test_circuit_draw_order_is_pinned():
 
 
 def test_monte_carlo_shares_are_drawn_in_bounded_pieces(monkeypatch):
-    kwise = dict(n=6, k=2, gates=50, seed=3, bins=16)
+    # 40 and 100 samples over 4 xor bins expect at least 9.5 per bin
+    kwise = dict(n=6, k=2, gates=50, seed=3, bins=4)
+    rows = []
+    sample_rev = mixing._sample_rev
+    monkeypatch.setattr(mixing, "_sample_rev", lambda n, mode, x, t, streams: (
+        rows.append(len(x)) or sample_rev(n, mode, x, t, streams)))
+    # the 8 shares of 5000 samples step as one batch of 40000 rows
+    kwise_stat_mc(samples=40_000, **kwise)
+    assert rows == [40_000]
+
     unsplit = kwise_stat_mc(samples=40, **kwise)
     monkeypatch.setattr(kwmix.rng, "MC_PIECE", 5)
     # shares of 13 or 12 samples come as pieces 5, 5, 3 or 5, 5, 2, each
@@ -388,14 +397,54 @@ def test_monte_carlo_shares_are_drawn_in_bounded_pieces(monkeypatch):
     assert kwise_stat_mc(samples=40, **kwise) == unsplit
 
     # no caller draws more rows at once than one piece
-    rows = []
-    monkeypatch.setattr(mixing, "sample_chain", lambda spec, x, t, stream: (
-        rows.append(len(x)) or sample_chain(spec, x, t, stream)))
+    rows.clear()
     monkeypatch.setattr(generic, "sample_uniform_tuples", lambda n, k, size, stream: (
         rows.append(size) or sample_uniform_tuples(n, k, size, stream)))
     kwise_stat_mc(samples=100, **kwise)
     generic_fraction_mc(make_partition(8, 2, w=2, p=2), 100, seed=3)
     assert max(rows) == 5 and sum(rows) == 200
+
+
+@pytest.mark.parametrize("piece, groups", [
+    (5, [[5], [5], [3]] * 4 + [[5], [5], [2]] * 4),  # shares span several pieces
+    (64, [[13] * 4 + [12], [12] * 3]),                # one piece per share
+    (100, [[13] * 4 + [12] * 4]),                     # every share in one group
+])
+def test_grouped_pieces_step_as_one_call_per_piece(monkeypatch, piece, groups):
+    monkeypatch.setattr(kwmix.rng, "MC_PIECE", piece)
+    monkeypatch.setattr(chains, "DRAW_BLOCK_BYTES", 1000)  # the 50 steps span blocks
+    assert [[rows for _, rows in group] for group in kwmix.rng.mc_groups(3, 100)] == groups
+    ends = []
+    sample_rev = mixing._sample_rev
+    monkeypatch.setattr(mixing, "_sample_rev", lambda *args: (
+        ends.append(sample_rev(*args)) or ends[-1]))
+    kwise_stat_mc(n=6, k=2, gates=50, samples=100, seed=3, bins=4)
+    # the former loop: one sample_chain call per piece, on the piece's stream
+    spec = ChainSpec(family="rev", k=2, n=6)
+    apart = [sample_chain(spec, np.tile((0, 1), (rows, 1)), 50, stream)
+             for stream, rows in mc_chunks(3, 100)]
+    np.testing.assert_array_equal(np.concatenate(ends), np.concatenate(apart))
+
+
+def test_chi_square_refuses_or_halves_bins_that_expect_too_few_samples():
+    # 10 samples over 63 nonzero xor bins expect 0.159 each
+    with pytest.raises(ValueError, match=f"expect 0.159 .* at least {MIN_EXPECTED_COUNT}"):
+        kwise_stat_mc(n=6, k=2, gates=5, samples=10, bins=64)
+    # 2 lowbits bins expect exactly MIN_EXPECTED_COUNT from 10 samples
+    assert kwise_stat_mc(n=6, k=2, gates=5, samples=10, statistic="lowbits",
+                         bins=2, sampler="uniform").dof == 1
+    # the default binning halves until its least likely bin expects enough:
+    # 50 samples over 16, 8 or 4 xor bins of 4-bit strings expect 3.33,
+    # 3.33 or 10 in the least likely bin
+    assert kwise_stat_mc(n=4, k=2, gates=3, samples=50).bins == 4
+    # over 64 or 32 xor bins of 6-bit strings the least likely bin holds
+    # 1/63 of the mass, over 16 bins 3/63
+    assert kwise_stat_mc(n=6, k=2, gates=3, samples=315).bins == 64
+    assert kwise_stat_mc(n=6, k=2, gates=3, samples=314).bins == 16
+    with pytest.raises(ValueError, match="4 samples over 2 bins expect 1.97"):
+        kwise_stat_mc(n=6, k=2, gates=3, samples=4)
+    with pytest.raises(ValueError, match="over 21 bins"):  # hamming keeps n + 1 bins
+        kwise_stat_mc(n=20, k=2, gates=3, samples=1000, statistic="hamming")
 
 
 def test_harness_calibration_rejection_rate():
