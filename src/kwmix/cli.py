@@ -173,9 +173,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--gates", type=int, required=True)
     sub.add_argument("--samples", type=int, default=100_000)
     sub.add_argument("--statistic", choices=STATISTICS, default="xor")
-    sub.add_argument("--bins", type=int, help="default: n + 1 for hamming; otherwise "
-                     f"min(64, 2^n), halved while a bin expects fewer than "
-                     f"{MIN_EXPECTED_COUNT} samples")
+    sub.add_argument("--bins", type=int, help="hamming takes n + 1 - 2a bins for some "
+                     "a >= 0, the weights <= a and >= n - a pooled into the two end bins; "
+                     "default: the smallest such a for hamming, otherwise min(64, 2^n) "
+                     f"halved, until no bin expects fewer than {MIN_EXPECTED_COUNT} "
+                     "samples (never below 2 bins)")
     sub.add_argument("--sampler", choices=SAMPLERS, default="circuit")
     _common_arguments(sub, seed=True)
 

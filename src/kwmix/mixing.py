@@ -24,8 +24,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy import stats as sps
 from scipy.sparse.csgraph import connected_components
+from scipy.special import chdtrc
 
 from .chains import (
     ChainSpec,
@@ -269,6 +269,15 @@ def kwise_tv_exact(n: int, k: int, t: int, gate_mode: str = "parameter") -> list
 MIN_EXPECTED_COUNT = 5
 
 
+def _chi2_p_value(chi2: float, dof: int) -> float:
+    """Upper tail of the chi-square law with `dof` degrees of freedom at
+    `chi2`: scipy.special.chdtrc, the function scipy.stats.chi2.sf
+    evaluates, so the same float, and 0.0 at chi2 = inf."""
+    if dof < 1:
+        raise InvariantViolation(f"a chi-square test needs dof >= 1, got {dof}")
+    return float(chdtrc(dof, chi2))
+
+
 @dataclass
 class EndStateReport:
     states: int
@@ -297,6 +306,8 @@ def end_state_test(spec: ChainSpec, t: int, samples: int, seed: int = 0) -> EndS
         ground = 1 << spec.n if spec.family == "rev" else spec.ncolors
         space = tuple_space_size(spec.k, ground)
         start = tuple(range(spec.k))
+    if space < 2:
+        raise ValueError(f"{spec.label()} has one state; a chi-square test needs two")
     if samples < MIN_EXPECTED_COUNT * space:
         raise ValueError(
             f"{samples} samples over {space} states expect "
@@ -310,7 +321,7 @@ def end_state_test(spec: ChainSpec, t: int, samples: int, seed: int = 0) -> EndS
     dof = space - 1
     emp_tv = float(0.5 * (np.abs(counts / samples - 1.0 / space).sum() + unvisited / space))
     return EndStateReport(states=space, distinct_visited=len(counts), chi2=chi2, dof=dof,
-                          p_value=float(sps.chi2.sf(chi2, dof)), empirical_tv=emp_tv)
+                          p_value=_chi2_p_value(chi2, dof), empirical_tv=emp_tv)
 
 
 STATISTICS = ("hamming", "xor", "lowbits")
@@ -340,10 +351,11 @@ def statistic_law(statistic: str, n: int, k: int, bins: int) -> np.ndarray:
     """Exact law of the projected statistic under uniform distinct tuples."""
     N = 1 << n
     if statistic == "hamming":
-        if bins != n + 1:
-            raise ValueError(f"hamming weight of an {n}-bit string needs {n + 1} bins")
+        a = _hamming_pool(n, bins)
         # per-coordinate marginal of a uniform distinct tuple is uniform
-        return np.array([math.comb(n, w) for w in range(n + 1)], dtype=float) / N
+        weights = [math.comb(n, w) for w in range(n + 1)]
+        pooled = [sum(weights[:a + 1]), *weights[a + 1:n - a], sum(weights[n - a:])]
+        return np.array([count / N for count in pooled])
     if statistic == "xor":
         if k < 2:
             raise ValueError("xor statistic needs k >= 2")
@@ -359,6 +371,16 @@ def statistic_law(statistic: str, n: int, k: int, bins: int) -> np.ndarray:
     raise ValueError(f"unknown statistic {statistic!r}; pick one of {STATISTICS}")
 
 
+def _hamming_pool(n: int, bins: int) -> int:
+    """The a for which `bins` = n + 1 - 2a hamming bins: weights <= a pool
+    into the first bin and weights >= n - a into the last."""
+    a, odd = divmod(n + 1 - bins, 2)
+    if odd or a < 0 or bins < 2:
+        raise ValueError(f"hamming weight of an {n}-bit string needs n + 1 - 2a >= 2 "
+                         f"bins for some a >= 0, got {bins}")
+    return a
+
+
 def _check_bins(bins: int, N: int) -> None:
     if bins < 2 or bins & (bins - 1):
         raise ValueError(f"bins must be a power of two >= 2, got {bins}")
@@ -368,7 +390,8 @@ def _check_bins(bins: int, N: int) -> None:
 
 def _statistic_values(statistic: str, tuples: np.ndarray, n: int, bins: int) -> np.ndarray:
     if statistic == "hamming":
-        return np.bitwise_count(tuples[:, 0])
+        a = _hamming_pool(n, bins)
+        return np.clip(np.bitwise_count(tuples[:, 0]), a, n - a) - a
     if statistic == "xor":
         return (tuples[:, 0] ^ tuples[:, 1]) & (bins - 1)
     if statistic == "lowbits":
@@ -401,9 +424,11 @@ def kwise_stat_mc(
     `sample_chain` call per piece and memory is still bounded by MC_PIECE
     rows.
 
-    `bins` defaults to n + 1 for hamming, and for xor and lowbits to
-    min(64, 2^n) bins, halved (down to 2) while the least likely bin
-    expects fewer than MIN_EXPECTED_COUNT samples. Raises ValueError where
+    Hamming pools the weights <= a and >= n - a into its two end bins,
+    which leaves n + 1 - 2a bins. Without `bins`, hamming pools with the
+    smallest such a, and xor and lowbits halve min(64, 2^n) bins, until
+    the least likely bin expects MIN_EXPECTED_COUNT samples, never below
+    2 bins; an explicit `bins` is never changed. Raises ValueError where
     the least likely bin still expects fewer, too few for the chi-square
     approximation.
     """
@@ -415,17 +440,22 @@ def kwise_stat_mc(
         raise ValueError(f"need gates >= 0, got {gates}")
     if n > 64:
         raise ValueError(f"statistics are taken on one 64-bit word, need n <= 64, got {n}")
-    halve = bins is None and statistic != "hamming"
+    coarsen = bins is None
     if bins is None:
         bins = n + 1 if statistic == "hamming" else min(64, 1 << n)
     law = statistic_law(statistic, n, k, bins)
-    while halve and bins > 2 and samples * law[law > 0].min() < MIN_EXPECTED_COUNT:
-        bins //= 2
-        law = statistic_law(statistic, n, k, bins)
+    while coarsen and samples * law[law > 0].min() < MIN_EXPECTED_COUNT:
+        coarser = bins - 2 if statistic == "hamming" else bins // 2
+        if coarser < 2:
+            break
+        bins, law = coarser, statistic_law(statistic, n, k, coarser)
     if sampler == "circuit":
         ChainSpec(family="rev", k=k, n=n)  # refuse a bad n or k before the count check
     expected = law * samples
     support = expected > 0
+    if support.sum() < 2:
+        raise ValueError(f"{statistic} of {n}-bit strings takes one value over {bins} "
+                         "bins; a chi-square test needs two")
     least = expected[support].min()
     if least < MIN_EXPECTED_COUNT:
         raise ValueError(
@@ -448,10 +478,9 @@ def kwise_stat_mc(
     if counts[~support].any():
         chi2 = math.inf
     dof = int(support.sum()) - 1
-    p_value = float(sps.chi2.sf(chi2, dof)) if math.isfinite(chi2) else 0.0
     return StatTestReport(
         n=n, k=k, gates=gates, samples=samples, statistic=statistic, bins=bins,
-        chi2=chi2, dof=dof, p_value=p_value, seed=seed, gate_mode="parameter",
+        chi2=chi2, dof=dof, p_value=_chi2_p_value(chi2, dof), seed=seed, gate_mode="parameter",
         sampler=sampler,
     )
 

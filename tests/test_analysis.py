@@ -266,6 +266,18 @@ def test_spectral_gap_above_the_dense_cutoff():
     assert spectral_gap(tgrev) == pytest.approx(1 / 12, abs=1e-12)
 
 
+@pytest.mark.parametrize("k,N", [(k, N) for k in (2, 3) for N in range(2 * k, 2 * k + 4)])
+def test_recoloring_gaps_have_closed_forms(k, N):
+    # ucc's gap is 1/k and cc's is (N - k)/(k(N - k + 1)); k=3 at N >= 7
+    # (210 states and up) runs the eigsh path
+    ucc = build_kernel(ChainSpec(family="ucc", k=k, ncolors=N))
+    cc = build_kernel(ChainSpec(family="cc", k=k, ncolors=N))
+    assert abs(spectral_gap(ucc) - 1 / k) <= 1e-13
+    assert abs(spectral_gap(cc) - (N - k) / (k * (N - k + 1))) <= 1e-13
+    if (k, N) == (3, 8):
+        assert ucc.size == 336 > analysis.DENSE_GAP_STATES
+
+
 def test_sparse_spectral_gap_is_deterministic():
     kernel = build_kernel(ChainSpec(family="ucc", k=3, ncolors=8))
     assert kernel.size > analysis.DENSE_GAP_STATES

@@ -564,6 +564,80 @@ def test_kwise_test_refuses_bins_that_expect_too_few_samples(capsys):
     assert "invalid configuration" in err and "at least 5" in err
 
 
+def test_hamming_pools_its_sparse_end_bins(capsys):
+    # 100000 samples over 17 bins expect 1.53 in each end bin; weights <= 1
+    # and >= 15 pooled expect 25.9
+    argv = ("kwise-test", "--n", "16", "--k", "2", "--gates", "10", "--samples", "100000",
+            "--statistic", "hamming", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    obj = json.loads(out)
+    assert code == 0 and (obj["bins"], obj["dof"]) == (15, 14)
+    code, out, err = run_cli(capsys, *argv, "--bins", "17")
+    assert code == 2 and out == ""
+    assert "100000 samples over 17 bins expect 1.53" in err
+    code, out, _ = run_cli(capsys, *argv, "--sampler", "uniform")
+    assert code == 0 and json.loads(out)["p_value"] > 0.001
+
+
+# kwise-test --statistic hamming --bins n+1 --gates 20 --samples 6000
+# --seed n --format json, as printed before the end bins could be pooled
+HAMMING_N_PLUS_ONE = {
+    3: '"bins": 4, "chi2": 2.4604444444444447, "dof": 3, "p_value": 0.48248208946985194',
+    4: '"bins": 5, "chi2": 6.6073333333333331, "dof": 4, "p_value": 0.15815190336066576',
+    5: '"bins": 6, "chi2": 5.6399999999999997, "dof": 5, "p_value": 0.34283842848671509',
+    6: '"bins": 7, "chi2": 8.3404444444444437, "dof": 6, "p_value": 0.21420723428936003',
+    7: '"bins": 8, "chi2": 123.98973968253968, "dof": 7, "p_value": 1.1294398240704344e-23',
+    8: '"bins": 9, "chi2": 261.00708571428567, "dof": 8, "p_value": 7.9756905300481908e-52',
+    9: '"bins": 10, "chi2": 518.20799999999997, "dof": 9, "p_value": 7.2437108932035728e-106',
+    10: '"bins": 11, "chi2": 955.41509417989414, "dof": 10, "p_value": 7.4873751515836778e-199',
+}
+
+
+@pytest.mark.parametrize("n", sorted(HAMMING_N_PLUS_ONE))
+def test_hamming_over_n_plus_one_bins_prints_the_same_bytes(capsys, n):
+    code, out, _ = run_cli(capsys, "kwise-test", "--n", str(n), "--k", "2", "--gates", "20",
+                           "--samples", "6000", "--statistic", "hamming",
+                           "--bins", str(n + 1), "--seed", str(n), "--format", "json")
+    assert code == 0
+    assert out == (f'{{"n": {n}, "k": 2, "gates": 20, "M": 6000, "statistic": "hamming", '
+                   f'{HAMMING_N_PLUS_ONE[n]}, "seed": {n}, "gate_mode": "parameter", '
+                   '"sampler": "circuit"}\n')
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("kwise-test", "--n", "1", "--k", "2", "--gates", "0", "--samples", "10",
+      "--sampler", "uniform"), "xor of 1-bit strings takes one value over 2 bins"),
+    (("mix-mc", "--chain", "ucc", "--k", "1", "--N", "1", "--t", "3", "--samples", "10"),
+     "ucc(k=1,N=1) has one state"),
+], ids=["kwise-test", "mix-mc"])
+def test_chi_square_over_one_outcome_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"kwmix: invalid configuration: {message}; a chi-square test needs two\n"
+
+
+def test_monte_carlo_commands_load_no_scipy_stats():
+    # p-values come from scipy.special; a fresh interpreter runs every
+    # command that prints one, and the genericity sampler, without scipy.stats
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = [
+        ["kwise-test", "--n", "6", "--k", "2", "--gates", "5", "--samples", "2000"],
+        ["kwise-test", "--n", "6", "--k", "2", "--gates", "5", "--samples", "2000",
+         "--sampler", "uniform", "--statistic", "hamming"],
+        ["mix-mc", "--chain", "rev", "--n", "3", "--k", "2", "--t", "5", "--samples", "2000"],
+        ["generic-frac", "--n", "8", "--k", "2", "--part-w", "2", "--part-p", "2",
+         "--samples", "100"],
+    ]
+    code = ("import sys\n"
+            "import kwmix.cli\n"
+            f"codes = [kwmix.cli.main(argv) for argv in {runs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
 def test_mix_mc_is_seed_deterministic(capsys):
     argv = ("mix-mc", "--chain", "rev", "--n", "3", "--k", "2", "--t", "10",
             "--samples", "2000", "--seed")

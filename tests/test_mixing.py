@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ import kwmix.rng
 from kwmix import chains, generic, mixing
 from kwmix.chains import ChainSpec, build_kernel, enumerate_generic_states, sample_chain
 from kwmix.core import enumerate_tuples, sample_uniform_tuples
+from kwmix.errors import InvariantViolation
 from kwmix.generic import generic_fraction_mc, make_partition
 from kwmix.mixing import (
     MIN_EXPECTED_COUNT,
+    SAMPLERS,
+    STATISTICS,
     _orbit_labels,
     _worst_tv_series,
     end_state_test,
@@ -300,7 +304,8 @@ def _enumerate_statistic_law(statistic, n, k, bins):
     total = 0
     for t in itertools.permutations(range(N), k):
         if statistic == "hamming":
-            v = bin(t[0]).count("1")
+            a = (n + 1 - bins) // 2  # end bins pool weights <= a and >= n - a
+            v = min(max(bin(t[0]).count("1"), a), n - a) - a
         elif statistic == "xor":
             v = (t[0] ^ t[1]) & (bins - 1)
         else:
@@ -311,7 +316,7 @@ def _enumerate_statistic_law(statistic, n, k, bins):
 
 
 @pytest.mark.parametrize("statistic,bins", [
-    ("hamming", 5), ("xor", 4), ("xor", 16), ("lowbits", 8)])
+    ("hamming", 5), ("hamming", 3), ("xor", 4), ("xor", 16), ("lowbits", 8)])
 def test_statistic_laws_match_enumeration(statistic, bins):
     n, k = 4, 2
     law = statistic_law(statistic, n, k, bins)
@@ -326,7 +331,33 @@ def test_statistic_law_rejects_bad_requests():
     with pytest.raises(ValueError):
         statistic_law("lowbits", 4, 1, 3)   # bins must be a power of two
     with pytest.raises(ValueError):
-        statistic_law("hamming", 4, 1, 4)   # needs n+1 bins
+        statistic_law("hamming", 4, 1, 4)   # needs n + 1 - 2a bins
+    with pytest.raises(ValueError):
+        statistic_law("hamming", 4, 1, 7)   # a < 0
+    with pytest.raises(ValueError):
+        statistic_law("hamming", 3, 1, 0)   # fewer than 2 bins
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 33, 64])
+def test_pooled_hamming_law_sums_the_binomial_law_exactly(n):
+    for bins in range(n + 1, 1, -2):
+        a = (n + 1 - bins) // 2
+        pooled = [range(a + 1), *([w] for w in range(a + 1, n - a)), range(n - a, n + 1)]
+        exact = [float(Fraction(sum(math.comb(n, w) for w in weights), 2 ** n))
+                 for weights in pooled]
+        assert statistic_law("hamming", n, 2, bins).tolist() == exact
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 10])
+def test_pooled_hamming_values_follow_the_pooled_law(n):
+    # every n-bit string once: the counts of the binned weights are the
+    # law's numerators, through the same pooling in both functions
+    strings = np.arange(1 << n, dtype=np.uint64)[:, None]
+    for bins in range(n + 1, 1, -2):
+        counts = np.bincount(mixing._statistic_values("hamming", strings, n, bins),
+                             minlength=bins)
+        assert len(counts) == bins
+        assert (counts / (1 << n)).tolist() == statistic_law("hamming", n, 1, bins).tolist()
 
 
 def test_sample_uniform_tuples_are_distinct():
@@ -443,8 +474,17 @@ def test_chi_square_refuses_or_halves_bins_that_expect_too_few_samples():
     assert kwise_stat_mc(n=6, k=2, gates=3, samples=314).bins == 16
     with pytest.raises(ValueError, match="4 samples over 2 bins expect 1.97"):
         kwise_stat_mc(n=6, k=2, gates=3, samples=4)
-    with pytest.raises(ValueError, match="over 21 bins"):  # hamming keeps n + 1 bins
-        kwise_stat_mc(n=20, k=2, gates=3, samples=1000, statistic="hamming")
+    # hamming pools its end bins instead: over 21 bins of 20-bit weights the
+    # end bins expect 0.00095 from 1000 samples, and weights <= 4 and >= 16
+    # pooled (13 bins) expect 5.9; an explicit --bins is kept and refused
+    with pytest.raises(ValueError, match="over 21 bins expect 0.000954"):
+        kwise_stat_mc(n=20, k=2, gates=3, samples=1000, statistic="hamming", bins=21)
+    assert kwise_stat_mc(n=20, k=2, gates=3, samples=1000, statistic="hamming").bins == 13
+    # n=4 pools down to 3 bins (weights <= 1, 2 and >= 3, 5/16 of the mass
+    # in each end bin) and no further
+    assert kwise_stat_mc(n=4, k=2, gates=3, samples=16, statistic="hamming").bins == 3
+    with pytest.raises(ValueError, match="15 samples over 3 bins expect 4.69"):
+        kwise_stat_mc(n=4, k=2, gates=3, samples=15, statistic="hamming")
 
 
 def test_harness_calibration_rejection_rate():
@@ -499,6 +539,50 @@ def test_end_state_test_matches_a_count_over_every_state(spec):
     assert report.p_value == pytest.approx(sps.chi2.sf(chi2, len(states) - 1), rel=1e-9)
     assert report.empirical_tv == pytest.approx(
         0.5 * np.abs(observed / m - 1 / len(states)).sum(), rel=1e-12)
+
+
+# p-values come from scipy.special.chdtrc; scipy.stats stays the oracle here
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("statistic", STATISTICS)
+def test_kwise_p_value_is_the_chi2_survival_function(statistic, sampler):
+    report = kwise_stat_mc(n=6, k=2, gates=30, samples=3000, statistic=statistic,
+                           seed=2, sampler=sampler)
+    assert 0.0 < report.p_value == sps.chi2.sf(report.chi2, report.dof)
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(family="ucc", k=2, ncolors=4),
+    ChainSpec(family="cc", k=3, ncolors=5),
+    ChainSpec(family="rev", k=2, n=3),
+    ChainSpec(family="tgrev", k=2, n=3, partition=make_partition(3, 2, w=2, p=1)),
+], ids=lambda spec: spec.label())
+def test_end_state_p_value_is_the_chi2_survival_function(spec):
+    for t in (1, 20):  # far from and near the uniform law
+        report = end_state_test(spec, t, 10_000, seed=4)
+        assert report.p_value == sps.chi2.sf(report.chi2, report.dof)
+
+
+def test_count_in_an_unsupported_bin_has_p_value_zero(monkeypatch):
+    # tuples with equal rows put every xor value in bin 0, which distinct
+    # 4-bit tuples never reach
+    monkeypatch.setattr(mixing, "sample_uniform_tuples",
+                        lambda n, k, size, rng: np.zeros((size, k, 1), dtype=np.uint64))
+    report = kwise_stat_mc(n=4, k=2, gates=0, samples=150, statistic="xor", bins=16,
+                           sampler="uniform")
+    assert (report.chi2, report.dof) == (math.inf, 14)
+    assert report.p_value == 0.0 == sps.chi2.sf(report.chi2, report.dof)
+
+
+def test_p_value_needs_a_degree_of_freedom():
+    # chdtrc(0, x) is 0.0 where chi2.sf gives nan; neither caller gets there
+    with pytest.raises(InvariantViolation, match="dof >= 1, got 0"):
+        mixing._chi2_p_value(1.0, 0)
+    with pytest.raises(ValueError, match="xor of 1-bit strings takes one value"):
+        kwise_stat_mc(n=1, k=2, gates=0, samples=10, sampler="uniform")
+    with pytest.raises(ValueError, match="has one state"):
+        end_state_test(ChainSpec(family="ucc", k=1, ncolors=1), 3, 10)
 
 
 def test_end_state_test_refuses_too_few_samples_per_state():
