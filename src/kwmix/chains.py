@@ -22,10 +22,10 @@ ranks the symmetry images of ``mixing.orbit_starts``). A builder emits
 its moves as arrays (src, dst, count), count being the integer number of
 draws of one step that move src to dst (the product chain passes its
 factors' entries instead). One helper sums the moves into a CSR matrix
-of counts; each entry is then divided once, by the draw total, or for
-the gate chains by the row's total w(x) (for rev, the draw total; for
-grev, the generic-successor total). Rows therefore sum to 1 up to a few
-ulps.
+of counts, sorting them by int64 (src, dst) keys; each entry is then
+divided once, by the draw total, or for the gate chains by the row's
+total w(x) (for rev, the draw total; for grev, the generic-successor
+total). Rows therefore sum to 1 up to a few ulps.
 
 ``sample_chain`` runs rev, cc, ucc and tgrev on a batch: an (S, k) state
 array, one move drawn per row and step. A ucc, cc or tgrev step is
@@ -61,7 +61,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .core import dedupe_gates, enumerate_tuples, gate_wires, tuple_space_size
-from .errors import InvariantViolation, check_state_cap
+from .errors import InvariantViolation, StateCapExceeded, check_state_cap
 from .generic import Partition, count_generic_states, extract_block, insert_block
 
 FAMILIES = ("rev", "cc", "ucc", "grev", "tgrev", "complete")
@@ -333,8 +333,9 @@ def _nth_free(values: np.ndarray, i: np.ndarray, r: np.ndarray) -> np.ndarray:
 # Exact kernel builders
 # ---------------------------------------------------------------------------
 
-# Cap on gate-table x state entries mapped at once by the gate chains; it
-# bounds the assembly buffers and so the peak memory of a build.
+# Cap on gate-table x state entries the gate chains map at once. Each chunk
+# is one piece of moves, ranked and then merged by `_count_matrix` before
+# the next is mapped, so it bounds the ranking and sort buffers of a build.
 CHUNK_ENTRIES = 1 << 14
 
 # (src, dst, count) arrays emitted by a builder; a scalar count is broadcast
@@ -354,21 +355,49 @@ def build_kernel(spec: ChainSpec) -> Kernel:
 
 
 def _count_matrix(moves: Moves, size: int) -> sparse.csr_matrix:
-    """Sum the moves into a CSR matrix of counts. Each emitted piece is
-    summed on arrival, so buffers stay near the final nnz."""
-    rows, cols, counts = [], [], []
+    """Sum the moves into a canonical CSR matrix of counts.
+
+    A move is keyed by the int64 ``src * size + dst``, so sorted keys are
+    in (row, col) order. Each emitted piece is merged on arrival
+    (`_merge_keys`), so buffers stay near the final nnz; the merged pieces
+    are merged once more only when their keys do not already increase
+    (the gate chains emit pieces in src order). Float counts add up in
+    arrival order, as scipy sums the duplicates of a COO matrix, and the
+    CSR constructor stores the indices as int32 where they fit, so the
+    arrays are those of a COO assembly byte for byte. Refuses a size whose
+    keys overflow int64 (StateCapExceeded) and a move off the states.
+    """
+    if size > math.isqrt(np.iinfo(np.int64).max):
+        raise StateCapExceeded(f"{size} states: (src, dst) keys overflow int64")
+    keys, counts = [], []
     for src, dst, count in moves:
-        piece = sparse.coo_matrix((np.broadcast_to(count, src.shape), (src, dst)),
-                                  shape=(size, size))
-        piece.sum_duplicates()
-        rows.append(piece.row)
-        cols.append(piece.col)
-        counts.append(piece.data)
-    summed = sparse.coo_matrix(
-        (np.concatenate(counts), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size))
-    summed.sum_duplicates()
-    return summed.tocsr()
+        if len(src) and (src.min() < 0 or dst.min() < 0 or src.max() >= size
+                         or dst.max() >= size):
+            raise InvariantViolation(f"a move leaves the {size} states")
+        key, summed = _merge_keys(src.astype(np.int64, copy=False) * size + dst,
+                                  np.broadcast_to(count, src.shape))
+        keys.append(key)
+        counts.append(summed)
+    if not keys:
+        return sparse.csr_matrix((size, size), dtype=np.int64)
+    keys, counts = np.concatenate(keys), np.concatenate(counts)  # frees the pieces
+    if (keys[1:] <= keys[:-1]).any():
+        keys, counts = _merge_keys(keys, counts)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // size, minlength=size))))
+    return sparse.csr_matrix((counts, keys % size, indptr), shape=(size, size))
+
+
+def _merge_keys(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, and the summed counts of each. Float
+    counts are sorted stably, so equal keys add in arrival order; integer
+    sums are exact in any order and take numpy's faster default sort."""
+    order = np.argsort(keys, kind="stable" if counts.dtype.kind == "f" else None)
+    keys = keys[order]
+    first = np.empty(len(keys), bool)  # first of a run of equal keys
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.add.reduceat(counts[order], starts, dtype=counts.dtype)
 
 
 def _assemble(moves: Moves, size: int, denom: int) -> sparse.csr_matrix:

@@ -5,7 +5,8 @@ swap path in ``chains._move`` and ``comparison.congestion_delta``,
 genericity in ``generic.generic_mask``, the dump format in
 ``reports.dump_kernel``. The functions here restate them one tuple at a
 time, written independently, so a test can check the array code entry
-for entry.
+for entry. ``coo_count_matrix`` is the scipy COO assembly that
+``chains._count_matrix`` replaced, kept to check it bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
+from scipy import sparse
 
+from kwmix.chains import Moves
 from kwmix.errors import InvariantViolation
 from kwmix.generic import Partition, extract_block
 
@@ -153,3 +156,21 @@ def load_kernel_dump(fp: IO[str]) -> tuple[dict, list[tuple[int, int, float]]]:
         r, c, p = line.split(",")
         triples.append((int(r), int(c), float(p)))
     return header, triples
+
+
+def coo_count_matrix(moves: Moves, size: int) -> sparse.csr_matrix:
+    """Sum the moves into a CSR matrix of counts. Each emitted piece is
+    summed on arrival, so buffers stay near the final nnz."""
+    rows, cols, counts = [], [], []
+    for src, dst, count in moves:
+        piece = sparse.coo_matrix((np.broadcast_to(count, src.shape), (src, dst)),
+                                  shape=(size, size))
+        piece.sum_duplicates()
+        rows.append(piece.row)
+        cols.append(piece.col)
+        counts.append(piece.data)
+    summed = sparse.coo_matrix(
+        (np.concatenate(counts), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size))
+    summed.sum_duplicates()
+    return summed.tocsr()

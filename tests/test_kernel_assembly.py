@@ -5,6 +5,8 @@ step with the scalar helpers (``core.apply_gate_to_int`` and the test
 oracles ``recolor`` and ``is_generic`` of ``tests/oracles.py``), and
 divides the counts once. The exact families
 must match entry for entry; the product chains carry float weights.
+``chains._count_matrix`` must also equal the scipy COO assembly it
+replaced (``oracles.coo_count_matrix``) byte for byte, dtypes included.
 """
 
 from collections import Counter
@@ -24,8 +26,9 @@ from kwmix.core import (
     enumerate_gates,
     enumerate_tuples,
 )
+from kwmix.errors import InvariantViolation, StateCapExceeded
 from kwmix.generic import extract_block, insert_block, make_partition
-from oracles import is_generic, recolor
+from oracles import coo_count_matrix, is_generic, recolor
 
 
 def _rows(states: np.ndarray) -> tuple:
@@ -213,3 +216,112 @@ def test_assembled_matrices_are_canonical(spec):
     assert matrix.has_canonical_format
     assert matrix.data.dtype == np.float64
     assert (matrix.data > 0).all()
+
+
+def _assert_same_csr(got, want) -> None:
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+_i = np.array
+
+
+def _f(*values):
+    return np.array(values, dtype=np.float64)
+
+
+# key (1, 2) gets 1e16, 1, -1e16 and 1 from three pieces: summed in
+# arrival order it is 1, in most other orders 0 or 2
+COUNT_CASES = {
+    "scalar-int": [(_i([0, 2, 1, 2]), _i([1, 0, 1, 0]), 3), (_i([1, 2]), _i([1, 2]), 1)],
+    "array-int": [(_i([3, 0, 3, 1]), _i([2, 2, 2, 0]), _i([5, 1, 7, 2]))],
+    "float-key-in-three-pieces": [(_i([1, 0, 1]), _i([2, 0, 2]), _f(1e16, 0.5, 1.0)),
+                                  (_i([1]), _i([2]), _f(-1e16)),
+                                  (_i([2, 1]), _i([3, 2]), _f(0.25, 1.0))],
+    "src-out-of-order": [(_i([3, 4, 3]), _i([0, 1, 0]), 1), (_i([0, 3]), _i([4, 0]), 2),
+                         (_i([1]), _i([1]), 1)],
+    "duplicates-in-piece": [(_i([2, 2, 2, 0, 2]), _i([4, 4, 4, 0, 1]), _i([1, 2, 3, 4, 5])),
+                            (_i([4, 4, 4, 4]), _i([3, 3, 3, 3]), _f(1.0, 1e16, 1.0, -1e16))],
+    "empty-pieces": [(_i([], dtype=np.int64), _i([], dtype=np.int64), 1),
+                     (_i([1, 1]), _i([0, 0]), 2),
+                     (_i([], dtype=np.int64), _i([], dtype=np.int64), _i([], dtype=np.int64))],
+}
+
+
+@pytest.mark.parametrize("name", COUNT_CASES)
+def test_count_matrix_equals_coo_assembly(name):
+    pieces = COUNT_CASES[name]
+    _assert_same_csr(chains._count_matrix(pieces, 5), coo_count_matrix(pieces, 5))
+
+
+@st.composite
+def move_pieces(draw, size: int):
+    """Pieces of moves on `size` states, integer or float counts, with
+    repeated keys and float values whose sum depends on the order."""
+    floats = draw(st.booleans())
+    pieces = []
+    for _ in range(draw(st.integers(1, 5))):
+        m = draw(st.integers(0, 12))
+        ends = st.lists(st.integers(0, size - 1), min_size=m, max_size=m)
+        if floats:
+            counts = _f(*draw(st.lists(st.sampled_from([1e16, -1e16, 1.0, 0.5, 3.0]),
+                                       min_size=m, max_size=m)))
+        elif draw(st.booleans()):
+            counts = draw(st.integers(1, 9))
+        else:
+            counts = _i(draw(st.lists(st.integers(1, 9), min_size=m, max_size=m)),
+                        dtype=np.int64)
+        pieces.append((_i(draw(ends), dtype=np.int64), _i(draw(ends), dtype=np.int64), counts))
+    return pieces
+
+
+@settings(max_examples=60, deadline=None)
+@given(pieces=move_pieces(size=4))
+def test_count_matrix_equals_coo_assembly_on_random_pieces(pieces):
+    _assert_same_csr(chains._count_matrix(pieces, 4), coo_count_matrix(pieces, 4))
+
+
+def test_count_matrix_of_no_moves_is_zero():
+    matrix = chains._count_matrix([], 3)
+    assert matrix.shape == (3, 3)
+    assert matrix.nnz == 0
+
+
+@pytest.mark.parametrize("src,dst", [([0, 1], [1, -1]), ([0, 3], [1, 0]), ([0], [3])])
+def test_count_matrix_refuses_moves_off_the_states(src, dst):
+    with pytest.raises(InvariantViolation):
+        chains._count_matrix([(_i(src), _i(dst), 1)], 3)
+
+
+def test_count_matrix_refuses_sizes_whose_keys_overflow_int64(monkeypatch):
+    # only a raised state cap lets a builder ask for this; no moves, so
+    # nothing is allocated before the refusal
+    monkeypatch.setenv("KWM_STATE_CAP", str(1 << 64))
+    with pytest.raises(StateCapExceeded):
+        chains._count_matrix([], 1 << 32)
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(family="ucc", k=3, ncolors=6),
+    ChainSpec(family="cc", k=3, ncolors=6),
+    ChainSpec(family="complete", ncolors=7),
+    ChainSpec(family="rev", k=2, n=5),
+    ChainSpec(family="rev", k=2, n=5, gate_mode="set"),
+    ChainSpec(family="grev", k=2, n=5, partition=make_partition(5, 2, w=2, p=2)),
+    ChainSpec(family="tgrev", k=2, n=5, partition=make_partition(5, 2, w=2, p=2)),
+    None,
+], ids=lambda spec: spec.label() if spec else "product")
+def test_kernels_equal_coo_assembled_kernels(spec, monkeypatch):
+    def build():
+        if spec is not None:
+            return build_kernel(spec).matrix
+        return product_kernel([build_kernel(ChainSpec(family="cc", k=2, ncolors=4)),
+                               build_kernel(ChainSpec(family="complete", ncolors=3)),
+                               build_kernel(ChainSpec(family="ucc", k=2, ncolors=3))]).matrix
+
+    kernel = build()
+    monkeypatch.setattr(chains, "_count_matrix", coo_count_matrix)
+    _assert_same_csr(kernel, build())
