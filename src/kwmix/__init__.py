@@ -17,8 +17,6 @@ from .analysis import (
     entropy,
     lsc_ratio,
     lsc_search,
-    marginal,
-    restrict_conditional,
     spectral_gap,
     ucc_alpha_lower_bound,
     verify_reversible,
@@ -38,9 +36,7 @@ from .comparison import (
     dirichlet_comparison_residual,
 )
 from .core import (
-    Gate,
     dedupe_gates,
-    enumerate_gates,
     enumerate_tuples,
     tuple_space_size,
 )

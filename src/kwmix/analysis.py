@@ -343,58 +343,31 @@ def verify_reversible(kernel: Kernel, tol: float = 1e-12) -> ReversibilityReport
 
 
 # ---------------------------------------------------------------------------
-# Conditional restrictions, marginals, and the entropy chain rule on the
-# distinct-tuple space.
+# The entropy chain rule on the distinct-tuple space.
 # ---------------------------------------------------------------------------
 
 
-def restrict_conditional(f: np.ndarray, i: int, c: int, k: int, N: int) -> np.ndarray:
-    """Restriction of f to the slice {x_i = c}, re-indexed over the
-    (k-1)-tuple space with color c removed (order-preserving relabeling).
-
-    The slice in lex order of the k-tuples is already in lex order of the
-    relabeled (k-1)-tuples, so the restriction is a boolean mask."""
-    f, column = _tuple_function(f, i, k, N)
-    if not 0 <= c < N:
-        raise IndexError(f"color {c} out of range for N={N}")
-    return f[column == c]
-
-
-def marginal(f: np.ndarray, i: int, k: int, N: int) -> np.ndarray:
-    """F_i(c): average of f over the slice {x_i = c}, for each color c."""
-    return _marginal(*_tuple_function(f, i, k, N), N)
-
-
-def _marginal(f: np.ndarray, column: np.ndarray, N: int) -> np.ndarray:
-    return np.bincount(column, weights=f, minlength=N) / (len(f) // N)
-
-
 def chain_rule_residual(f: np.ndarray, i: int, k: int, N: int) -> float:
-    """|Ent(f) - E_c[Ent(f restricted to x_i=c)] - Ent(F_i)|.
+    """|Ent(f) - E_c[Ent(f restricted to x_i=c)] - Ent(F_i)|, F_i(c) being
+    the average of f over the slice {x_i = c}.
 
     The conditional-entropy chain rule says this vanishes identically;
     anything beyond roundoff indicates a bug in the entropy machinery.
-    The tuple space is enumerated once; each restriction is a mask on
-    its column i, as in `restrict_conditional`.
+    The tuple space is enumerated once, and each restriction is a mask on
+    its column i.
     """
-    f, column = _tuple_function(f, i, k, N)
-    lhs = entropy(np.full(len(f), 1.0 / len(f)), f)
-    cond_terms = []
-    for c in range(N):
-        sliced = f[column == c]
-        cond_terms.append(entropy(np.full(len(sliced), 1.0 / len(sliced)), sliced))
-    pi_colors = np.full(N, 1.0 / N)
-    rhs = math.fsum(cond_terms) / N + entropy(pi_colors, _marginal(f, column, N))
-    return abs(lhs - rhs)
-
-
-def _tuple_function(f: np.ndarray, i: int, k: int,
-                    N: int) -> tuple[np.ndarray, np.ndarray]:
-    """f as floats over the k-tuple space, with coordinate i of each tuple."""
     if not 0 <= i < k:
         raise IndexError(f"coordinate {i} out of range for k={k}")
     states = _tuple_states(k, N, f"tuple function(k={k},N={N})")
     f = np.asarray(f, dtype=float)
     if f.shape != (len(states),):
         raise ValueError(f"function has shape {f.shape}, expected ({len(states)},)")
-    return f, states[:, i]
+    column = states[:, i]
+    lhs = entropy(np.full(len(f), 1.0 / len(f)), f)
+    cond_terms = []
+    for c in range(N):
+        sliced = f[column == c]
+        cond_terms.append(entropy(np.full(len(sliced), 1.0 / len(sliced)), sliced))
+    marginal = np.bincount(column, weights=f, minlength=N) / (len(f) // N)
+    rhs = math.fsum(cond_terms) / N + entropy(np.full(N, 1.0 / N), marginal)
+    return abs(lhs - rhs)

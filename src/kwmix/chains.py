@@ -32,8 +32,9 @@ array, one move drawn per row and step. A ucc, cc or tgrev step is
 written once: `_draw_bounds` gives the ranges of the integers it draws
 and `_move` applies them, to per-row draws in the sampler and to every
 draw in the builders and ``comparison.congestion_delta``. rev draws a
-gate's parameter index v and applies ``core.enumerate_gates(n)[v]`` (or,
-in ``set`` mode, a deduplicated table), stepped on the transposed (k, S)
+gate index v and applies gate v through ``core.gate_flips``, the rule
+``core.dedupe_gates`` also builds its tables with (or, in ``set`` mode,
+draws a deduplicated table), stepped on the transposed (k, S)
 array in the narrowest unsigned word holding n bits (uint16 up to
 n = 16, uint32 up to 32, uint64 up to 64); its (S, k) uint64 result is
 that of a loop on the (S, k) uint64 array making the same draws. The
@@ -60,7 +61,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .core import dedupe_gates, enumerate_tuples, gate_wires, tuple_space_size
+from .core import dedupe_gates, enumerate_tuples, gate_flips, gate_wires, tuple_space_size
 from .errors import InvariantViolation, StateCapExceeded, check_state_cap
 from .generic import Partition, count_generic_states, extract_block, insert_block
 
@@ -260,12 +261,12 @@ def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
     The state is stepped transposed, as a C-contiguous (k, S) array in the
     narrowest unsigned word holding n bits, so each per-sample gate vector
     broadcasts along the long axis. In parameter mode each step makes one
-    exact bounded uint32 draw per row of the gate's parameter index v in
-    [0, 16 n (n-1)^2) and applies ``core.enumerate_gates(n)[v]``: the
+    exact bounded uint32 draw per row of the gate index v in
+    [0, 16 n (n-1)^2) and XORs in the `core.gate_flips` of gate v: the
     truth table is v & 15 and v >> 4 indexes the `core.gate_wires` tables
-    of target and controls, so each parameter tuple is drawn with
-    probability exactly 1 / (16 n (n-1)^2). In set mode each step draws
-    one deduplicated table per row. The draws come in blocks of steps
+    of target and controls, so each gate is drawn with probability
+    exactly 1 / (16 n (n-1)^2). In set mode each step draws one
+    deduplicated table per row. The draws come in blocks of steps
     (`_gate_draws`).
     """
     if n < 64 and x.size and x.max() >> n:
@@ -280,20 +281,12 @@ def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
             x = tables[v, x]
         return np.ascontiguousarray(x.T, dtype=np.uint64)
     targets, controls1, controls2 = (w.astype(word) for w in gate_wires(n))
-    a, b = np.empty_like(x), np.empty_like(x)
+    flips, scratch = np.empty_like(x), np.empty_like(x)
     for v in _gate_draws(streams, t, 16 * len(targets), np.uint32):
         h = (v & 15).astype(word)
         q = (v >> 4).astype(np.intp)
-        np.right_shift(x, controls1.take(q), out=a)
-        a &= 1
-        a <<= 1
-        np.right_shift(x, controls2.take(q), out=b)
-        b &= 1
-        a |= b
-        np.right_shift(h, a, out=a)
-        a &= 1
-        a <<= targets.take(q)
-        x ^= a
+        x ^= gate_flips(x, targets.take(q), controls1.take(q), controls2.take(q), h,
+                        flips, scratch)
     return np.ascontiguousarray(x.T, dtype=np.uint64)
 
 

@@ -1,12 +1,13 @@
 """Bit strings, 3-wire reversible gates, and distinct tuples.
 
-A gate is parameterized by a target wire, two control wires and a 4-bit
-truth table h; it XORs h(control bits) into the target bit. Every such
-gate is an involution and therefore a permutation of {0,1}^n. The gate
-has one parameter index v = 16 q + h, q indexing the wire choices of
-`gate_wires`: `enumerate_gates(n)[v]` is gate v, `dedupe_gates` lists the
-distinct permutation tables (n <= 12) in first-seen v order with the
-number of parameter tuples inducing each, and the rev sampler draws v.
+Gate v of n wires, 0 <= v < 16 n (n-1)^2, is v = 16 q + h: entry q of
+`gate_wires(n)` gives its target t and controls c1, c2, and h is a 4-bit
+truth table. On an n-bit string x the gate flips bit t by bit (2 a + b)
+of h, a and b being bits c1 and c2 of x (`gate_flips`, the one statement
+of that rule). Every gate is an involution and therefore a permutation
+of {0,1}^n. `dedupe_gates` lists the distinct permutation tables
+(n <= 12) in first-seen v order with the number of indices v inducing
+each, and the rev sampler draws v.
 
 Tuples of k pairwise-distinct values from a ground set of size N (the
 common state space of the coloring chains, and of circuit states with
@@ -18,42 +19,10 @@ are sampled as arrays of 64-bit words, so n is not bounded by a word.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-# Truth tables are 4-bit ints: bit (2*a + b) holds h(a, b).
 NUM_TRUTH_TABLES = 16
-
-
-@dataclass(frozen=True)
-class Gate:
-    """3-wire gate (target, j1, j2, h): XOR h(bit j1, bit j2) into bit target.
-
-    j1 == j2 is allowed (h then degenerates to a 1-bit function); the
-    target must differ from both controls.
-    """
-
-    target: int
-    j1: int
-    j2: int
-    h: int
-
-    def __post_init__(self) -> None:
-        if self.target == self.j1 or self.target == self.j2:
-            raise ValueError("target wire must differ from both control wires")
-        if min(self.target, self.j1, self.j2) < 0:
-            raise ValueError("wire indices must be nonnegative")
-        if not 0 <= self.h < NUM_TRUTH_TABLES:
-            raise ValueError(f"truth table must be in [0, 16), got {self.h}")
-
-
-def apply_gate_to_int(value: int, g: Gate) -> int:
-    """Image of the n-bit string `value` under g: bit `target` XORed with
-    h(bit j1, bit j2). Wires are not bounds-checked."""
-    a = (value >> g.j1) & 1
-    b = (value >> g.j2) & 1
-    return value ^ (((g.h >> (a << 1 | b)) & 1) << g.target)
 
 
 def gate_wires(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -68,34 +37,52 @@ def gate_wires(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return target, (target + 1 + j1) % n, (target + 1 + j2) % n
 
 
-def enumerate_gates(n: int) -> list[Gate]:
-    """All 16 n (n-1)^2 gate parameter tuples for n wires; entry v = 16 q + h
-    has the wires of `gate_wires` choice q and truth table h."""
-    return [Gate(*wires, h) for wires in zip(*(w.tolist() for w in gate_wires(n)))
-            for h in range(NUM_TRUTH_TABLES)]
+def gate_flips(x: np.ndarray, target, control1, control2, h,
+               out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The bits the gate (target, control1, control2, h) flips in x: bit
+    (2 a + b) of h, a and b being bits control1 and control2 of x,
+    shifted to bit target; x ^ flips is the gate's image of x.
+
+    Elementwise under numpy broadcasting, in x's unsigned word: `out`
+    takes the broadcast shape of all five arguments and is returned, and
+    `scratch` that of x and control2.
+    """
+    np.right_shift(x, control1, out=out)
+    out &= 1
+    out <<= 1
+    np.right_shift(x, control2, out=scratch)
+    scratch &= 1
+    out |= scratch
+    np.right_shift(h, out, out=out)
+    out &= 1
+    out <<= target
+    return out
 
 
 MAX_DEDUPE_WIRES = 12
 
 
 def dedupe_gates(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The gate measure: distinct permutations of {0,1}^n induced by
-    enumerate_gates(n), with how many parameter tuples induce each.
+    """The gate measure: distinct permutations of {0,1}^n induced by the
+    16 n (n-1)^2 gates, with how many gates induce each.
 
     Returns (tables, counts): a (count, 2^n) uint16 array of permutation
-    tables in first-seen parameter-index order, and the int64 multiplicity
-    of each, summing to 16 n (n-1)^2. The 16 truth tables of each wire
-    choice are built in one broadcast. Requires n <= 12 so the tables fit
-    in uint16 and in memory.
+    tables in first-seen index order, and the int64 multiplicity of each,
+    summing to 16 n (n-1)^2. The gates of each target are built in one
+    broadcast. Requires n <= 12 so the tables fit in uint16 and in memory.
     """
     if n > MAX_DEDUPE_WIRES:
         raise ValueError(f"dedupe_gates needs n <= {MAX_DEDUPE_WIRES}, got {n}")
     values = np.arange(1 << n, dtype=np.uint16)
     h = np.arange(NUM_TRUTH_TABLES, dtype=np.uint16)[:, None]
+    # per target, its (n-1)^2 wire choices along the first axis
+    wires = [w.astype(np.uint16).reshape(n, -1, 1, 1) for w in gate_wires(n)]
+    flips = np.empty(((n - 1) ** 2, NUM_TRUTH_TABLES, 1 << n), np.uint16)
+    scratch = np.empty(((n - 1) ** 2, 1, 1 << n), np.uint16)
     counts: dict[bytes, int] = {}
-    for target, j1, j2 in zip(*(w.tolist() for w in gate_wires(n))):
-        controls = ((values >> j1) & 1) << 1 | (values >> j2) & 1
-        for row in values ^ ((h >> controls) & 1) << target:
+    for target, control1, control2 in zip(*wires):
+        rows = values ^ gate_flips(values, target, control1, control2, h, flips, scratch)
+        for row in rows.reshape(-1, 1 << n):
             key = row.tobytes()
             counts[key] = counts.get(key, 0) + 1
     tables = np.frombuffer(b"".join(counts), dtype=np.uint16).reshape(len(counts), -1)

@@ -1,11 +1,17 @@
-"""Scalar statements of kwmix's move rules, for tests to compare against.
+"""Scalar statements of kwmix's rules, for tests to compare against.
 
-The package states each rule once, on arrays: the recolor move and the
-swap path in ``chains._move`` and ``comparison.congestion_delta``,
-genericity in ``generic.generic_mask``, the dump format in
-``reports.dump_kernel``. The functions here restate them one tuple at a
-time, written independently, so a test can check the array code entry
-for entry. ``coo_count_matrix`` is the scipy COO assembly that
+The package states each rule once, on arrays: the gate in
+``core.gate_flips``, the recolor move and the swap path in
+``chains._move`` and ``comparison.congestion_delta``, genericity in
+``generic.generic_mask``, the dump format in ``reports.dump_kernel``.
+The functions here restate them one gate, tuple or slice at a time,
+written independently, so a test can check the array code entry for
+entry: ``Gate``, ``apply_gate_to_int`` and ``enumerate_gates`` the
+gate, ``recolor``, ``Path``, ``is_cc_move`` and ``delta_path`` the
+recoloring moves, ``is_generic`` genericity, ``restrict_conditional``
+and ``marginal`` the slices that ``analysis.chain_rule_residual`` sums
+over, and ``load_kernel_dump`` the dump format.
+``coo_count_matrix`` is the scipy COO assembly that
 ``chains._count_matrix`` replaced, kept to check it bit for bit.
 """
 
@@ -19,6 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from kwmix.chains import Moves
+from kwmix.core import enumerate_tuples, gate_wires
 from kwmix.errors import InvariantViolation
 from kwmix.generic import Partition, extract_block
 
@@ -26,6 +33,43 @@ from kwmix.generic import Partition, extract_block
 H_ZERO = 0b0000
 H_AND = 0b1000
 H_XOR = 0b0110
+
+
+@dataclass(frozen=True)
+class Gate:
+    """3-wire gate (target, j1, j2, h): XOR h(bit j1, bit j2) into bit target.
+
+    j1 == j2 is allowed (h then degenerates to a 1-bit function); the
+    target must differ from both controls.
+    """
+
+    target: int
+    j1: int
+    j2: int
+    h: int
+
+    def __post_init__(self) -> None:
+        if self.target == self.j1 or self.target == self.j2:
+            raise ValueError("target wire must differ from both control wires")
+        if min(self.target, self.j1, self.j2) < 0:
+            raise ValueError("wire indices must be nonnegative")
+        if not 0 <= self.h < 16:
+            raise ValueError(f"truth table must be in [0, 16), got {self.h}")
+
+
+def apply_gate_to_int(value: int, g: Gate) -> int:
+    """Image of the n-bit string `value` under g: bit `target` XORed with
+    h(bit j1, bit j2). Wires are not bounds-checked."""
+    a = (value >> g.j1) & 1
+    b = (value >> g.j2) & 1
+    return value ^ (((g.h >> (a << 1 | b)) & 1) << g.target)
+
+
+def enumerate_gates(n: int) -> list[Gate]:
+    """All 16 n (n-1)^2 gates of n wires; entry v = 16 q + h has the wires
+    of ``core.gate_wires`` choice q and truth table h."""
+    return [Gate(*wires, h) for wires in zip(*(w.tolist() for w in gate_wires(n)))
+            for h in range(16)]
 
 
 def recolor(x: tuple[int, ...], i: int, color: int) -> tuple[int, ...]:
@@ -141,6 +185,21 @@ def is_generic(state: Sequence[int], partition: Partition) -> bool:
         if len(seen) != k:
             return False
     return True
+
+
+def restrict_conditional(f: np.ndarray, i: int, c: int, k: int, N: int) -> np.ndarray:
+    """Restriction of f, a function on the lexicographic k-tuples over
+    {0,...,N-1}, to the slice {x_i = c}. The slice in lex order of the
+    k-tuples is in lex order of the (k-1)-tuples with color c removed."""
+    f = np.asarray(f, dtype=float)
+    return f[enumerate_tuples(k, N)[:, i] == c]
+
+
+def marginal(f: np.ndarray, i: int, k: int, N: int) -> np.ndarray:
+    """F_i(c): average of f over the slice {x_i = c}, for each color c."""
+    f = np.asarray(f, dtype=float)
+    sums = np.bincount(enumerate_tuples(k, N)[:, i], weights=f, minlength=N)
+    return sums / (len(f) // N)
 
 
 def load_kernel_dump(fp: IO[str]) -> tuple[dict, list[tuple[int, int, float]]]:

@@ -17,9 +17,10 @@ from kwmix.analysis import (
     ucc_alpha_lower_bound,
     verify_reversible,
 )
-from kwmix.chains import ChainSpec, build_kernel
+from kwmix import chains
+from kwmix.chains import ChainSpec, build_kernel, sample_chain
 from kwmix.comparison import congestion_delta, congestion_formula_bound
-from kwmix.core import apply_gate_to_int, enumerate_gates, tuple_space_size
+from kwmix.core import dedupe_gates, tuple_space_size
 from kwmix.generic import (
     generic_fraction_exact,
     generic_fraction_mc,
@@ -136,24 +137,29 @@ def test_criterion_5_log_sobolev_non_falsification():
     _report("5", ok, "; ".join(details), elapsed, 300.0)
 
 
-def test_criterion_6_gate_involution_and_bijectivity():
+def test_criterion_6_gate_involution_and_bijectivity(monkeypatch):
     started = time.perf_counter()
-    rng = make_rng(0)
     ok = True
-    for _ in range(10_000):
-        n = int(rng.integers(3, 11))
-        target = int(rng.integers(n))
-        others = [j for j in range(n) if j != target]
-        from kwmix.core import Gate
-
-        g = Gate(target, others[int(rng.integers(n - 1))],
-                 others[int(rng.integers(n - 1))], int(rng.integers(16)))
-        value = int(rng.integers(1 << n))
-        ok &= apply_gate_to_int(apply_gate_to_int(value, g), g) == value
-    for g in enumerate_gates(3):
-        ok &= {apply_gate_to_int(v, g) for v in range(8)} == set(range(8))
+    for n in range(3, 11):
+        tables = dedupe_gates(n)[0].astype(np.intp)
+        identity = np.arange(1 << n)
+        ok &= bool((np.sort(tables, axis=1) == identity).all())
+        ok &= bool((np.take_along_axis(tables, tables, axis=1) == identity).all())
+    # row v of one parameter-mode step draws gate index v, and every row is
+    # the tuple of all n-bit strings, so its image is gate v's table
+    monkeypatch.setattr(chains, "_gate_draws",
+                        lambda streams, t, high, dtype: iter([np.arange(high, dtype=dtype)]))
+    for n in range(3, 6):
+        x = np.tile(np.arange(1 << n), (16 * n * (n - 1) ** 2, 1))
+        images = sample_chain(ChainSpec(family="rev", k=1 << n, n=n), x, 1, make_rng(0))
+        rows, first, counts = np.unique(images, axis=0, return_index=True,
+                                        return_counts=True)
+        order = np.argsort(first)
+        tables, weights = dedupe_gates(n)
+        ok &= np.array_equal(rows[order], tables) and np.array_equal(counts[order], weights)
     elapsed = time.perf_counter() - started
-    _report("6", ok, "10^4 double applications + exhaustive n=3 bijectivity",
+    _report("6", ok, "dedupe_gates tables are involutive permutations at n=3..10; "
+            "one sampler step per gate index gives them and their counts at n=3..5",
             elapsed, 5.0)
 
 

@@ -17,8 +17,6 @@ from kwmix.analysis import (
     entropy,
     lsc_ratio,
     lsc_search,
-    marginal,
-    restrict_conditional,
     spectral_gap,
     ucc_alpha_lower_bound,
     verify_reversible,
@@ -27,6 +25,7 @@ from kwmix.chains import ChainSpec, Kernel, build_kernel, product_kernel
 from kwmix.core import enumerate_tuples, tuple_space_size
 from kwmix.generic import make_partition
 from kwmix.rng import make_rng
+from oracles import marginal, restrict_conditional
 
 
 def _ranks(k, N):

@@ -23,17 +23,11 @@ from kwmix.chains import (
     product_kernel,
     sample_chain,
 )
-from kwmix.core import (
-    apply_gate_to_int,
-    dedupe_gates,
-    enumerate_gates,
-    enumerate_tuples,
-    gate_wires,
-)
+from kwmix.core import dedupe_gates, enumerate_tuples, gate_wires
 from kwmix.errors import StateCapExceeded
 from kwmix.generic import Partition, make_partition
 from kwmix.rng import make_rng
-from oracles import is_generic
+from oracles import apply_gate_to_int, enumerate_gates, is_generic
 
 SIGNIFICANCE = 0.001
 
@@ -600,7 +594,7 @@ def test_one_draw_decodes_each_parameter_tuple_once(n):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_parameter_step_applies_the_enumerated_gate_of_its_draw(n):
     # one step draws v per row, replayed from the same seed, and applies
-    # the acceptance oracle's gate enumerate_gates(n)[v] to every coordinate
+    # the oracle gate enumerate_gates(n)[v] to every coordinate
     gates = enumerate_gates(n)
     spec = ChainSpec(family="rev", k=3, n=n)
     for seed in range(3):

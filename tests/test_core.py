@@ -8,15 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwmix.core import (
-    Gate,
-    apply_gate_to_int,
     dedupe_gates,
-    enumerate_gates,
     enumerate_tuples,
+    gate_flips,
     gate_wires,
     tuple_space_size,
 )
-from oracles import H_AND, H_XOR, H_ZERO, recolor
+from oracles import (
+    H_AND,
+    H_XOR,
+    H_ZERO,
+    Gate,
+    apply_gate_to_int,
+    enumerate_gates,
+    recolor,
+)
 
 
 def test_apply_gate_and_case():
@@ -141,6 +147,21 @@ def test_dedupe_gates_matches_the_per_gate_loop(n):
     assert np.array_equal(tables, want_tables)  # same tables, first-seen order
     assert np.array_equal(counts, want_counts)
     assert counts.sum() == 16 * n * (n - 1) ** 2
+
+
+@pytest.mark.parametrize("n, word", [(3, np.uint16), (5, np.uint32), (6, np.uint64)])
+def test_gate_flips_is_the_scalar_gate(n, word):
+    # every gate on every n-bit string at once: gates along axis 0, strings
+    # along axis 1, the wire and table arrays broadcast as columns
+    gates = enumerate_gates(n)
+    wires = [np.array([getattr(g, f) for g in gates], dtype=word)[:, None]
+             for f in ("target", "j1", "j2", "h")]
+    x = np.arange(1 << n, dtype=word)
+    out = np.empty((len(gates), 1 << n), dtype=word)
+    flips = gate_flips(x, *wires, out, np.empty_like(out))
+    assert flips is out
+    want = [[apply_gate_to_int(v, g) for v in range(1 << n)] for g in gates]
+    assert (x ^ flips).tolist() == want
 
 
 def test_dedupe_rejects_large_n():

@@ -1,9 +1,9 @@
 """Vectorized kernel assembly against short per-state loop references.
 
 Each reference walks the states one at a time, lists the draws of one
-step with the scalar helpers (``core.apply_gate_to_int`` and the test
-oracles ``recolor`` and ``is_generic`` of ``tests/oracles.py``), and
-divides the counts once. The exact families
+step with the scalar oracles of ``tests/oracles.py`` (``enumerate_gates``
+and ``apply_gate_to_int`` for the gates, ``recolor`` and
+``is_generic``), and divides the counts once. The exact families
 must match entry for entry; the product chains carry float weights.
 ``chains._count_matrix`` must also equal the scipy COO assembly it
 replaced (``oracles.coo_count_matrix``) byte for byte, dtypes included.
@@ -20,15 +20,16 @@ from hypothesis import strategies as st
 
 from kwmix import chains
 from kwmix.chains import ChainSpec, build_kernel, product_kernel
-from kwmix.core import (
-    apply_gate_to_int,
-    dedupe_gates,
-    enumerate_gates,
-    enumerate_tuples,
-)
+from kwmix.core import dedupe_gates, enumerate_tuples
 from kwmix.errors import InvariantViolation, StateCapExceeded
 from kwmix.generic import extract_block, insert_block, make_partition
-from oracles import coo_count_matrix, is_generic, recolor
+from oracles import (
+    apply_gate_to_int,
+    coo_count_matrix,
+    enumerate_gates,
+    is_generic,
+    recolor,
+)
 
 
 def _rows(states: np.ndarray) -> tuple:
