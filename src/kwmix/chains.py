@@ -13,34 +13,39 @@ Families:
                   mixed half/half with per-block recoloring.
 * ``complete`` -- jump to a uniform state (the complete-graph kernel).
 
-``build_kernel(spec)`` is the one entry point, and each builder reads the
-validated ``ChainSpec``, which refuses a field its family does not read.
-Every builder takes one path. States are an (S, k) int64 array,
-kept as ``Kernel.states`` (None for product kernels), and successor
-tuples are ranked by sorted base-N keys (``_state_index``, which also
-ranks the symmetry images of ``mixing.orbit_starts``). A builder emits
-its moves as arrays (src, dst, count), count being the integer number of
-draws of one step that move src to dst (the product chain passes its
-factors' entries instead). One helper sums the moves into a CSR matrix
-of counts, sorting them by int64 (src, dst) keys; each entry is then
-divided once, by the draw total, or for the gate chains by the row's
-total w(x) (for rev, the draw total; for grev, the generic-successor
-total). Rows therefore sum to 1 up to a few ulps.
+``build_kernel(spec)`` is the one entry point and the one builder body;
+it reads the validated ``ChainSpec``, which refuses a field its family
+does not read. Every kernel is a random walk on a symmetric weighted
+move graph. `_chain_states` gives the family's states, an (S, k) int64
+array kept as ``Kernel.states`` (None for product kernels), and ranks
+successor tuples by sorted base-N keys (``_state_index``, which also
+ranks the symmetry images of ``mixing.orbit_starts``). The moves come
+as arrays (src, dst, count), count being the integer weight of the
+draws of one step that move src to dst: each distinct gate table under
+its gate measure for rev and grev, the tgrev draws grouped by the
+values each kind reads, and every draw for ucc, cc and complete. One
+helper sums them into a CSR matrix of counts, sorting them by int64
+(src, dst) keys; each row is divided once by its own total w(x), and
+the stationary law is pi = w / sum(w). For every family but grev, w is
+the draw total and pi uniform. Rows sum to 1 up to a few ulps.
+``product_kernel`` passes its factors' entries instead, over the number
+of factors.
 
-``sample_chain`` runs rev, cc, ucc and tgrev on a batch: an (S, k) state
-array, one move drawn per row and step. A ucc, cc or tgrev step is
-written once: `_draw_bounds` gives the ranges of the integers it draws
-and `_move` applies them, to per-row draws in the sampler and to every
-draw in the builders and ``comparison.congestion_delta``. rev draws a
-gate index v and applies gate v through ``core.gate_flips``, the rule
-``core.dedupe_gates`` also builds its tables with (or, in ``set`` mode,
-draws a deduplicated table), stepped on the transposed (k, S)
-array in the narrowest unsigned word holding n bits (uint16 up to
-n = 16, uint32 up to 32, uint64 up to 64); its (S, k) uint64 result is
-that of a loop on the (S, k) uint64 array making the same draws. The
-rev stepper also takes consecutive row ranges drawing from separate
-streams, so ``mixing.kwise_stat_mc`` steps pieces of several Monte Carlo
-streams as one batch.
+``sample_chain`` runs rev, cc, ucc, complete and tgrev on a batch: an
+(S, k) state array, one move drawn per row and step. A ucc, cc,
+complete or tgrev step is written once: `_draw_bounds` gives the ranges
+of the integers it draws and `_move` applies them, to per-row draws in
+the sampler and to every draw in ``build_kernel`` and
+``comparison.congestion_delta``. rev draws a gate index v and applies
+gate v through ``core.gate_flips``, the rule ``core.dedupe_gates`` also
+builds its tables with (or, in ``set`` mode, draws a deduplicated
+table), stepped on the transposed (k, S) array in the narrowest
+unsigned word holding n bits (uint16 up to n = 16, uint32 up to 32,
+uint64 up to 64); its (S, k) uint64 result is that of a loop on the
+(S, k) uint64 array making the same draws. The rev stepper also takes
+consecutive row ranges drawing from separate streams, so
+``mixing.kwise_stat_mc`` steps pieces of several Monte Carlo streams as
+one batch.
 
 Gate randomness has two documented measures, both weights on the one
 table set of ``core.dedupe_gates`` (n <= 12 for the exact kernels):
@@ -124,6 +129,19 @@ class ChainSpec:
             return f"complete(N={self.ncolors})"
         return f"{self.family}(k={self.k},n={self.n},{self.gate_mode})"
 
+    def meta(self) -> dict:
+        """Header of the built kernel: the family and the fields it reads."""
+        if self.family in ("cc", "ucc"):
+            return {"family": self.family, "k": self.k, "N": self.ncolors}
+        if self.family == "complete":
+            return {"family": "complete", "N": self.ncolors}
+        meta = {"family": self.family, "k": self.k, "n": self.n}
+        if self.family != "tgrev":
+            meta["gate_mode"] = self.gate_mode
+        if self.partition is not None:
+            meta["partition"] = self.partition.descriptor()
+        return meta
+
 
 @dataclass
 class Kernel:
@@ -180,7 +198,7 @@ def sample_chain(spec: ChainSpec, x: np.ndarray, t: int,
                  rng: np.random.Generator) -> np.ndarray:
     """Run t steps of the chain from every row of an (S, k) state array.
 
-    Each step draws one move per row, the moves the kernel builders count.
+    Each step draws one move per row, the moves `build_kernel` counts.
     Returns a new (S, k) array, uint64 for rev (n <= 64) and int64 otherwise.
     """
     if t < 0:
@@ -199,12 +217,15 @@ def sample_chain(spec: ChainSpec, x: np.ndarray, t: int,
 
 
 def _draw_bounds(spec: ChainSpec) -> tuple[int, ...]:
-    """Ranges of the integers one ucc, cc or tgrev step draws per row, in
-    draw order: ucc a coordinate and a color; cc a coordinate and the r-th
-    color available to it; tgrev a kind (0 holds, 1 flips a remainder bit,
-    2 and 3 recolor a block), a row, a remainder bit, a block and the r-th
-    block value free for the row."""
+    """Ranges of the integers one ucc, cc, complete or tgrev step draws
+    per row, in draw order: ucc a coordinate and a color; cc a coordinate
+    and the r-th color available to it; complete the state it jumps to;
+    tgrev a kind (0 holds, 1 flips a remainder bit, 2 and 3 recolor a
+    block), a row, a remainder bit, a block and the r-th block value free
+    for the row."""
     k = spec.k
+    if spec.family == "complete":
+        return (spec.ncolors,)
     if spec.family == "ucc":
         return k, spec.ncolors
     if spec.family == "cc":
@@ -217,8 +238,9 @@ def _draw_bounds(spec: ChainSpec) -> tuple[int, ...]:
 
 def _move(spec: ChainSpec, x: np.ndarray, draw: Sequence) -> np.ndarray:
     """Successor of every row of an (S, k) int64 state array under one
-    ucc, cc or tgrev step making the draws of `_draw_bounds`. Each draw
-    value is an array with one entry per row or a scalar shared by all."""
+    ucc, cc, complete or tgrev step making the draws of `_draw_bounds`.
+    Each draw value is an array with one entry per row or a scalar shared
+    by all."""
     rows = np.arange(len(x))
     draw = [np.broadcast_to(d, rows.shape) for d in draw]
     if spec.family == "ucc":  # recolor, swapping on collision
@@ -227,6 +249,9 @@ def _move(spec: ChainSpec, x: np.ndarray, draw: Sequence) -> np.ndarray:
         y[rows, i] = color
         return y
     y = x.copy()
+    if spec.family == "complete":  # jump to the drawn state
+        y[:, 0] = draw[0]
+        return y
     if spec.family == "cc":
         i, r = draw
         y[rows, i] = _nth_free(x, i, r)
@@ -331,20 +356,52 @@ def _nth_free(values: np.ndarray, i: np.ndarray, r: np.ndarray) -> np.ndarray:
 # the next is mapped, so it bounds the ranking and sort buffers of a build.
 CHUNK_ENTRIES = 1 << 14
 
-# (src, dst, count) arrays emitted by a builder; a scalar count is broadcast
+# (src, dst, count) arrays of one step's moves; a scalar count is broadcast
 Moves = Iterable[tuple[np.ndarray, np.ndarray, "np.ndarray | int"]]
 
 
 def build_kernel(spec: ChainSpec) -> Kernel:
-    """Exact kernel for the requested chain. Raises StateCapExceeded when
+    """Exact kernel for the requested chain: the random walk on its
+    symmetric weighted move graph. The integer move counts c(x, y) of one
+    step are summed, each row is divided once by its own total w(x), and
+    the stationary law is pi(x) = w(x) / sum(w) exactly (Levin, Peres and
+    Wilmer, Markov Chains and Mixing Times, section 1.5): every move has
+    its reverse with the same count. For the drawn families, and for rev,
+    w is the draw total, so pi is uniform. Raises StateCapExceeded when
     the state space is larger than the configured cap."""
-    if spec.family in ("ucc", "cc"):
-        return _build_coloring(spec)
+    states, index = _chain_states(spec)
+    if spec.family in ("rev", "grev"):
+        tables, weights = dedupe_gates(spec.n)
+        if spec.gate_mode == "set":
+            weights = np.ones_like(weights)
+        moves = _gate_moves(states, tables, weights, index)
+    elif spec.family == "tgrev":
+        moves = _tgrev_moves(spec, states, index)
+    else:
+        moves = _step_moves(spec, states, index, product(*map(range, _draw_bounds(spec))))
+    counts = _count_matrix(moves, len(states))
+    w = np.asarray(counts.sum(axis=1)).ravel()
+    matrix = counts.astype(np.float64)
+    matrix.data /= np.repeat(w, np.diff(matrix.indptr))
+    kernel = Kernel(matrix, w / w.sum(), spec.meta(), states)
+    kernel.validate()
+    return kernel
+
+
+def _chain_states(spec: ChainSpec):
+    """The family's states, an (S, k) int64 array, and their
+    `_state_index` ranker: distinct tuples over 2^n (rev) or N (ucc, cc),
+    the generic states of the partition (grev, tgrev), or the N singleton
+    states of complete, capped by its N^2 kernel entries."""
+    base = spec.ncolors if spec.n is None else 1 << spec.n
     if spec.family == "complete":
-        return _build_complete(spec)
-    if spec.family == "tgrev":
-        return _build_tgrev(spec)
-    return _build_gate(spec)
+        check_state_cap(base * base, f"{spec.label()} kernel entries")
+        states = np.arange(base)[:, None]
+    elif spec.partition is not None:
+        states = enumerate_generic_states(spec.partition)
+    else:
+        states = _tuple_states(spec.k, base, spec.label())
+    return states, _state_index(states, base)
 
 
 def _count_matrix(moves: Moves, size: int) -> sparse.csr_matrix:
@@ -393,25 +450,6 @@ def _merge_keys(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nd
     return keys[starts], np.add.reduceat(counts[order], starts, dtype=counts.dtype)
 
 
-def _assemble(moves: Moves, size: int, denom: int) -> sparse.csr_matrix:
-    """The counts of `_count_matrix`, each divided once by `denom` on
-    ``.data`` (dividing the matrix would multiply by a rounded reciprocal)."""
-    matrix = _count_matrix(moves, size).astype(np.float64)
-    matrix.data /= denom
-    return matrix
-
-
-def _kernel(matrix: sparse.csr_matrix, meta: dict, states: np.ndarray | None = None,
-            stationary: np.ndarray | None = None) -> Kernel:
-    """Validated kernel; the stationary law defaults to uniform."""
-    size = matrix.shape[0]
-    if stationary is None:
-        stationary = np.full(size, 1.0 / size)
-    kernel = Kernel(matrix=matrix, stationary=stationary, meta=meta, states=states)
-    kernel.validate()
-    return kernel
-
-
 def _state_index(states: np.ndarray, base: int):
     """Ranker of k-tuples among the rows of an (S, k) state array.
 
@@ -445,23 +483,6 @@ def _step_moves(spec: ChainSpec, states: np.ndarray, index, draws: Iterable,
         yield src, index(_move(spec, states, draw)), count
 
 
-def _build_coloring(spec: ChainSpec) -> Kernel:
-    k, N = spec.k, spec.ncolors
-    states = _tuple_states(k, N, spec.label())
-    bounds = _draw_bounds(spec)
-    moves = _step_moves(spec, states, _state_index(states, N), product(*map(range, bounds)))
-    return _kernel(_assemble(moves, len(states), math.prod(bounds)),
-                   {"family": spec.family, "k": k, "N": N}, states)
-
-
-def _build_complete(spec: ChainSpec) -> Kernel:
-    N = spec.ncolors
-    check_state_cap(N * N, f"complete(N={N}) kernel entries")
-    c = np.arange(N)
-    matrix = _assemble([(np.repeat(c, N), np.tile(c, N), 1)], N, N)
-    return _kernel(matrix, {"family": "complete", "N": N}, c[:, None])
-
-
 def _gate_moves(states: np.ndarray, tables: np.ndarray, weights: np.ndarray,
                 index) -> Moves:
     """One move per (state, distinct gate table), counting the table's
@@ -472,33 +493,6 @@ def _gate_moves(states: np.ndarray, tables: np.ndarray, weights: np.ndarray,
         src = np.broadcast_to(np.arange(a, a + dst.shape[1]), dst.shape)
         hit = dst >= 0
         yield src[hit], dst[hit], np.broadcast_to(weights[:, None], dst.shape)[hit]
-
-
-def _build_gate(spec: ChainSpec) -> Kernel:
-    """The gate chain on distinct tuples (rev) or on generic states (grev),
-    each row renormalized: the weighted count c(u, v) of gates moving u to
-    v is divided by the row total w(u). A gate table weighs the number of
-    parameter tuples inducing it, or 1 in ``set`` mode. Every gate is an
-    involution, so c is symmetric: the chain is a random walk on a
-    weighted graph with stationary law pi(u) = w(u) / sum(w) exactly
-    (Levin, Peres and Wilmer, Markov Chains and Mixing Times, section
-    1.5). For rev every gate counts, so w is the draw total and pi uniform.
-    """
-    meta = {"family": spec.family, "k": spec.k, "n": spec.n, "gate_mode": spec.gate_mode}
-    if spec.family == "rev":
-        states = _tuple_states(spec.k, 1 << spec.n, f"rev(k={spec.k},n={spec.n})")
-    else:
-        states = enumerate_generic_states(spec.partition)
-        meta["partition"] = spec.partition.descriptor()
-    tables, weights = dedupe_gates(spec.n)
-    if spec.gate_mode == "set":
-        weights = np.ones_like(weights)
-    index = _state_index(states, 1 << spec.n)
-    counts = _count_matrix(_gate_moves(states, tables, weights, index), len(states))
-    w = np.asarray(counts.sum(axis=1)).ravel()
-    matrix = counts.astype(np.float64)
-    matrix.data /= np.repeat(w, np.diff(matrix.indptr))
-    return _kernel(matrix, meta, states, w / w.sum())
 
 
 def enumerate_generic_states(partition: Partition) -> np.ndarray:
@@ -526,25 +520,20 @@ def _check_partition_rows(partition: Partition) -> None:
         raise ValueError("more rows than block values; no state is generic")
 
 
-def _build_tgrev(spec: ChainSpec) -> Kernel:
-    """Exact kernel of the product chain on generic states.
-
-    The draws of `_draw_bounds` are grouped by the values each kind reads,
-    over the denominator 4 k |C| p (2^w - k + 1), C the remainder: the
-    hold counts k |C| p (2^w - k + 1), each (row, remainder bit) flip
+def _tgrev_moves(spec: ChainSpec, states: np.ndarray, index) -> Moves:
+    """The tgrev draws of `_draw_bounds`, grouped by the values each kind
+    reads, over the draw total 4 k |C| p (2^w - k + 1), C the remainder:
+    the hold counts k |C| p (2^w - k + 1), each (row, remainder bit) flip
     p (2^w - k + 1) and each (row, block, r) block move 2 |C|.
     """
-    k, partition = spec.k, spec.partition
-    _, _, rem, p, avail = bounds = _draw_bounds(spec)
-    x = enumerate_generic_states(partition)
-    index = _state_index(x, 1 << spec.n)
-    moves = chain(
-        _step_moves(spec, x, index, [(0, 0, 0, 0, 0)], k * rem * p * avail),
-        _step_moves(spec, x, index, product([1], range(k), range(rem), [0], [0]), p * avail),
-        _step_moves(spec, x, index, product([2], range(k), [0], range(p), range(avail)),
+    k = spec.k
+    _, _, rem, p, avail = _draw_bounds(spec)
+    return chain(
+        _step_moves(spec, states, index, [(0, 0, 0, 0, 0)], k * rem * p * avail),
+        _step_moves(spec, states, index, product([1], range(k), range(rem), [0], [0]),
+                    p * avail),
+        _step_moves(spec, states, index, product([2], range(k), [0], range(p), range(avail)),
                     2 * rem))
-    meta = {"family": "tgrev", "k": k, "n": spec.n, "partition": partition.descriptor()}
-    return _kernel(_assemble(moves, len(x), math.prod(bounds)), meta, x)
 
 
 def product_kernel(factors: Sequence[Kernel]) -> Kernel:
@@ -570,5 +559,8 @@ def product_kernel(factors: Sequence[Kernel]) -> Kernel:
     pi = factors[0].stationary
     for f in factors[1:]:
         pi = np.outer(pi, f.stationary).ravel()
-    meta = {"family": "product", "factors": [f.meta for f in factors]}
-    return _kernel(_assemble(moves(), total, len(factors)), meta, stationary=pi)
+    matrix = _count_matrix(moves(), total)
+    matrix.data /= len(factors)
+    kernel = Kernel(matrix, pi, {"family": "product", "factors": [f.meta for f in factors]})
+    kernel.validate()
+    return kernel

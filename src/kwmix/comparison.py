@@ -26,11 +26,10 @@ from .chains import (
     ChainSpec,
     Kernel,
     Moves,
+    _chain_states,
     _count_matrix,
     _draw_bounds,
-    _state_index,
     _step_moves,
-    _tuple_states,
 )
 from .errors import InvariantViolation
 
@@ -69,10 +68,9 @@ def congestion_delta(k: int, N: int) -> CongestionResult:
     """
     if not 1 <= k <= N - 1:
         raise ValueError(f"need 1 <= k < N, got k={k}, N={N}")
-    x = _tuple_states(k, N, f"congestion(k={k},N={N})")
-    index = _state_index(x, N)
-    src = np.arange(len(x))
     cc = ChainSpec(family="cc", k=k, ncolors=N)
+    x, index = _chain_states(cc)
+    src = np.arange(len(x))
     cc_draws = list(product(*map(range, _draw_bounds(cc))))
 
     def loaded_moves() -> Moves:

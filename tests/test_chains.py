@@ -277,6 +277,21 @@ def test_grev_stationary_is_the_correctly_rounded_row_total_share(n, k, w, p):
     assert kernel.stationary.tolist() == [float(Fraction(v, grand)) for v in totals]
 
 
+@pytest.mark.parametrize("spec", [
+    ChainSpec(family="ucc", k=2, ncolors=5),
+    ChainSpec(family="cc", k=3, ncolors=6),
+    ChainSpec(family="complete", ncolors=7),
+    ChainSpec(family="rev", k=2, n=4),
+    ChainSpec(family="rev", k=2, n=4, gate_mode="set"),
+    ChainSpec(family="tgrev", k=2, n=5, partition=make_partition(5, 2, w=2, p=2)),
+], ids=lambda spec: spec.label())
+def test_drawn_and_rev_stationary_is_the_correctly_rounded_uniform_law(spec):
+    # every draw stays in the state space, so each row total is the draw
+    # total and w / sum(w) rounds to 1 / S
+    kernel = build_kernel(spec)
+    assert kernel.stationary.tolist() == [float(Fraction(1, kernel.size))] * kernel.size
+
+
 def _power_iteration_stationary(matrix, tol=1e-15, max_iter=200_000):
     # reference: the iterative solve the closed form replaced
     pt = matrix.transpose().tocsr()
@@ -318,6 +333,7 @@ def test_grev_reversible_under_measured_stationary(toy_partition):
 SAMPLED_SPECS = {
     "ucc": ChainSpec(family="ucc", k=2, ncolors=4),
     "cc": ChainSpec(family="cc", k=2, ncolors=4),
+    "complete": ChainSpec(family="complete", ncolors=5),
     "cc-k3": ChainSpec(family="cc", k=3, ncolors=6),
     "rev": ChainSpec(family="rev", k=2, n=3),
     "rev-set": ChainSpec(family="rev", k=2, n=3, gate_mode="set"),
@@ -355,7 +371,7 @@ def test_step_sampler_matches_kernel_row(name):
     Partition(n=5, k=2, w=2, p=2, blocks=((0, 3), (4, 1)), remainder=(2,)),
 ], ids=["3-2-2-1", "5-3-2-2", "6-2-2-2", "noncontiguous"])
 def test_tgrev_grouped_weights_equal_the_full_draw_product(partition):
-    # the builder counts one draw per kind and values read, weighted by the
+    # _tgrev_moves counts one draw per kind and values read, weighted by the
     # draws that agree on them; counting every draw gives the same integers
     k = partition.k
     spec = ChainSpec(family="tgrev", k=k, n=partition.n, partition=partition)
@@ -371,7 +387,7 @@ def test_tgrev_grouped_weights_equal_the_full_draw_product(partition):
     assert np.array_equal(np.rint(kernel.matrix.data * math.prod(bounds)), full.data)
 
 
-@pytest.mark.parametrize("name", ["ucc", "cc-k3", "tgrev-k3"])
+@pytest.mark.parametrize("name", ["ucc", "cc-k3", "complete", "tgrev-k3"])
 def test_move_reads_a_scalar_draw_as_one_value_per_row(name):
     spec = SAMPLED_SPECS[name]
     states = build_kernel(spec).states
@@ -471,7 +487,8 @@ def test_spec_refuses_a_field_its_family_does_not_read(fields, message):
 def test_sampler_rejects_families_without_moves_and_bad_shapes():
     rng = make_rng(0)
     with pytest.raises(ValueError):
-        sample_chain(ChainSpec(family="complete", ncolors=3), np.zeros((2, 1)), 1, rng)
+        sample_chain(ChainSpec(family="grev", k=2, n=3, partition=make_partition(3, 2, w=2, p=1)),
+                     np.zeros((2, 2)), 1, rng)
     with pytest.raises(ValueError):
         sample_chain(SAMPLED_SPECS["rev"], np.zeros((2, 3)), 1, rng)
     with pytest.raises(ValueError):

@@ -318,8 +318,9 @@ _PARTITION_5_2_2_2 = ('"partition": {"n": 5, "k": 2, "w": 2, "p": 2, '
     ("--chain tgrev --n 5 --k 2 --part-w 2 --part-p 2",
      '{"family": "tgrev", "k": 2, "n": 5, ' + _PARTITION_5_2_2_2 + "}"),
     ("--chain cc --k 2 --N 4", '{"family": "cc", "k": 2, "N": 4}'),
+    ("--chain ucc --k 3 --N 5", '{"family": "ucc", "k": 3, "N": 5}'),
     ("--chain complete --N 4", '{"family": "complete", "N": 4}'),
-], ids=["rev", "rev-set", "grev", "grev-set", "tgrev", "cc", "complete"])
+], ids=["rev", "rev-set", "grev", "grev-set", "tgrev", "cc", "ucc", "complete"])
 def test_kernel_dump_header_of_every_family(capsys, argv, header):
     code, out, _ = run_cli(capsys, "kernel-dump", *argv.split())
     assert code == 0
