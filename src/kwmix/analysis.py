@@ -172,7 +172,6 @@ def _symmetric_weights(kernel: Kernel):
 def lsc_search(
     kernel: Kernel,
     restarts: int = 200,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> SearchResult:
     """Multi-start descent minimizing the log-Sobolev ratio.
@@ -240,7 +239,7 @@ def lsc_search(
         tracker: list = [np.inf, None, 0]
         optimize.minimize(
             make_objective(tracker), g0, jac=True, method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": tol * 1e-3, "gtol": 1e-12},
+            options={"maxiter": 500, "ftol": 1e-13, "gtol": 1e-12},
         )
         if tracker[1] is None:
             return np.inf, None, tracker[2]

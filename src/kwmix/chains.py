@@ -28,8 +28,8 @@ helper sums them into a CSR matrix of counts, sorting them by int64
 (src, dst) keys; each row is divided once by its own total w(x), and
 the stationary law is pi = w / sum(w). For every family but grev, w is
 the draw total and pi uniform. Rows sum to 1 up to a few ulps.
-``product_kernel`` passes its factors' entries instead, over the number
-of factors.
+``product_kernel`` is the Kronecker sum (1/t) sum_i I ⊗ P_i ⊗ I of its
+t factor kernels, built with ``scipy.sparse.kron``.
 
 ``sample_chain`` runs rev, cc, ucc, complete and tgrev on a batch: an
 (S, k) state array, one move drawn per row and step. A ucc, cc,
@@ -395,7 +395,7 @@ def _chain_states(spec: ChainSpec):
     states of complete, capped by its N^2 kernel entries."""
     base = spec.ncolors if spec.n is None else 1 << spec.n
     if spec.family == "complete":
-        check_state_cap(base * base, f"{spec.label()} kernel entries")
+        check_state_cap(base * base, spec.label(), unit="kernel entries")
         states = np.arange(base)[:, None]
     elif spec.partition is not None:
         states = enumerate_generic_states(spec.partition)
@@ -411,11 +411,11 @@ def _count_matrix(moves: Moves, size: int) -> sparse.csr_matrix:
     in (row, col) order. Each emitted piece is merged on arrival
     (`_merge_keys`), so buffers stay near the final nnz; the merged pieces
     are merged once more only when their keys do not already increase
-    (the gate chains emit pieces in src order). Float counts add up in
-    arrival order, as scipy sums the duplicates of a COO matrix, and the
-    CSR constructor stores the indices as int32 where they fit, so the
-    arrays are those of a COO assembly byte for byte. Refuses a size whose
-    keys overflow int64 (StateCapExceeded) and a move off the states.
+    (the gate chains emit pieces in src order). Counts are integers only,
+    so their sums are exact in any order, and the CSR constructor stores
+    the indices as int32 where they fit, so the arrays are those of a COO
+    assembly byte for byte. Refuses a size whose keys overflow int64
+    (StateCapExceeded) and a move off the states.
     """
     if size > math.isqrt(np.iinfo(np.int64).max):
         raise StateCapExceeded(f"{size} states: (src, dst) keys overflow int64")
@@ -438,10 +438,8 @@ def _count_matrix(moves: Moves, size: int) -> sparse.csr_matrix:
 
 
 def _merge_keys(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, sorted, and the summed counts of each. Float
-    counts are sorted stably, so equal keys add in arrival order; integer
-    sums are exact in any order and take numpy's faster default sort."""
-    order = np.argsort(keys, kind="stable" if counts.dtype.kind == "f" else None)
+    """The distinct keys, sorted, and the summed integer counts of each."""
+    order = np.argsort(keys)
     keys = keys[order]
     first = np.empty(len(keys), bool)  # first of a run of equal keys
     first[:1] = True
@@ -538,29 +536,28 @@ def _tgrev_moves(spec: ChainSpec, states: np.ndarray, index) -> Moves:
 
 def product_kernel(factors: Sequence[Kernel]) -> Kernel:
     """Uniform mixture of single-factor moves on the product state space
-    (first factor most significant): each factor entry, in every context
-    of the other coordinates, over the denominator t = len(factors)."""
+    (first factor most significant): the Kronecker sum
+    (1/t) sum_i I ⊗ P_i ⊗ I of the factor kernels P_1..P_t, each P_i
+    between the identities on the factors before and after it, the terms
+    added in factor order."""
     if not factors:
         raise ValueError("need at least one factor")
-    total = math.prod(f.size for f in factors)
-    check_state_cap(total, "product chain")
+    sizes = [f.size for f in factors]
+    check_state_cap(math.prod(sizes), "product chain")
 
-    def moves() -> Moves:
-        stride = total
-        for f in factors:
-            stride //= f.size
-            m = f.matrix.tocoo()
-            span = f.size * stride
-            context = (np.arange(total // span)[:, None] * span + np.arange(stride)).ravel()
-            yield ((context[:, None] + stride * m.row.astype(np.int64)).ravel(),
-                   (context[:, None] + stride * m.col.astype(np.int64)).ravel(),
-                   np.tile(m.data, len(context)))
+    def term(i: int) -> sparse.csr_matrix:
+        # COO throughout: the cheapest route through scipy's kron, whose
+        # BSR route for a dense factor would store that factor's zeros
+        before = sparse.identity(math.prod(sizes[:i]), format="coo")
+        after = sparse.identity(math.prod(sizes[i + 1:]), format="coo")
+        return sparse.kron(sparse.kron(before, factors[i].matrix, format="coo"), after,
+                           format="csr")
 
+    matrix = sum(map(term, range(len(factors))))
+    matrix.data /= len(factors)
     pi = factors[0].stationary
     for f in factors[1:]:
         pi = np.outer(pi, f.stationary).ravel()
-    matrix = _count_matrix(moves(), total)
-    matrix.data /= len(factors)
     kernel = Kernel(matrix, pi, {"family": "product", "factors": [f.meta for f in factors]})
     kernel.validate()
     return kernel

@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "log-Sobolev ratios (upper bounds on the constant)")
     _chain_arguments(sub, ("rev", "cc", "ucc", "tgrev", "complete"))
     sub.add_argument("--restarts", type=int, default=200)
-    sub.add_argument("--tol", type=float, default=1e-10)
     _common_arguments(sub, seed=True)
 
     sub = subs.add_parser("chain-rule-check", help="residual of the "
@@ -245,8 +244,7 @@ def _paper_alpha_bound(spec: ChainSpec, base: float) -> float | None:
 def _run_lsc_search(args):
     spec = _spec_from_args(args)
     kernel = build_kernel(spec)
-    result = lsc_search(kernel, restarts=args.restarts, tol=args.tol,
-                        seed=args.seed)
+    result = lsc_search(kernel, restarts=args.restarts, seed=args.seed)
     bound_ln = _paper_alpha_bound(spec, math.e)
     bound_lg2 = _paper_alpha_bound(spec, 2.0)
     return _one_row({

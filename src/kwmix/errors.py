@@ -30,7 +30,8 @@ def state_cap() -> int:
     return cap
 
 
-def check_state_cap(size: int, what: str) -> None:
+def check_state_cap(size: int, what: str, unit: str = "states") -> None:
+    """Refuse `size` `unit`s of `what` above the cap (StateCapExceeded)."""
     cap = state_cap()
     if size > cap:
-        raise StateCapExceeded(f"{what} has {size} states, cap is {cap}")
+        raise StateCapExceeded(f"{what} has {size} {unit}, cap is {cap}")

@@ -376,6 +376,22 @@ def test_exit_code_state_cap(capsys, monkeypatch):
     assert "state cap" in err
 
 
+def test_state_cap_messages_name_what_they_count(capsys, monkeypatch):
+    # complete(N=4) has 4 states but 16 kernel entries; every other family
+    # counts states. The caps are tiny, so nothing is allocated.
+    monkeypatch.setenv("KWM_STATE_CAP", "15")
+    code, out, err = run_cli(capsys, "gap", "--chain", "complete", "--N", "4")
+    assert code == 3 and out == ""
+    assert err == ("kwmix: state cap exceeded: complete(N=4) has 16 kernel entries, "
+                   "cap is 15\n")
+    code, out, err = run_cli(capsys, "gap", "--chain", "ucc", "--k", "2", "--N", "6")
+    assert code == 3 and out == ""
+    assert err == "kwmix: state cap exceeded: ucc(k=2,N=6) has 30 states, cap is 15\n"
+    monkeypatch.setenv("KWM_STATE_CAP", "16")
+    code, _, _ = run_cli(capsys, "gap", "--chain", "complete", "--N", "4")
+    assert code == 0
+
+
 def test_exit_code_out_of_memory(capsys, monkeypatch):
     def exhausted(spec):
         raise MemoryError("Unable to allocate 7.1 GiB for an array")

@@ -3,8 +3,8 @@
 Each reference walks the states one at a time, lists the draws of one
 step with the scalar oracles of ``tests/oracles.py`` (``enumerate_gates``
 and ``apply_gate_to_int`` for the gates, ``recolor`` and
-``is_generic``), and divides the counts once. The exact families
-must match entry for entry; the product chains carry float weights.
+``is_generic``), and divides the counts once. Every family and the
+product chains must match entry for entry.
 ``chains._count_matrix`` must also equal the scipy COO assembly it
 replaced (``oracles.coo_count_matrix``) byte for byte, dtypes included.
 """
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwmix import chains
+from kwmix import chains, comparison
 from kwmix.chains import ChainSpec, build_kernel, product_kernel
 from kwmix.core import dedupe_gates, enumerate_tuples
 from kwmix.errors import InvariantViolation, StateCapExceeded
@@ -193,7 +193,9 @@ def test_product_matches_loop_reference():
             elif len(moved) == 1:
                 i = moved[0]
                 ref[a, b] = dense[i][x[i], y[i]] / 3
-    assert np.abs(prod.dense() - ref).max() <= 1e-16
+    assert np.array_equal(prod.dense(), ref)
+    assert prod.matrix.has_canonical_format
+    assert prod.matrix.indices.dtype == np.int32
     assert np.array_equal(prod.stationary, np.full(len(digits), 1.0 / len(digits)))
 
 
@@ -211,9 +213,14 @@ def test_chunk_size_does_not_change_the_kernel(monkeypatch):
     ChainSpec(family="ucc", k=3, ncolors=6),
     ChainSpec(family="rev", k=2, n=4, gate_mode="set"),
     ChainSpec(family="tgrev", k=2, n=4, partition=make_partition(4, 2, w=1, p=2)),
+    None,  # a product kernel
 ])
 def test_assembled_matrices_are_canonical(spec):
-    matrix = build_kernel(spec).matrix
+    if spec is None:
+        matrix = product_kernel([build_kernel(ChainSpec(family="cc", k=2, ncolors=4)),
+                                 build_kernel(ChainSpec(family="complete", ncolors=3))]).matrix
+    else:
+        matrix = build_kernel(spec).matrix
     assert matrix.has_canonical_format
     assert matrix.data.dtype == np.float64
     assert (matrix.data > 0).all()
@@ -229,23 +236,20 @@ def _assert_same_csr(got, want) -> None:
 
 _i = np.array
 
+BIG = 1 << 53  # a float64 sum of BIG and 1 drops the 1
 
-def _f(*values):
-    return np.array(values, dtype=np.float64)
-
-
-# key (1, 2) gets 1e16, 1, -1e16 and 1 from three pieces: summed in
-# arrival order it is 1, in most other orders 0 or 2
+# key (1, 2) gets BIG, 1, BIG and 1 from three pieces: only an exact
+# integer sum keeps both ones
 COUNT_CASES = {
     "scalar-int": [(_i([0, 2, 1, 2]), _i([1, 0, 1, 0]), 3), (_i([1, 2]), _i([1, 2]), 1)],
     "array-int": [(_i([3, 0, 3, 1]), _i([2, 2, 2, 0]), _i([5, 1, 7, 2]))],
-    "float-key-in-three-pieces": [(_i([1, 0, 1]), _i([2, 0, 2]), _f(1e16, 0.5, 1.0)),
-                                  (_i([1]), _i([2]), _f(-1e16)),
-                                  (_i([2, 1]), _i([3, 2]), _f(0.25, 1.0))],
+    "key-in-three-pieces": [(_i([1, 0, 1]), _i([2, 0, 2]), _i([BIG, 5, 1])),
+                            (_i([1]), _i([2]), _i([BIG])),
+                            (_i([2, 1]), _i([3, 2]), _i([3, 1]))],
     "src-out-of-order": [(_i([3, 4, 3]), _i([0, 1, 0]), 1), (_i([0, 3]), _i([4, 0]), 2),
                          (_i([1]), _i([1]), 1)],
     "duplicates-in-piece": [(_i([2, 2, 2, 0, 2]), _i([4, 4, 4, 0, 1]), _i([1, 2, 3, 4, 5])),
-                            (_i([4, 4, 4, 4]), _i([3, 3, 3, 3]), _f(1.0, 1e16, 1.0, -1e16))],
+                            (_i([4, 4, 4, 4]), _i([3, 3, 3, 3]), _i([1, BIG, 1, BIG]))],
     "empty-pieces": [(_i([], dtype=np.int64), _i([], dtype=np.int64), 1),
                      (_i([1, 1]), _i([0, 0]), 2),
                      (_i([], dtype=np.int64), _i([], dtype=np.int64), _i([], dtype=np.int64))],
@@ -260,16 +264,17 @@ def test_count_matrix_equals_coo_assembly(name):
 
 @st.composite
 def move_pieces(draw, size: int):
-    """Pieces of moves on `size` states, integer or float counts, with
-    repeated keys and float values whose sum depends on the order."""
-    floats = draw(st.booleans())
+    """Pieces of moves on `size` states with repeated keys and integer
+    counts, scalar or per move, some so large that a float sum of them
+    would round."""
+    big = draw(st.booleans())
     pieces = []
     for _ in range(draw(st.integers(1, 5))):
         m = draw(st.integers(0, 12))
         ends = st.lists(st.integers(0, size - 1), min_size=m, max_size=m)
-        if floats:
-            counts = _f(*draw(st.lists(st.sampled_from([1e16, -1e16, 1.0, 0.5, 3.0]),
-                                       min_size=m, max_size=m)))
+        if big:
+            counts = _i(draw(st.lists(st.sampled_from([BIG, 1, 3]), min_size=m, max_size=m)),
+                        dtype=np.int64)
         elif draw(st.booleans()):
             counts = draw(st.integers(1, 9))
         else:
@@ -313,16 +318,43 @@ def test_count_matrix_refuses_sizes_whose_keys_overflow_int64(monkeypatch):
     ChainSpec(family="rev", k=2, n=5, gate_mode="set"),
     ChainSpec(family="grev", k=2, n=5, partition=make_partition(5, 2, w=2, p=2)),
     ChainSpec(family="tgrev", k=2, n=5, partition=make_partition(5, 2, w=2, p=2)),
-    None,
-], ids=lambda spec: spec.label() if spec else "product")
+], ids=ChainSpec.label)
 def test_kernels_equal_coo_assembled_kernels(spec, monkeypatch):
-    def build():
-        if spec is not None:
-            return build_kernel(spec).matrix
-        return product_kernel([build_kernel(ChainSpec(family="cc", k=2, ncolors=4)),
-                               build_kernel(ChainSpec(family="complete", ncolors=3)),
-                               build_kernel(ChainSpec(family="ucc", k=2, ncolors=3))]).matrix
-
-    kernel = build()
+    kernel = build_kernel(spec).matrix
     monkeypatch.setattr(chains, "_count_matrix", coo_count_matrix)
-    _assert_same_csr(kernel, build())
+    _assert_same_csr(kernel, build_kernel(spec).matrix)
+
+
+def test_kernel_assembly_sums_integer_counts_only(monkeypatch):
+    factors = [build_kernel(ChainSpec(family="cc", k=2, ncolors=3)),
+               build_kernel(ChainSpec(family="complete", ncolors=2))]
+    kinds = []  # dtype kind of each piece's counts, per _count_matrix call
+    count_matrix = chains._count_matrix
+
+    def spy(moves, size):
+        kinds.append(set())
+
+        def watched():
+            for src, dst, count in moves:
+                kinds[-1].add(np.asarray(count).dtype.kind)
+                yield src, dst, count
+
+        return count_matrix(watched(), size)
+
+    monkeypatch.setattr(chains, "_count_matrix", spy)
+    monkeypatch.setattr(comparison, "_count_matrix", spy)
+    product_kernel(factors)
+    assert kinds == []  # a product is a Kronecker sum of its factors
+    for spec in [
+        ChainSpec(family="ucc", k=2, ncolors=4),
+        ChainSpec(family="cc", k=2, ncolors=4),
+        ChainSpec(family="complete", ncolors=5),
+        ChainSpec(family="rev", k=2, n=3),
+        ChainSpec(family="rev", k=2, n=3, gate_mode="set"),
+        ChainSpec(family="grev", k=2, n=4, partition=make_partition(4, 2, w=2, p=2)),
+        ChainSpec(family="tgrev", k=2, n=4, partition=make_partition(4, 2, w=1, p=2)),
+    ]:
+        build_kernel(spec)
+    comparison.congestion_delta(3, 6)
+    assert len(kinds) == 9  # one per kernel, two for congestion_delta
+    assert all(calls and calls <= {"i", "u"} for calls in kinds), kinds
