@@ -42,10 +42,10 @@ builds its tables with (or, in ``set`` mode, draws a deduplicated
 table), stepped on the transposed (k, S) array in the narrowest
 unsigned word holding n bits (uint16 up to n = 16, uint32 up to 32,
 uint64 up to 64); its (S, k) uint64 result is that of a loop on the
-(S, k) uint64 array making the same draws. The rev stepper also takes
-consecutive row ranges drawing from separate streams, so
-``mixing.kwise_stat_mc`` steps pieces of several Monte Carlo streams as
-one batch.
+(S, k) uint64 array making the same draws. Every row draws from the one
+generator passed to ``sample_chain``; rev draws a block of steps as one
+C-ordered (steps, S) call, whose values do not depend on the block
+length.
 
 Gate randomness has two documented measures, both weights on the one
 table set of ``core.dedupe_gates`` (n <= 12 for the exact kernels):
@@ -127,6 +127,8 @@ class ChainSpec:
             return f"{self.family}(k={self.k},N={self.ncolors})"
         if self.family == "complete":
             return f"complete(N={self.ncolors})"
+        if self.family == "tgrev":
+            return f"tgrev(k={self.k},n={self.n})"
         return f"{self.family}(k={self.k},n={self.n},{self.gate_mode})"
 
     def meta(self) -> dict:
@@ -209,7 +211,7 @@ def sample_chain(spec: ChainSpec, x: np.ndarray, t: int,
     if x.ndim != 2 or x.shape[1] != spec.k:
         raise ValueError(f"need an (S, {spec.k}) state array, got shape {x.shape}")
     if spec.family == "rev":
-        return _sample_rev(spec.n, spec.gate_mode, x, t, [(rng, len(x))])
+        return _sample_rev(spec.n, spec.gate_mode, x, t, rng)
     bounds = _draw_bounds(spec)
     for _ in range(t):
         x = _move(spec, x, [rng.integers(b, size=len(x)) for b in bounds])
@@ -268,20 +270,13 @@ def _move(spec: ChainSpec, x: np.ndarray, draw: Sequence) -> np.ndarray:
 
 
 # Most bytes of gate draws the rev sampler holds at once; a block spans
-# several steps, so each stream's draw calls stay long.
+# several steps, so the draw calls stay long.
 DRAW_BLOCK_BYTES = 1 << 20
 
 
 def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
-                streams: Sequence[tuple[np.random.Generator, int]]) -> np.ndarray:
+                rng: np.random.Generator) -> np.ndarray:
     """t rev steps from the rows of an (S, k) uint64 array of n-bit strings.
-
-    `streams` is a list of (stream, rows) pairs whose rows sum to S: the
-    pairs own consecutive row ranges, in order, and each range draws its
-    gates from its own stream, exactly as a separate call with that range
-    and stream would (`sample_chain` passes the one pair (rng, S)). So
-    pieces of several streams step together as one batch, and the draws
-    per stream do not depend on which pieces share it.
 
     The state is stepped transposed, as a C-contiguous (k, S) array in the
     narrowest unsigned word holding n bits, so each per-sample gate vector
@@ -296,18 +291,16 @@ def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
     """
     if n < 64 and x.size and x.max() >> n:
         raise ValueError(f"rev states are {n}-bit strings")
-    if sum(rows for _, rows in streams) != len(x):
-        raise ValueError(f"stream rows do not sum to the {len(x)} states")
     word = next(w for w in (np.uint16, np.uint32, np.uint64) if n <= np.iinfo(w).bits)
     x = np.ascontiguousarray(x.T, dtype=word)
     if gate_mode == "set":
         tables = dedupe_gates(n)[0]
-        for v in _gate_draws(streams, t, len(tables), np.int64):
+        for v in _gate_draws(rng, t, x.shape[1], len(tables), np.int64):
             x = tables[v, x]
         return np.ascontiguousarray(x.T, dtype=np.uint64)
     targets, controls1, controls2 = (w.astype(word) for w in gate_wires(n))
     flips, scratch = np.empty_like(x), np.empty_like(x)
-    for v in _gate_draws(streams, t, 16 * len(targets), np.uint32):
+    for v in _gate_draws(rng, t, x.shape[1], 16 * len(targets), np.uint32):
         h = (v & 15).astype(word)
         q = (v >> 4).astype(np.intp)
         x ^= gate_flips(x, targets.take(q), controls1.take(q), controls2.take(q), h,
@@ -315,24 +308,16 @@ def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
     return np.ascontiguousarray(x.T, dtype=np.uint64)
 
 
-def _gate_draws(streams: Sequence[tuple[np.random.Generator, int]], t: int,
+def _gate_draws(rng: np.random.Generator, t: int, rows: int,
                 high: int, dtype: type) -> Iterator[np.ndarray]:
-    """The t per-step draw vectors of `_sample_rev`: entry j of a step is a
-    draw in [0, high) from the stream owning row j. Each stream draws its
-    rows of a block of steps in one C-ordered (steps, rows) call, which
-    yields the values of that many one-step calls, so the draws do not
-    depend on the block length. A block holds at most DRAW_BLOCK_BYTES
-    (one step of more rows exceeds it)."""
-    size = sum(rows for _, rows in streams)
-    steps = max(1, DRAW_BLOCK_BYTES // (np.dtype(dtype).itemsize * max(size, 1)))
-    block = np.empty((min(steps, t), size), dtype)
+    """The t per-step draw vectors of `_sample_rev`, `rows` draws in
+    [0, high) each. A block of steps is one C-ordered (steps, rows) call,
+    which yields the values of that many one-step calls, so the draws do
+    not depend on the block length. A block holds at most
+    DRAW_BLOCK_BYTES (one step of more rows exceeds it)."""
+    steps = max(1, DRAW_BLOCK_BYTES // (np.dtype(dtype).itemsize * max(rows, 1)))
     for done in range(0, t, steps):
-        todo = block[:min(steps, t - done)]
-        lo = 0
-        for rng, rows in streams:
-            todo[:, lo:lo + rows] = rng.integers(0, high, size=(len(todo), rows), dtype=dtype)
-            lo += rows
-        yield from todo
+        yield from rng.integers(0, high, size=(min(steps, t - done), rows), dtype=dtype)
 
 
 def _nth_free(values: np.ndarray, i: np.ndarray, r: np.ndarray) -> np.ndarray:

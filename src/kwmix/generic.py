@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import enumerate_tuples, sample_uniform_tuples, tuple_space_size
-from .rng import mc_chunks
+from .rng import make_rng, mc_pieces
 
 
 @dataclass(frozen=True)
@@ -164,14 +164,15 @@ def _wilson(hits: int, samples: int) -> tuple[float, float]:
 def generic_fraction_mc(partition: Partition, samples: int, seed: int = 0) -> FractionEstimate:
     """Monte Carlo estimate of Pr[a uniform distinct k-tuple is generic].
 
-    Sampling uses a fixed number of Philox streams so the estimate is
-    reproducible regardless of how chunks are scheduled.
+    All samples draw from the one stream of `seed`, in the consecutive
+    pieces of `rng.mc_pieces`, so memory is bounded by MC_PIECE rows.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     hits = 0
-    for rng, chunk in mc_chunks(seed, samples):
-        words = sample_uniform_tuples(partition.n, partition.k, chunk, rng)
+    rng = make_rng(seed)
+    for rows in mc_pieces(samples):
+        words = sample_uniform_tuples(partition.n, partition.k, rows, rng)
         hits += int(generic_mask(words, partition).sum())
     low, high = _wilson(hits, samples)
     return FractionEstimate(

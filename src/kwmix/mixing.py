@@ -30,7 +30,6 @@ from scipy.special import chdtrc
 from .chains import (
     ChainSpec,
     Kernel,
-    _sample_rev,
     _state_index,
     build_kernel,
     enumerate_generic_states,
@@ -39,7 +38,7 @@ from .chains import (
 from .core import sample_uniform_tuples, tuple_space_size
 from .errors import InvariantViolation
 from .generic import count_generic_states
-from .rng import make_rng, mc_chunks, mc_groups
+from .rng import make_rng, mc_pieces
 
 # chains whose color-permutation symmetry makes every start equivalent
 TRANSITIVE_FAMILIES = {"ucc", "cc", "complete"}
@@ -416,13 +415,10 @@ def kwise_stat_mc(
     from the fixed start (0, 1, ..., k-1) (any fixed distinct start would
     do), one bounded integer per gate and sample; ``sampler="uniform"``
     replaces them by direct uniform tuples (the positive control for the
-    harness itself). Sampling is split over a fixed number of Philox
-    streams for scheduler-independent reproducibility, in the pieces of
-    `rng.mc_chunks`. The circuit sampler steps the pieces of several
-    streams together, one `rng.mc_groups` group per batch, each piece
-    drawing from its own stream, so the draws per seed are those of one
-    `sample_chain` call per piece and memory is still bounded by MC_PIECE
-    rows.
+    harness itself). All samples draw from the one stream of `seed`, in
+    the consecutive pieces of `rng.mc_pieces`, one `sample_chain` or
+    `core.sample_uniform_tuples` call per piece, so memory is bounded by
+    MC_PIECE rows.
 
     Hamming pools the weights <= a and >= n - a into its two end bins,
     which leaves n + 1 - 2a bins. Without `bins`, hamming pools with the
@@ -450,7 +446,7 @@ def kwise_stat_mc(
             break
         bins, law = coarser, statistic_law(statistic, n, k, coarser)
     if sampler == "circuit":
-        ChainSpec(family="rev", k=k, n=n)  # refuse a bad n or k before the count check
+        spec = ChainSpec(family="rev", k=k, n=n)  # refuse a bad n or k before the count check
     expected = law * samples
     support = expected > 0
     if support.sum() < 2:
@@ -462,13 +458,14 @@ def kwise_stat_mc(
             f"{samples} samples over {bins} bins expect {least:.3g} in the "
             f"least likely bin; the chi-square test needs at least {MIN_EXPECTED_COUNT}")
 
+    rng = make_rng(seed)
     if sampler == "circuit":
         start = np.arange(k, dtype=np.uint64)
-        batches = (_sample_rev(n, "parameter", np.tile(start, (sum(r for _, r in group), 1)),
-                               gates, group) for group in mc_groups(seed, samples))
+        batches = (sample_chain(spec, np.tile(start, (rows, 1)), gates, rng)
+                   for rows in mc_pieces(samples))
     else:
-        batches = (sample_uniform_tuples(n, k, chunk, rng)[..., 0]
-                   for rng, chunk in mc_chunks(seed, samples))
+        batches = (sample_uniform_tuples(n, k, rows, rng)[..., 0]
+                   for rows in mc_pieces(samples))
     counts = np.zeros(bins, dtype=np.int64)
     for tuples in batches:
         values = _statistic_values(statistic, tuples, n, bins)

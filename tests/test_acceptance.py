@@ -148,7 +148,7 @@ def test_criterion_6_gate_involution_and_bijectivity(monkeypatch):
     # row v of one parameter-mode step draws gate index v, and every row is
     # the tuple of all n-bit strings, so its image is gate v's table
     monkeypatch.setattr(chains, "_gate_draws",
-                        lambda streams, t, high, dtype: iter([np.arange(high, dtype=dtype)]))
+                        lambda rng, t, rows, high, dtype: iter([np.arange(high, dtype=dtype)]))
     for n in range(3, 6):
         x = np.tile(np.arange(1 << n), (16 * n * (n - 1) ** 2, 1))
         images = sample_chain(ChainSpec(family="rev", k=1 << n, n=n), x, 1, make_rng(0))

@@ -15,7 +15,6 @@ from kwmix.chains import (
     _count_matrix,
     _draw_bounds,
     _move,
-    _sample_rev,
     _state_index,
     _step_moves,
     build_kernel,
@@ -484,6 +483,20 @@ def test_spec_refuses_a_field_its_family_does_not_read(fields, message):
         ChainSpec(**fields)
 
 
+def test_label_names_the_fields_each_family_reads():
+    # the gate mode only where gates are drawn, as in ChainSpec.meta()
+    labels = [ChainSpec(**fields).label() for fields in (
+        dict(family="rev", k=2, n=5, gate_mode="set"),
+        dict(family="grev", k=2, n=5, partition=_PART_5_2),
+        dict(family="tgrev", k=2, n=5, partition=_PART_5_2),
+        dict(family="cc", k=2, ncolors=4),
+        dict(family="ucc", k=3, ncolors=6),
+        dict(family="complete", ncolors=4),
+    )]
+    assert labels == ["rev(k=2,n=5,set)", "grev(k=2,n=5,parameter)", "tgrev(k=2,n=5)",
+                      "cc(k=2,N=4)", "ucc(k=3,N=6)", "complete(N=4)"]
+
+
 def test_sampler_rejects_families_without_moves_and_bad_shapes():
     rng = make_rng(0)
     with pytest.raises(ValueError):
@@ -572,23 +585,6 @@ def test_rev_draw_blocks_do_not_change_the_draws(monkeypatch, block_bytes, rows,
         x = _distinct_starts(n, 3, seed, rows)
         np.testing.assert_array_equal(sample_chain(spec, x, t, make_rng(seed)),
                                       _reference_rev_steps(x, t, make_rng(seed), n, tables))
-
-
-@pytest.mark.parametrize("gate_mode", ["parameter", "set"])
-def test_rev_streams_step_together_as_they_would_apart(monkeypatch, gate_mode):
-    # consecutive row ranges, each drawing from its own stream (one range
-    # empty), equal one sample_chain call per range, across draw blocks
-    monkeypatch.setattr(chains, "DRAW_BLOCK_BYTES", 500)
-    n, k, t = 6, 2, 25
-    spec = ChainSpec(family="rev", k=k, n=n, gate_mode=gate_mode)
-    x = _distinct_starts(n, k, 0, rows=40)
-    ranges = [(0, 3), (3, 3), (3, 30), (30, 40)]
-    got = _sample_rev(n, gate_mode, x, t,
-                      [(make_rng(i), hi - lo) for i, (lo, hi) in enumerate(ranges)])
-    apart = [sample_chain(spec, x[lo:hi], t, make_rng(i)) for i, (lo, hi) in enumerate(ranges)]
-    np.testing.assert_array_equal(got, np.concatenate(apart))
-    with pytest.raises(ValueError, match="do not sum to the 40 states"):
-        _sample_rev(n, gate_mode, x, t, [(make_rng(0), 39)])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 12, 64])

@@ -597,16 +597,18 @@ def test_hamming_pools_its_sparse_end_bins(capsys):
 
 
 # kwise-test --statistic hamming --bins n+1 --gates 20 --samples 6000
-# --seed n --format json, as printed before the end bins could be pooled
+# --seed n --format json, as printed before the end bins could be pooled;
+# re-pinned when the samples stopped being split over eight streams and
+# all came from the one stream of the seed
 HAMMING_N_PLUS_ONE = {
-    3: '"bins": 4, "chi2": 2.4604444444444447, "dof": 3, "p_value": 0.48248208946985194',
-    4: '"bins": 5, "chi2": 6.6073333333333331, "dof": 4, "p_value": 0.15815190336066576',
-    5: '"bins": 6, "chi2": 5.6399999999999997, "dof": 5, "p_value": 0.34283842848671509',
-    6: '"bins": 7, "chi2": 8.3404444444444437, "dof": 6, "p_value": 0.21420723428936003',
-    7: '"bins": 8, "chi2": 123.98973968253968, "dof": 7, "p_value": 1.1294398240704344e-23',
-    8: '"bins": 9, "chi2": 261.00708571428567, "dof": 8, "p_value": 7.9756905300481908e-52',
-    9: '"bins": 10, "chi2": 518.20799999999997, "dof": 9, "p_value": 7.2437108932035728e-106',
-    10: '"bins": 11, "chi2": 955.41509417989414, "dof": 10, "p_value": 7.4873751515836778e-199',
+    3: '"bins": 4, "chi2": 0.9377777777777776, "dof": 3, "p_value": 0.81630290003659312',
+    4: '"bins": 5, "chi2": 7.2297777777777767, "dof": 4, "p_value": 0.12423242194363898',
+    5: '"bins": 6, "chi2": 4.1600000000000001, "dof": 5, "p_value": 0.52661753609405848',
+    6: '"bins": 7, "chi2": 44.419911111111105, "dof": 6, "p_value": 6.1018695728324434e-08',
+    7: '"bins": 8, "chi2": 91.22092698412699, "dof": 7, "p_value": 6.9444368910414066e-17',
+    8: '"bins": 9, "chi2": 277.92320000000001, "dof": 8, "p_value": 2.040263173410995e-55',
+    9: '"bins": 10, "chi2": 438.99462433862436, "dof": 9, "p_value": 6.4540910077374614e-89',
+    10: '"bins": 11, "chi2": 959.52064338624336, "dof": 10, "p_value": 9.7780934707513521e-200',
 }
 
 
@@ -656,11 +658,23 @@ def test_monte_carlo_commands_load_no_scipy_stats():
 
 
 def test_mix_mc_is_seed_deterministic(capsys):
-    argv = ("mix-mc", "--chain", "rev", "--n", "3", "--k", "2", "--t", "10",
-            "--samples", "2000", "--seed")
-    outs = [run_cli(capsys, *argv, seed) for seed in ("4", "4", "5")]
-    assert all(code == 0 for code, _, _ in outs)
-    assert outs[0][1] == outs[1][1] != outs[2][1]
+    # the same seed prints the same bytes; another seed moves the statistic
+    runs = [
+        (("mix-mc", "--chain", "rev", "--n", "3", "--k", "2", "--t", "10",
+          "--samples", "2000"), "chi2"),
+        (("kwise-test", "--n", "6", "--k", "2", "--gates", "20", "--samples", "2000"), "chi2"),
+        (("kwise-test", "--n", "6", "--k", "2", "--gates", "20", "--samples", "2000",
+          "--sampler", "uniform"), "chi2"),
+        (("generic-frac", "--n", "8", "--k", "3", "--part-w", "2", "--part-p", "2",
+          "--samples", "2000"), "hits"),  # a generic fraction near 0.16
+    ]
+    for argv, field in runs:
+        outs = [run_cli(capsys, *argv, "--seed", seed, "--format", "json")
+                for seed in ("4", "4", "5")]
+        assert all(code == 0 for code, _, _ in outs)
+        assert outs[0][1] == outs[1][1]
+        values = [json.loads(out)[field] for _, out, _ in outs]
+        assert values[0] != values[2]
 
 
 @pytest.mark.parametrize("chain", [("rev", "--n", "3"), ("cc", "--N", "4"), ("ucc", "--N", "6"),

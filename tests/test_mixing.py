@@ -35,7 +35,7 @@ from kwmix.mixing import (
     tv_curve,
     tv_distance,
 )
-from kwmix.rng import make_rng, mc_chunks
+from kwmix.rng import make_rng
 
 
 @pytest.fixture(scope="module")
@@ -399,35 +399,28 @@ def test_circuit_draw_order_is_pinned():
     # fixed by the rev step's one uint32 draw per gate and its split into
     # truth table, target and controls; any change to them moves this
     # value. It moved from 53.54800000000001 when the four draws per gate
-    # (target, two control offsets, truth table) became one.
+    # (target, two control offsets, truth table) became one, and from
+    # 71.75500000000002 when the samples stopped being split over eight
+    # streams and all came from the one stream of the seed.
     report = kwise_stat_mc(n=6, k=2, gates=50, samples=2000, seed=3)
-    assert report.chi2 == 71.75500000000002
+    assert report.chi2 == 63.94300000000001
 
 
 def test_monte_carlo_shares_are_drawn_in_bounded_pieces(monkeypatch):
-    # 40 and 100 samples over 4 xor bins expect at least 9.5 per bin
+    # 40000 and 100 samples over 4 xor bins expect at least 23.8 per bin
     kwise = dict(n=6, k=2, gates=50, seed=3, bins=4)
     rows = []
-    sample_rev = mixing._sample_rev
-    monkeypatch.setattr(mixing, "_sample_rev", lambda n, mode, x, t, streams: (
-        rows.append(len(x)) or sample_rev(n, mode, x, t, streams)))
-    # the 8 shares of 5000 samples step as one batch of 40000 rows
+    monkeypatch.setattr(mixing, "sample_chain", lambda spec, x, t, rng: (
+        rows.append(len(x)) or sample_chain(spec, x, t, rng)))
+    # 40000 samples fit in one piece of at most 65536 rows
     kwise_stat_mc(samples=40_000, **kwise)
     assert rows == [40_000]
 
-    unsplit = kwise_stat_mc(samples=40, **kwise)
-    monkeypatch.setattr(kwmix.rng, "MC_PIECE", 5)
-    # shares of 13 or 12 samples come as pieces 5, 5, 3 or 5, 5, 2, each
-    # share from its own stream
-    pieces = list(mc_chunks(3, 100))
-    assert [size for _, size in pieces] == [5, 5, 3] * 4 + [5, 5, 2] * 4
-    streams = [stream for stream, _ in pieces]
-    assert all(streams[i] is streams[i - i % 3] for i in range(len(streams)))
-    assert len({id(stream) for stream in streams}) == kwmix.rng.MC_STREAMS
-    # shares of at most one piece draw as before
-    assert kwise_stat_mc(samples=40, **kwise) == unsplit
-
     # no caller draws more rows at once than one piece
+    monkeypatch.setattr(kwmix.rng, "MC_PIECE", 5)
+    rows.clear()
+    kwise_stat_mc(samples=100, **kwise)
+    assert rows == [5] * 20
     rows.clear()
     monkeypatch.setattr(generic, "sample_uniform_tuples", lambda n, k, size, stream: (
         rows.append(size) or sample_uniform_tuples(n, k, size, stream)))
@@ -436,25 +429,31 @@ def test_monte_carlo_shares_are_drawn_in_bounded_pieces(monkeypatch):
     assert max(rows) == 5 and sum(rows) == 200
 
 
-@pytest.mark.parametrize("piece, groups", [
-    (5, [[5], [5], [3]] * 4 + [[5], [5], [2]] * 4),  # shares span several pieces
-    (64, [[13] * 4 + [12], [12] * 3]),                # one piece per share
-    (100, [[13] * 4 + [12] * 4]),                     # every share in one group
-])
-def test_grouped_pieces_step_as_one_call_per_piece(monkeypatch, piece, groups):
-    monkeypatch.setattr(kwmix.rng, "MC_PIECE", piece)
-    monkeypatch.setattr(chains, "DRAW_BLOCK_BYTES", 1000)  # the 50 steps span blocks
-    assert [[rows for _, rows in group] for group in kwmix.rng.mc_groups(3, 100)] == groups
-    ends = []
-    sample_rev = mixing._sample_rev
-    monkeypatch.setattr(mixing, "_sample_rev", lambda *args: (
-        ends.append(sample_rev(*args)) or ends[-1]))
-    kwise_stat_mc(n=6, k=2, gates=50, samples=100, seed=3, bins=4)
-    # the former loop: one sample_chain call per piece, on the piece's stream
+def test_monte_carlo_pieces_draw_in_turn_from_one_stream(monkeypatch):
+    # 100 samples in pieces of 5, each circuit's 50 steps spanning draw blocks
+    monkeypatch.setattr(kwmix.rng, "MC_PIECE", 5)
+    monkeypatch.setattr(chains, "DRAW_BLOCK_BYTES", 1000)
     spec = ChainSpec(family="rev", k=2, n=6)
-    apart = [sample_chain(spec, np.tile((0, 1), (rows, 1)), 50, stream)
-             for stream, rows in mc_chunks(3, 100)]
-    np.testing.assert_array_equal(np.concatenate(ends), np.concatenate(apart))
+    seen = []
+    statistic_values = mixing._statistic_values
+    monkeypatch.setattr(mixing, "_statistic_values", lambda statistic, tuples, n, bins: (
+        seen.append(tuples) or statistic_values(statistic, tuples, n, bins)))
+    for sampler in SAMPLERS:
+        seen.clear()
+        kwise_stat_mc(n=6, k=2, gates=50, samples=100, seed=3, bins=4, sampler=sampler)
+        rng = make_rng(3)
+        if sampler == "circuit":
+            loop = [sample_chain(spec, np.tile((0, 1), (5, 1)), 50, rng) for _ in range(20)]
+        else:
+            loop = [sample_uniform_tuples(6, 2, 5, rng)[..., 0] for _ in range(20)]
+        np.testing.assert_array_equal(np.concatenate(seen), np.concatenate(loop))
+
+    part = make_partition(8, 2, w=2, p=2)
+    rng = make_rng(3)
+    hits = sum(int(generic.generic_mask(sample_uniform_tuples(8, 2, 5, rng), part).sum())
+               for _ in range(20))
+    estimate = generic_fraction_mc(part, 100, seed=3)
+    assert estimate.hits == hits < 100
 
 
 def test_chi_square_refuses_or_halves_bins_that_expect_too_few_samples():
