@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import enumerate_tuples, sample_uniform_tuples, tuple_space_size
-from .rng import make_rng, mc_pieces
+from .rng import mc_counts
 
 
 @dataclass(frozen=True)
@@ -164,16 +164,14 @@ def _wilson(hits: int, samples: int) -> tuple[float, float]:
 def generic_fraction_mc(partition: Partition, samples: int, seed: int = 0) -> FractionEstimate:
     """Monte Carlo estimate of Pr[a uniform distinct k-tuple is generic].
 
-    All samples draw from the one stream of `seed`, in the consecutive
-    pieces of `rng.mc_pieces`, so memory is bounded by MC_PIECE rows.
+    `rng.mc_counts` bins the `generic_mask` value, 0 or 1, of every sample,
+    drawn in pieces of at most MC_PIECE rows from the one stream of
+    `seed`, so memory does not grow with `samples`; the hits are bin 1.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    hits = 0
-    rng = make_rng(seed)
-    for rows in mc_pieces(samples):
-        words = sample_uniform_tuples(partition.n, partition.k, rows, rng)
-        hits += int(generic_mask(words, partition).sum())
+    hits = int(mc_counts(samples, seed, 2, lambda rows, rng: generic_mask(
+        sample_uniform_tuples(partition.n, partition.k, rows, rng), partition))[1])
     low, high = _wilson(hits, samples)
     return FractionEstimate(
         fraction=hits / samples,

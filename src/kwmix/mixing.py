@@ -12,7 +12,8 @@ closed-form law under the uniform distribution on distinct tuples
 computable, which raw TV over a ~2^(nk)-point support would not be.
 Where the state space is small enough to count every state, sampled
 end states are tested against the uniform law directly
-(`end_state_test`, the statistic of ``kwmix mix-mc``).
+(`end_state_test`, the statistic of ``kwmix mix-mc``). Both tests count
+samples in pieces with `rng.mc_counts` and score them in `_chi_square`.
 """
 
 from __future__ import annotations
@@ -20,25 +21,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.special import chdtrc
 
-from .chains import (
-    ChainSpec,
-    Kernel,
-    _state_index,
-    build_kernel,
-    enumerate_generic_states,
-    sample_chain,
-)
-from .core import sample_uniform_tuples, tuple_space_size
+from .chains import ChainSpec, Kernel, _chain_states, _state_index, build_kernel, sample_chain
+from .core import sample_uniform_tuples
 from .errors import InvariantViolation
-from .generic import count_generic_states
-from .rng import make_rng, mc_pieces
+from .rng import mc_counts
 
 # chains whose color-permutation symmetry makes every start equivalent
 TRANSITIVE_FAMILIES = {"ucc", "cc", "complete"}
@@ -263,8 +256,7 @@ def kwise_tv_exact(n: int, k: int, t: int, gate_mode: str = "parameter") -> list
 # Monte Carlo statistics of sampled chains and of random circuits
 # ---------------------------------------------------------------------------
 
-# smallest expected count per state at which end_state_test runs its
-# chi-square test
+# smallest expected count per outcome at which a chi-square test runs
 MIN_EXPECTED_COUNT = 5
 
 
@@ -275,6 +267,33 @@ def _chi2_p_value(chi2: float, dof: int) -> float:
     if dof < 1:
         raise InvariantViolation(f"a chi-square test needs dof >= 1, got {dof}")
     return float(chdtrc(dof, chi2))
+
+
+def _chi_square(expected: np.ndarray, samples: int, seed: int,
+                draw: Callable[[int, np.random.Generator], np.ndarray],
+                unit: str, one_outcome: str) -> tuple[np.ndarray, float, int, float]:
+    """Counts, chi2, dof and p-value of `rng.mc_counts(samples, seed,
+    len(expected), draw)` against `expected`, over its positive entries.
+
+    Refuses before any draw (ValueError) no samples, one outcome
+    (`one_outcome` says which), and a least expected count below
+    MIN_EXPECTED_COUNT. A count outside the support gives chi2 = inf."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    support = expected > 0
+    if support.sum() < 2:
+        raise ValueError(f"{one_outcome}; a chi-square test needs two")
+    least = expected[support].min()
+    if least < MIN_EXPECTED_COUNT:
+        raise ValueError(
+            f"{samples} samples over {len(expected)} {unit}s expect {least:.3g} in the "
+            f"least likely {unit}; the chi-square test needs at least {MIN_EXPECTED_COUNT}")
+    counts = mc_counts(samples, seed, len(expected), draw)
+    chi2 = float(np.sum((counts[support] - expected[support]) ** 2 / expected[support]))
+    if counts[~support].any():
+        chi2 = math.inf
+    dof = int(support.sum()) - 1
+    return counts, chi2, dof, _chi2_p_value(chi2, dof)
 
 
 @dataclass
@@ -289,38 +308,27 @@ class EndStateReport:
 
 def end_state_test(spec: ChainSpec, t: int, samples: int, seed: int = 0) -> EndStateReport:
     """Chi-square test of the end states of `samples` t-step trajectories
-    against the uniform law on the chain's state space.
+    against the uniform law on the states of `chains._chain_states`.
 
-    Every trajectory starts at (0, 1, ..., k-1), for tgrev at the first
-    generic state, and all are stepped together by `sample_chain` on the
-    Philox stream of `seed`. Unvisited states add their expected count to
-    chi2 and their mass to the empirical TV. Raises ValueError where fewer
-    than MIN_EXPECTED_COUNT samples per state are expected, too few for
-    the chi-square approximation.
+    Every trajectory starts at the first state, (0, 1, ..., k-1) or for
+    tgrev the first generic state. `rng.mc_counts` steps them with
+    `sample_chain` in pieces of at most MC_PIECE rows from the one stream
+    of `seed`, so memory does not grow with `samples`, and counts the end
+    states by rank. Refused as in `_chi_square`, below MIN_EXPECTED_COUNT
+    samples per state.
     """
-    if spec.family == "tgrev":
-        space = count_generic_states(spec.partition)
-        start = enumerate_generic_states(spec.partition)[0]
-    else:
-        ground = 1 << spec.n if spec.family == "rev" else spec.ncolors
-        space = tuple_space_size(spec.k, ground)
-        start = tuple(range(spec.k))
-    if space < 2:
-        raise ValueError(f"{spec.label()} has one state; a chi-square test needs two")
-    if samples < MIN_EXPECTED_COUNT * space:
-        raise ValueError(
-            f"{samples} samples over {space} states expect "
-            f"{samples / space:.3g} per state; the chi-square test "
-            f"needs at least {MIN_EXPECTED_COUNT}")
-    ends = sample_chain(spec, np.tile(start, (samples, 1)), t, make_rng(seed))
-    counts = np.unique(ends, axis=0, return_counts=True)[1]
-    expected = samples / space
-    unvisited = space - len(counts)
-    chi2 = float(((counts - expected) ** 2 / expected).sum() + unvisited * expected)
-    dof = space - 1
-    emp_tv = float(0.5 * (np.abs(counts / samples - 1.0 / space).sum() + unvisited / space))
-    return EndStateReport(states=space, distinct_visited=len(counts), chi2=chi2, dof=dof,
-                          p_value=_chi2_p_value(chi2, dof), empirical_tv=emp_tv)
+    states, index = _chain_states(spec)
+    size = len(states)
+
+    def ranks(rows: int, rng: np.random.Generator) -> np.ndarray:
+        ends = sample_chain(spec, np.tile(states[0], (rows, 1)), t, rng)
+        return index(ends.astype(np.int64, copy=False))
+
+    counts, chi2, dof, p_value = _chi_square(np.full(size, samples / size), samples, seed,
+                                             ranks, "state", f"{spec.label()} has one state")
+    emp_tv = float(0.5 * np.abs(counts / samples - 1.0 / size).sum())
+    return EndStateReport(states=size, distinct_visited=int(np.count_nonzero(counts)),
+                          chi2=chi2, dof=dof, p_value=p_value, empirical_tv=emp_tv)
 
 
 STATISTICS = ("hamming", "xor", "lowbits")
@@ -415,10 +423,10 @@ def kwise_stat_mc(
     from the fixed start (0, 1, ..., k-1) (any fixed distinct start would
     do), one bounded integer per gate and sample; ``sampler="uniform"``
     replaces them by direct uniform tuples (the positive control for the
-    harness itself). All samples draw from the one stream of `seed`, in
-    the consecutive pieces of `rng.mc_pieces`, one `sample_chain` or
-    `core.sample_uniform_tuples` call per piece, so memory is bounded by
-    MC_PIECE rows.
+    harness itself). `rng.mc_counts` bins the statistic of every sample,
+    drawn in pieces of at most MC_PIECE rows from the one stream of
+    `seed`, one `sample_chain` or `core.sample_uniform_tuples` call per
+    piece, so memory does not grow with `samples`.
 
     Hamming pools the weights <= a and >= n - a into its two end bins,
     which leaves n + 1 - 2a bins. Without `bins`, hamming pools with the
@@ -430,8 +438,6 @@ def kwise_stat_mc(
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
-    if samples < 1:
-        raise ValueError("need at least one sample")
     if gates < 0:
         raise ValueError(f"need gates >= 0, got {gates}")
     if n > 64:
@@ -447,37 +453,18 @@ def kwise_stat_mc(
         bins, law = coarser, statistic_law(statistic, n, k, coarser)
     if sampler == "circuit":
         spec = ChainSpec(family="rev", k=k, n=n)  # refuse a bad n or k before the count check
-    expected = law * samples
-    support = expected > 0
-    if support.sum() < 2:
-        raise ValueError(f"{statistic} of {n}-bit strings takes one value over {bins} "
-                         "bins; a chi-square test needs two")
-    least = expected[support].min()
-    if least < MIN_EXPECTED_COUNT:
-        raise ValueError(
-            f"{samples} samples over {bins} bins expect {least:.3g} in the "
-            f"least likely bin; the chi-square test needs at least {MIN_EXPECTED_COUNT}")
 
-    rng = make_rng(seed)
-    if sampler == "circuit":
-        start = np.arange(k, dtype=np.uint64)
-        batches = (sample_chain(spec, np.tile(start, (rows, 1)), gates, rng)
-                   for rows in mc_pieces(samples))
-    else:
-        batches = (sample_uniform_tuples(n, k, rows, rng)[..., 0]
-                   for rows in mc_pieces(samples))
-    counts = np.zeros(bins, dtype=np.int64)
-    for tuples in batches:
-        values = _statistic_values(statistic, tuples, n, bins)
-        counts += np.bincount(values.astype(np.int64), minlength=bins)
+    def values(rows: int, rng: np.random.Generator) -> np.ndarray:
+        tuples = (sample_chain(spec, np.tile(np.arange(k, dtype=np.uint64), (rows, 1)), gates, rng)
+                  if sampler == "circuit" else sample_uniform_tuples(n, k, rows, rng)[..., 0])
+        return _statistic_values(statistic, tuples, n, bins)
 
-    chi2 = float(np.sum((counts[support] - expected[support]) ** 2 / expected[support]))
-    if counts[~support].any():
-        chi2 = math.inf
-    dof = int(support.sum()) - 1
+    _, chi2, dof, p_value = _chi_square(
+        law * samples, samples, seed, values, "bin",
+        f"{statistic} of {n}-bit strings takes one value over {bins} bins")
     return StatTestReport(
         n=n, k=k, gates=gates, samples=samples, statistic=statistic, bins=bins,
-        chi2=chi2, dof=dof, p_value=_chi2_p_value(chi2, dof), seed=seed, gate_mode="parameter",
+        chi2=chi2, dof=dof, p_value=p_value, seed=seed, gate_mode="parameter",
         sampler=sampler,
     )
 

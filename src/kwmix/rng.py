@@ -2,17 +2,20 @@
 
 Every experiment takes an integer seed and derives all of its randomness
 from it. A Monte Carlo statistic draws from the one stream of its seed
-(`make_rng`); `kwise_stat_mc` and `generic_fraction_mc` draw it in the
-consecutive pieces of `mc_pieces`, at most MC_PIECE rows each.
+(`make_rng`): `mc_counts` draws it in consecutive pieces of at most
+MC_PIECE rows and sums the binned values of each piece, for
+`kwise_stat_mc`, `end_state_test` and `generic_fraction_mc` alike.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
-# most rows of one yielded piece, so Monte Carlo memory does not grow
+from .errors import InvariantViolation
+
+# most rows of one drawn piece, so Monte Carlo memory does not grow
 # with the sample count
 MC_PIECE = 1 << 16
 
@@ -33,8 +36,19 @@ def split_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(ss)) for ss in children]
 
 
-def mc_pieces(samples: int) -> Iterator[int]:
-    """Sizes of the consecutive pieces of at most MC_PIECE rows that
-    make up `samples` rows."""
+def mc_counts(samples: int, seed: int, bins: int,
+              draw: Callable[[int, np.random.Generator], np.ndarray]) -> np.ndarray:
+    """Counts over `bins` bins of `samples` values, an int64 (bins,) vector.
+
+    `draw(rows, rng)` gives the bin of each of `rows` samples. Every piece,
+    of at most MC_PIECE rows, draws in turn from the one stream of `seed`.
+    A bin outside [0, bins) is an InvariantViolation.
+    """
+    rng = make_rng(seed)
+    counts = np.zeros(bins, dtype=np.int64)
     for start in range(0, samples, MC_PIECE):
-        yield min(MC_PIECE, samples - start)
+        values = draw(min(MC_PIECE, samples - start), rng).astype(np.int64, copy=False)
+        if values.min() < 0 or values.max() >= bins:
+            raise InvariantViolation(f"a Monte Carlo sample falls outside its {bins} bins")
+        counts += np.bincount(values, minlength=bins)
+    return counts

@@ -569,7 +569,8 @@ def test_mix_mc_refuses_too_few_samples_per_state(capsys):
                              "--k", "2", "--t", "10", "--samples", "50")
     assert code == 2
     assert out == ""
-    assert "invalid configuration" in err and "at least 5" in err
+    assert err == ("kwmix: invalid configuration: 50 samples over 240 states expect 0.208 in "
+                   "the least likely state; the chi-square test needs at least 5\n")
 
 
 def test_kwise_test_refuses_bins_that_expect_too_few_samples(capsys):

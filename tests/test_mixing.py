@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import kwmix.rng
-from kwmix import chains, generic, mixing
+from kwmix import chains, cli, generic, mixing
 from kwmix.chains import ChainSpec, build_kernel, enumerate_generic_states, sample_chain
 from kwmix.core import enumerate_tuples, sample_uniform_tuples
 from kwmix.errors import InvariantViolation
@@ -422,6 +422,9 @@ def test_monte_carlo_shares_are_drawn_in_bounded_pieces(monkeypatch):
     kwise_stat_mc(samples=100, **kwise)
     assert rows == [5] * 20
     rows.clear()
+    end_state_test(ChainSpec(family="ucc", k=2, ncolors=3), 3, 100)  # 6 states
+    assert rows == [5] * 20
+    rows.clear()
     monkeypatch.setattr(generic, "sample_uniform_tuples", lambda n, k, size, stream: (
         rows.append(size) or sample_uniform_tuples(n, k, size, stream)))
     kwise_stat_mc(samples=100, **kwise)
@@ -454,6 +457,17 @@ def test_monte_carlo_pieces_draw_in_turn_from_one_stream(monkeypatch):
                for _ in range(20))
     estimate = generic_fraction_mc(part, 100, seed=3)
     assert estimate.hits == hits < 100
+
+    # the end-state counts of 100 ucc(k=2, N=3) trajectories, as ranked
+    ucc = ChainSpec(family="ucc", k=2, ncolors=3)
+    counted = []
+    monkeypatch.setattr(mixing, "mc_counts", lambda *args: (
+        counted.append(kwmix.rng.mc_counts(*args)) or counted[-1]))
+    end_state_test(ucc, 4, 100, seed=3)
+    states, index = chains._chain_states(ucc)
+    rng = make_rng(3)
+    ranks = [index(sample_chain(ucc, np.tile(states[0], (5, 1)), 4, rng)) for _ in range(20)]
+    np.testing.assert_array_equal(counted, [np.bincount(np.concatenate(ranks), minlength=6)])
 
 
 def test_chi_square_refuses_or_halves_bins_that_expect_too_few_samples():
@@ -517,14 +531,18 @@ def test_end_state_test_of_a_point_mass_counts_every_unvisited_state():
     ChainSpec(family="rev", k=2, n=3),
     ChainSpec(family="tgrev", k=2, n=3, partition=make_partition(3, 2, w=2, p=1)),
 ], ids=lambda spec: spec.label())
-def test_end_state_test_matches_a_count_over_every_state(spec):
+def test_end_state_test_matches_a_count_over_every_state(spec, monkeypatch):
     if spec.family == "tgrev":
         states = enumerate_generic_states(spec.partition)
     else:
         states = enumerate_tuples(spec.k, 1 << spec.n if spec.n else spec.ncolors)
     m, t, seed = 40 * len(states), 3, 9
+    # the m trajectories span several pieces of 100, the last one short
+    monkeypatch.setattr(kwmix.rng, "MC_PIECE", 100)
     report = end_state_test(spec, t, m, seed)
-    ends = sample_chain(spec, np.tile(states[0], (m, 1)), t, make_rng(seed))
+    rng = make_rng(seed)
+    ends = np.concatenate([sample_chain(spec, np.tile(states[0], (min(100, m - a), 1)), t, rng)
+                           for a in range(0, m, 100)])
     counts = {tuple(row): 0 for row in states.tolist()}
     for row in ends.tolist():
         counts[tuple(row)] += 1
@@ -533,6 +551,8 @@ def test_end_state_test_matches_a_count_over_every_state(spec):
     observed = np.array(list(counts.values()))
     chi2 = math.fsum((observed - expected) ** 2 / expected)
     assert report.states == len(states) and report.dof == len(states) - 1
+    # reports.json_dumps refuses numpy integers
+    assert {type(report.states), type(report.distinct_visited), type(report.dof)} == {int}
     assert report.distinct_visited == int((observed > 0).sum())
     assert report.chi2 == pytest.approx(chi2, rel=1e-12)
     assert report.p_value == pytest.approx(sps.chi2.sf(chi2, len(states) - 1), rel=1e-9)
@@ -572,6 +592,18 @@ def test_count_in_an_unsupported_bin_has_p_value_zero(monkeypatch):
                            sampler="uniform")
     assert (report.chi2, report.dof) == (math.inf, 14)
     assert report.p_value == 0.0 == sps.chi2.sf(report.chi2, report.dof)
+
+
+def test_a_sample_outside_its_bins_is_an_internal_fault(monkeypatch):
+    # tuples with equal rows are no state of ucc and rank -1; the CLI exits
+    # 4 (internal invariant violation), not 2 (invalid configuration)
+    monkeypatch.setattr(mixing, "sample_chain", lambda spec, x, t, rng: np.zeros_like(x))
+    with pytest.raises(InvariantViolation, match="outside its 12 bins"):
+        end_state_test(ChainSpec(family="ucc", k=2, ncolors=4), 3, 60)
+    assert cli.main(["mix-mc", "--chain", "ucc", "--k", "2", "--N", "4", "--t", "3",
+                     "--samples", "60"]) == 4
+    with pytest.raises(InvariantViolation, match="outside its 2 bins"):
+        kwmix.rng.mc_counts(10, 0, 2, lambda rows, rng: np.full(rows, 2))
 
 
 def test_p_value_needs_a_degree_of_freedom():
