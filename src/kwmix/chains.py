@@ -18,12 +18,15 @@ it reads the validated ``ChainSpec``, which refuses a field its family
 does not read. Every kernel is a random walk on a symmetric weighted
 move graph. `_chain_states` gives the family's states, an (S, k) int64
 array kept as ``Kernel.states`` (None for product kernels), and ranks
-successor tuples by sorted base-N keys (``_state_index``, which also
+successor tuples by sorted base-N keys (``_StateIndex``, which also
 ranks the symmetry images of ``mixing.orbit_starts``). The moves come
 as arrays (src, dst, count), count being the integer weight of the
-draws of one step that move src to dst: each distinct gate table under
-its gate measure for rev and grev, the tgrev draws grouped by the
-values each kind reads, and every draw for ucc, cc and complete. One
+draws of one step that move src to dst: for rev and grev, each target
+wire and set of flipped rows under its gate measure, counted from the
+state's column types (`_flip_moves`), or, where a state's successors
+come near the number of distinct gate tables (n = 3, or large k), each
+distinct table (`_gate_moves`); the tgrev draws grouped by the values
+each kind reads; and every draw for ucc, cc and complete. One
 helper sums them into a CSR matrix of counts, sorting them by int64
 (src, dst) keys; each row is divided once by its own total w(x), and
 the stationary law is pi = w / sum(w). For every family but grev, w is
@@ -47,12 +50,14 @@ generator passed to ``sample_chain``; rev draws a block of steps as one
 C-ordered (steps, S) call, whose values do not depend on the block
 length.
 
-Gate randomness has two documented measures, both weights on the one
-table set of ``core.dedupe_gates`` (n <= 12 for the exact kernels):
-``parameter`` (uniform over the 16 n (n-1)^2 parameter tuples, the
-default) weights each distinct permutation by the number of tuples that
-induce it, and ``set`` (uniform over the distinct permutations) weights
-each by 1.
+Gate randomness has two documented measures, both weights on the D(n)
+distinct permutations the gates induce (the tables of
+``core.dedupe_gates``): ``parameter`` (uniform over the 16 n (n-1)^2
+parameter tuples, the default) weights each distinct permutation by the
+number of tuples that induce it, and ``set`` (uniform over the distinct
+permutations) weights each by 1. Flip sets count both measures without
+a table, so the n <= 12 of ``dedupe_gates`` binds only the table source
+and the set-mode sampler; the state cap bounds the flip-set kernels.
 """
 
 from __future__ import annotations
@@ -336,9 +341,11 @@ def _nth_free(values: np.ndarray, i: np.ndarray, r: np.ndarray) -> np.ndarray:
 # Exact kernel builders
 # ---------------------------------------------------------------------------
 
-# Cap on gate-table x state entries the gate chains map at once. Each chunk
-# is one piece of moves, ranked and then merged by `_count_matrix` before
-# the next is mapped, so it bounds the ranking and sort buffers of a build.
+# Cap on the entries a gate chain fills per chunk of states: gate tables x
+# state entries mapped by `_gate_moves`, states x wires x row masks counted
+# by `_flip_moves`. Each chunk is one piece of moves, ranked and then
+# merged by `_count_matrix` before the next, so it bounds the count,
+# ranking and sort buffers of a build.
 CHUNK_ENTRIES = 1 << 14
 
 # (src, dst, count) arrays of one step's moves; a scalar count is broadcast
@@ -352,10 +359,15 @@ def build_kernel(spec: ChainSpec) -> Kernel:
     the stationary law is pi(x) = w(x) / sum(w) exactly (Levin, Peres and
     Wilmer, Markov Chains and Mixing Times, section 1.5): every move has
     its reverse with the same count. For the drawn families, and for rev,
-    w is the draw total, so pi is uniform. Raises StateCapExceeded when
-    the state space is larger than the configured cap."""
+    w is the draw total, so pi is uniform. rev and grev count their moves
+    from flip sets where `_flip_sets_pay` and from the distinct gate
+    tables otherwise; the two give the same counts. Raises
+    StateCapExceeded when the state space is larger than the configured
+    cap."""
     states, index = _chain_states(spec)
-    if spec.family in ("rev", "grev"):
+    if spec.family in ("rev", "grev") and _flip_sets_pay(spec.n, spec.k):
+        moves = _flip_moves(spec, states, index)
+    elif spec.family in ("rev", "grev"):
         tables, weights = dedupe_gates(spec.n)
         if spec.gate_mode == "set":
             weights = np.ones_like(weights)
@@ -375,7 +387,7 @@ def build_kernel(spec: ChainSpec) -> Kernel:
 
 def _chain_states(spec: ChainSpec):
     """The family's states, an (S, k) int64 array, and their
-    `_state_index` ranker: distinct tuples over 2^n (rev) or N (ucc, cc),
+    `_StateIndex` ranker: distinct tuples over 2^n (rev) or N (ucc, cc),
     the generic states of the partition (grev, tgrev), or the N singleton
     states of complete, capped by its N^2 kernel entries."""
     base = spec.ncolors if spec.n is None else 1 << spec.n
@@ -386,7 +398,7 @@ def _chain_states(spec: ChainSpec):
         states = enumerate_generic_states(spec.partition)
     else:
         states = _tuple_states(spec.k, base, spec.label())
-    return states, _state_index(states, base)
+    return states, _StateIndex(states, base)
 
 
 def _count_matrix(moves: Moves, size: int) -> sparse.csr_matrix:
@@ -433,24 +445,27 @@ def _merge_keys(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nd
     return keys[starts], np.add.reduceat(counts[order], starts, dtype=counts.dtype)
 
 
-def _state_index(states: np.ndarray, base: int):
+class _StateIndex:
     """Ranker of k-tuples among the rows of an (S, k) state array.
 
-    Tuples are read as base-`base` numbers and looked up in the sorted
-    keys of the states; the ranker maps (..., k) to (...) ranks, with -1
-    for a tuple that is not a state.
+    Tuples are read as base-`base` numbers, `keys[i]` being that of
+    state i, and looked up in the sorted keys of the states. Calling the
+    index maps (..., k) tuples to (...) ranks, and `rank_keys` maps keys,
+    with -1 for a tuple that is not a state.
     """
-    weights = base ** np.arange(states.shape[1] - 1, -1, -1, dtype=np.int64)
-    keys = states @ weights
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
 
-    def rank(tuples: np.ndarray) -> np.ndarray:
-        keys = tuples @ weights
-        pos = np.searchsorted(sorted_keys, keys).clip(max=len(order) - 1)
-        return np.where(sorted_keys[pos] == keys, order[pos], -1)
+    def __init__(self, states: np.ndarray, base: int) -> None:
+        self.weights = base ** np.arange(states.shape[1] - 1, -1, -1, dtype=np.int64)
+        self.keys = states @ self.weights
+        self._order = np.argsort(self.keys)
+        self._sorted_keys = self.keys[self._order]
 
-    return rank
+    def __call__(self, tuples: np.ndarray) -> np.ndarray:
+        return self.rank_keys(tuples @ self.weights)
+
+    def rank_keys(self, keys: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(self._sorted_keys, keys).clip(max=len(self._order) - 1)
+        return np.where(self._sorted_keys[pos] == keys, self._order[pos], -1)
 
 
 def _tuple_states(k: int, N: int, what: str) -> np.ndarray:
@@ -476,6 +491,103 @@ def _gate_moves(states: np.ndarray, tables: np.ndarray, weights: np.ndarray,
         src = np.broadcast_to(np.arange(a, a + dst.shape[1]), dst.shape)
         hit = dst >= 0
         yield src[hit], dst[hit], np.broadcast_to(weights[:, None], dst.shape)[hit]
+
+
+def _distinct_gates(n: int) -> int:
+    """D(n), the number of distinct permutations the gates of n wires
+    induce (the tables of `core.dedupe_gates`): the identity and, per
+    target, NOT, x_c and not x_c per other wire c, and the 10 functions
+    reading both wires of each pair of other wires."""
+    return 1 + n * (1 + 2 * (n - 1) + 10 * math.comb(n - 1, 2))
+
+
+def _flip_sets_pay(n: int, k: int) -> bool:
+    """Whether `_flip_moves` beats `_gate_moves`: from n = 4 on, where a
+    state's (2^k - 1) n + 1 successors are at most half of the D(n)
+    tables it would be mapped through."""
+    return n >= 4 and 2 * (((1 << k) - 1) * n + 1) <= _distinct_gates(n)
+
+
+# Truth tables h of controls c1 != c2 that read both control bits: 10 of 16.
+READS_BOTH = [h for h in range(16) if (h ^ h >> 2) & 3 and (h ^ h >> 1) & 5]
+
+
+def _mask_table(k: int, u1: np.ndarray, u2: np.ndarray, truth_tables,
+                weight: int) -> np.ndarray:
+    """(len(u1), 2^k) int64 counts: entry [i, M] is `weight` times the
+    number of the truth tables h under which a gate whose controls have
+    column types u1[i] and u2[i] flips exactly the row set M. Row r is
+    flipped when bit (2 a + b) of h is set, a and b being bit r of u1
+    and u2."""
+    full = (1 << k) - 1
+    classes = [~u1 & ~u2 & full, ~u1 & u2 & full, u1 & ~u2 & full, u1 & u2]
+    table = np.zeros((len(u1), 1 << k), np.int64)
+    rows = np.arange(len(u1))
+    for h in truth_tables:
+        table[rows, sum(c for a, c in enumerate(classes) if h >> a & 1)] += weight
+    return table
+
+
+def _flip_moves(spec: ChainSpec, states: np.ndarray, index) -> Moves:
+    """The moves of `_gate_moves`, counted from flip sets.
+
+    Gate (t, c1, c2, h) flips bit t of exactly the rows whose control
+    bits select a set bit of h, so every successor of x is x with bit t
+    flipped on a row set M, and its count depends on x only through the
+    column types u_j = sum_r x_r[j] 2^r. `_mask_table` counts the masks
+    per pair of column types, once per measure: in parameter mode all 16
+    truth tables, twice over for controls c1 < c2 (swapping the controls
+    permutes the 16 tables, so both orders count alike) and once for
+    c1 = c2; in set mode one of each distinct permutation,
+    the 10 `READS_BOTH` tables of each pair c1 < c2, x_c and not x_c of
+    each control c, NOT once per target and the identity once. A target
+    counts every control pair avoiding it: all pairs less those touching
+    it. M = {} adds to the hold count. Only successors of nonzero count
+    are ranked, and those outside the state set (index -1) are dropped.
+    Chunks of states come in src order.
+    """
+    n, k = spec.n, spec.k
+    full = (1 << k) - 1
+    types, masks = np.arange(1 << 2 * k), np.arange(full + 1)  # types: u1 2^k + u2
+    if spec.gate_mode == "set":
+        # with c1 = c2 = c the pattern 2a + b is 0 or 3: 0b1000 is x_c, 0b0001 not x_c
+        pair = _mask_table(k, types >> k, types & full, READS_BOTH, 1)
+        single = _mask_table(k, masks, masks, [0b1000, 0b0001], 1)
+    else:
+        pair = _mask_table(k, types >> k, types & full, range(16), 2)
+        single = _mask_table(k, masks, masks, range(16), 1)
+    pairs = list(zip(*np.triu_indices(n, 1)))
+    rows = np.arange(k)
+    # key weight of the rows of each mask; flipping bit t of the rows in
+    # M moves a key by 2^t (W[M] - 2 W[M & u_t]): up for a 0, down for a 1
+    mask_weight = (masks[:, None] >> rows & 1) @ index.weights
+    step = max(1, CHUNK_ENTRIES // (n << k))
+    for a in range(0, len(states), step):
+        x = states[a:a + step]
+        u = ((x[:, :, None] >> np.arange(n) & 1) << rows[:, None]).sum(axis=1)
+        # (chunk, n, 2^k): the counts of the control pairs touching each wire
+        touching = single[u]
+        total = touching.sum(axis=1)
+        for c1, c2 in pairs:
+            g = pair[u[:, c1] << k | u[:, c2]]
+            total += g
+            touching[:, c1] += g
+            touching[:, c2] += g
+        counts = total[:, None, :] - touching
+        hold = counts[:, :, 0].sum(axis=1)
+        counts[:, :, 0] = 0
+        if spec.gate_mode == "set":
+            counts[:, :, full] += 1  # NOT
+            hold += 1  # the identity
+        cells = np.flatnonzero(counts)
+        st, m = np.divmod(cells, full + 1)  # st = s n + t
+        s, t = np.divmod(st, n)
+        dst = index.rank_keys(index.keys[a + s] + (
+            (mask_weight[m] - 2 * mask_weight[m & u.ravel()[st]]) << t))
+        hit = dst >= 0
+        src = np.arange(a, a + len(x))
+        yield (np.concatenate((src, a + s[hit])), np.concatenate((src, dst[hit])),
+               np.concatenate((hold, counts.ravel()[cells[hit]])))
 
 
 def enumerate_generic_states(partition: Partition) -> np.ndarray:

@@ -7,7 +7,10 @@ of h, a and b being bits c1 and c2 of x (`gate_flips`, the one statement
 of that rule). Every gate is an involution and therefore a permutation
 of {0,1}^n. `dedupe_gates` lists the distinct permutation tables
 (n <= 12) in first-seen v order with the number of indices v inducing
-each, and the rev sampler draws v.
+each. The parameter-mode rev sampler draws v and the set-mode sampler a
+table; the exact kernels map states through the tables only at n = 3
+and at large k, and elsewhere count the rows each gate flips
+(`chains._flip_moves`), with no table and no bound on n.
 
 Tuples of k pairwise-distinct values from a ground set of size N (the
 common state space of the coloring chains, and of circuit states with

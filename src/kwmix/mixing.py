@@ -28,7 +28,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.special import chdtrc
 
-from .chains import ChainSpec, Kernel, _chain_states, _state_index, build_kernel, sample_chain
+from .chains import ChainSpec, Kernel, _chain_states, _StateIndex, build_kernel, sample_chain
 from .core import sample_uniform_tuples
 from .errors import InvariantViolation
 from .rng import mc_counts
@@ -134,9 +134,9 @@ def _orbit_labels(states: np.ndarray, n: int, blocks: Sequence[Sequence[int]]) -
     array being closed under the symmetries of `_symmetry_images`.
 
     The orbits are the connected components of the graph that joins each
-    state to its generator images, ranked by the kernels' `_state_index`.
+    state to its generator images, ranked by the kernels' `_StateIndex`.
     """
-    index = _state_index(states, 1 << n)
+    index = _StateIndex(states, 1 << n)
     ranks = [index(image) for image in _symmetry_images(states, n, blocks)]
     dst = np.concatenate(ranks)
     if dst.min() < 0:
@@ -285,8 +285,10 @@ def _chi_square(expected: np.ndarray, samples: int, seed: int,
         raise ValueError(f"{one_outcome}; a chi-square test needs two")
     least = expected[support].min()
     if least < MIN_EXPECTED_COUNT:
+        # 3 digits, or as many more as it takes not to read as enough
+        digits = next(d for d in range(3, 18) if float(f"{least:.{d}g}") < MIN_EXPECTED_COUNT)
         raise ValueError(
-            f"{samples} samples over {len(expected)} {unit}s expect {least:.3g} in the "
+            f"{samples} samples over {len(expected)} {unit}s expect {least:.{digits}g} in the "
             f"least likely {unit}; the chi-square test needs at least {MIN_EXPECTED_COUNT}")
     counts = mc_counts(samples, seed, len(expected), draw)
     chi2 = float(np.sum((counts[support] - expected[support]) ** 2 / expected[support]))

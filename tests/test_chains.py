@@ -15,7 +15,7 @@ from kwmix.chains import (
     _count_matrix,
     _draw_bounds,
     _move,
-    _state_index,
+    _StateIndex,
     _step_moves,
     build_kernel,
     enumerate_generic_states,
@@ -376,7 +376,7 @@ def test_tgrev_grouped_weights_equal_the_full_draw_product(partition):
     spec = ChainSpec(family="tgrev", k=k, n=partition.n, partition=partition)
     bounds = _draw_bounds(spec)
     states = enumerate_generic_states(partition)
-    index = _state_index(states, 1 << partition.n)
+    index = _StateIndex(states, 1 << partition.n)
     full = _count_matrix(_step_moves(spec, states, index, product(*map(range, bounds))),
                          len(states))
     kernel = build_kernel(spec)

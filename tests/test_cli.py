@@ -537,22 +537,41 @@ def test_reducible_kernel_exits_2_before_stepping(capsys, monkeypatch):
     assert "4 strongly connected classes" in err
 
 
+def _k1_gate_gap(n: int, gate_mode: str) -> float:
+    """Spectral gap of the one-row gate chain: a lazy hypercube walk (1/n)
+    under the parameter measure; under the set measure each of the D(n)
+    distinct permutations flips bit t by a function f of the other bits,
+    and the gap is 2 (1 + (n-1) + 5 C(n-1, 2)) / D(n)."""
+    if gate_mode == "parameter":
+        return 1 / n
+    pairs = (n - 1) * (n - 2) // 2
+    return 2 * (1 + (n - 1) + 5 * pairs) / (1 + n * (1 + 2 * (n - 1) + 10 * pairs))
+
+
 @pytest.mark.parametrize("chain", [
     ("--chain", "rev"),
     ("--chain", "grev", "--part-w", "4", "--part-p", "1"),
 ])
-def test_gate_kernels_above_twelve_wires_exit_2_before_allocating(capsys, chain):
+def test_gate_kernels_above_twelve_wires_build_exactly(capsys, chain):
     import tracemalloc
 
     tracemalloc.start()
     try:
-        code, out, err = run_cli(capsys, "gap", *chain, "--n", "13", "--k", "1")
+        code, out, err = run_cli(capsys, "gap", *chain, "--n", "13", "--k", "1",
+                                 "--format", "json")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 2 and out == ""
-    assert "n <= 12" in err
-    assert peak < 20 * 2**20  # the gate tables alone would take hundreds of MB
+    assert code == 0 and err == ""
+    assert json.loads(out)["states"] == 8192
+    assert peak < 20 * 2**20  # no gate tables: the state cap bounds the kernel
+    for n in range(4 if chain[1] == "grev" else 3, 14):
+        for gate_mode in ("parameter", "set"):
+            code, out, _ = run_cli(capsys, "gap", *chain, "--n", str(n), "--k", "1",
+                                   "--gate-mode", gate_mode, "--format", "json")
+            assert code == 0
+            gap = json.loads(out)["spectral_gap"]
+            assert gap == pytest.approx(_k1_gate_gap(n, gate_mode), abs=1e-12), (n, gate_mode)
 
 
 def test_uniform_sampler_with_k_equal_to_two_to_the_n(capsys):
@@ -570,6 +589,16 @@ def test_mix_mc_refuses_too_few_samples_per_state(capsys):
     assert code == 2
     assert out == ""
     assert err == ("kwmix: invalid configuration: 50 samples over 240 states expect 0.208 in "
+                   "the least likely state; the chi-square test needs at least 5\n")
+
+
+def test_too_few_samples_never_reads_as_enough(capsys):
+    # 1199 / 240 = 4.996 expected per state, which 3 digits round to 5
+    code, out, err = run_cli(capsys, "mix-mc", "--chain", "rev", "--n", "4",
+                             "--k", "2", "--t", "3", "--samples", "1199")
+    assert code == 2
+    assert out == ""
+    assert err == ("kwmix: invalid configuration: 1199 samples over 240 states expect 4.996 in "
                    "the least likely state; the chi-square test needs at least 5\n")
 
 

@@ -6,7 +6,10 @@ and ``apply_gate_to_int`` for the gates, ``recolor`` and
 ``is_generic``), and divides the counts once. Every family and the
 product chains must match entry for entry.
 ``chains._count_matrix`` must also equal the scipy COO assembly it
-replaced (``oracles.coo_count_matrix``) byte for byte, dtypes included.
+replaced (``oracles.coo_count_matrix``) byte for byte, dtypes included,
+and the gate chains' two move sources, flip sets (``chains._flip_moves``)
+and distinct gate tables (``chains._gate_moves``), must sum to the same
+bytes in both gate measures.
 """
 
 from collections import Counter
@@ -200,13 +203,16 @@ def test_product_matches_loop_reference():
 
 
 def test_chunk_size_does_not_change_the_kernel(monkeypatch):
-    spec = ChainSpec(family="rev", k=2, n=4)
-    default = build_kernel(spec).matrix
-    monkeypatch.setattr(chains, "CHUNK_ENTRIES", 1)
-    single = build_kernel(spec).matrix
-    assert np.array_equal(default.indptr, single.indptr)
-    assert np.array_equal(default.indices, single.indices)
-    assert np.array_equal(default.data, single.data)
+    partition = make_partition(5, 2, w=2, p=2)
+    specs = [ChainSpec(family="rev", k=2, n=3),  # gate tables
+             ChainSpec(family="rev", k=2, n=4),  # flip sets from four wires on
+             ChainSpec(family="rev", k=2, n=4, gate_mode="set"),
+             ChainSpec(family="grev", k=2, n=5, partition=partition),
+             ChainSpec(family="grev", k=2, n=5, partition=partition, gate_mode="set")]
+    default = [build_kernel(spec).matrix for spec in specs]
+    monkeypatch.setattr(chains, "CHUNK_ENTRIES", 1)  # one state per chunk
+    for spec, matrix in zip(specs, default):
+        _assert_same_csr(build_kernel(spec).matrix, matrix)
 
 
 @pytest.mark.parametrize("spec", [
@@ -358,3 +364,50 @@ def test_kernel_assembly_sums_integer_counts_only(monkeypatch):
     comparison.congestion_delta(3, 6)
     assert len(kinds) == 9  # one per kernel, two for congestion_delta
     assert all(calls and calls <= {"i", "u"} for calls in kinds), kinds
+
+
+def _table_moves(spec: ChainSpec, states: np.ndarray, index):
+    tables, weights = dedupe_gates(spec.n)
+    if spec.gate_mode == "set":
+        weights = np.ones_like(weights)
+    return chains._gate_moves(states, tables, weights, index)
+
+
+FLIP_SPECS = [ChainSpec(family="rev", k=k, n=n, gate_mode=gate_mode)
+              for k, wires in [(1, range(3, 7)), (2, range(3, 8)), (3, range(3, 6)),
+                               (4, range(3, 5))]
+              for n in wires for gate_mode in ("parameter", "set")]
+FLIP_SPECS += [ChainSpec(family="grev", k=k, n=n, partition=make_partition(n, k, w=w, p=p),
+                         gate_mode=gate_mode)
+               for n, k, w, p in [(4, 2, 2, 2), (4, 2, 1, 2), (5, 2, 2, 2), (5, 3, 2, 1)]
+               for gate_mode in ("parameter", "set")]
+
+
+@pytest.mark.parametrize("spec", FLIP_SPECS, ids=ChainSpec.label)
+def test_flip_sets_count_the_moves_of_the_gate_tables(spec):
+    states, index = chains._chain_states(spec)
+    flips = chains._count_matrix(chains._flip_moves(spec, states, index), len(states))
+    tables = chains._count_matrix(_table_moves(spec, states, index), len(states))
+    _assert_same_csr(flips, tables)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_distinct_gates_counts_the_gate_tables(n):
+    assert chains._distinct_gates(n) == len(dedupe_gates(n)[0])
+
+
+def test_flip_side_builds_make_no_gate_tables(monkeypatch):
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return dedupe_gates(n)
+
+    monkeypatch.setattr(chains, "dedupe_gates", spy)
+    for gate_mode in ("parameter", "set"):
+        build_kernel(ChainSpec(family="rev", k=2, n=4, gate_mode=gate_mode))
+        build_kernel(ChainSpec(family="grev", k=2, n=5, gate_mode=gate_mode,
+                               partition=make_partition(5, 2, w=2, p=2)))
+    assert calls == []
+    build_kernel(ChainSpec(family="rev", k=2, n=3))  # three wires stay on the tables
+    assert calls == [3]
