@@ -61,4 +61,4 @@ from .mixing import (
     tv_curve,
     tv_distance,
 )
-from .rng import make_rng, split_rngs
+from .rng import make_rng

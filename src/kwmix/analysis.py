@@ -32,7 +32,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .chains import Kernel, _tuple_states
 from .errors import InvariantViolation
-from .rng import make_rng, split_rngs
+from .rng import make_rng
 
 # Kernels with at most this many states take the dense eigvalsh path in
 # spectral_gap; there both solvers take a few milliseconds.
@@ -177,15 +177,17 @@ def lsc_search(
     """Multi-start descent minimizing the log-Sobolev ratio.
 
     Parameterizes f = g^2 and runs L-BFGS on g from multiplicatively
-    perturbed starts (one Philox stream per restart). Returns the
-    smallest ratio found and its witness; the value is a certified upper
-    bound on the log-Sobolev constant. The objective's sums are ufunc
-    reductions, not np.dot, because numpy and scipy bring separate
-    OpenBLAS pools: a threaded dot on numpy's pool would busy-wait
-    against scipy's L-BFGS-B pool, and the result would depend on
-    numpy's BLAS thread count. The vectors are too short for threaded
-    BLAS to help, so the restarts run with every OpenBLAS pinned to one
-    thread; the previous counts are restored on return and on error.
+    perturbed starts, drawn restart by restart from the one Philox stream
+    of the seed, so the first r starts do not depend on how many restarts
+    follow. Returns the smallest ratio found and its witness; the value
+    is a certified upper bound on the log-Sobolev constant. The
+    objective's sums are ufunc reductions, not np.dot, because numpy and
+    scipy bring separate OpenBLAS pools: a threaded dot on numpy's pool
+    would busy-wait against scipy's L-BFGS-B pool, and the result would
+    depend on numpy's BLAS thread count. The vectors are too short for
+    threaded BLAS to help, so the restarts run with every OpenBLAS pinned
+    to one thread; the previous counts are restored on return and on
+    error.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -228,7 +230,6 @@ def lsc_search(
     def run_restart(r: int) -> tuple[float, np.ndarray | None, int]:
         # (ratio, witness, evaluations); a collapsed restart has no
         # witness and ratio inf, but its evaluations still count
-        rng = streams[r]
         if r % 3 == 0:
             g0 = np.exp(0.8 * rng.standard_normal(kernel.size))
         elif r % 3 == 1:
@@ -249,7 +250,7 @@ def lsc_search(
             return np.inf, None, tracker[2]
         return lsc_ratio(kernel, f), f, tracker[2]
 
-    streams = split_rngs(seed, restarts)
+    rng = make_rng(seed)
     with _one_blas_thread():
         outcomes = [run_restart(r) for r in range(restarts)]
     # min keeps the first of equal ratios

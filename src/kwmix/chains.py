@@ -21,13 +21,12 @@ array kept as ``Kernel.states`` (None for product kernels), and ranks
 successor tuples by sorted base-N keys (``_StateIndex``, which also
 ranks the symmetry images of ``mixing.orbit_starts``). The moves come
 as arrays (src, dst, count), count being the integer weight of the
-draws of one step that move src to dst: for rev and grev, each target
-wire and set of flipped rows under its gate measure, counted from the
-state's column types (`_flip_moves`), or, where a state's successors
-come near the number of distinct gate tables (n = 3, or large k), each
-distinct table (`_gate_moves`); the tgrev draws grouped by the values
-each kind reads; and every draw for ucc, cc and complete. One
-helper sums them into a CSR matrix of counts, sorting them by int64
+draws of one step that move src to dst: for rev and grev from n = 4 on,
+each target wire and set of flipped rows under its gate measure,
+counted from the state's column types (`_flip_moves`), and at n = 3
+each distinct gate table (`_gate_moves`); the tgrev draws grouped by
+the values each kind reads; and every draw for ucc, cc and complete.
+One helper sums them into a CSR matrix of counts, sorting them by int64
 (src, dst) keys; each row is divided once by its own total w(x), and
 the stationary law is pi = w / sum(w). For every family but grev, w is
 the draw total and pi uniform. Rows sum to 1 up to a few ulps.
@@ -50,14 +49,14 @@ generator passed to ``sample_chain``; rev draws a block of steps as one
 C-ordered (steps, S) call, whose values do not depend on the block
 length.
 
-Gate randomness has two documented measures, both weights on the D(n)
+Gate randomness has two documented measures, both weights on the
 distinct permutations the gates induce (the tables of
 ``core.dedupe_gates``): ``parameter`` (uniform over the 16 n (n-1)^2
 parameter tuples, the default) weights each distinct permutation by the
 number of tuples that induce it, and ``set`` (uniform over the distinct
 permutations) weights each by 1. Flip sets count both measures without
-a table, so the n <= 12 of ``dedupe_gates`` binds only the table source
-and the set-mode sampler; the state cap bounds the flip-set kernels.
+a table, so the n <= 12 of ``dedupe_gates`` binds only the set-mode
+sampler, and the state cap alone limits the gate kernels.
 """
 
 from __future__ import annotations
@@ -342,10 +341,10 @@ def _nth_free(values: np.ndarray, i: np.ndarray, r: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # Cap on the entries a gate chain fills per chunk of states: gate tables x
-# state entries mapped by `_gate_moves`, states x wires x row masks counted
-# by `_flip_moves`. Each chunk is one piece of moves, ranked and then
-# merged by `_count_matrix` before the next, so it bounds the count,
-# ranking and sort buffers of a build.
+# state entries mapped by `_gate_moves` at n = 3, states x wires x row
+# masks counted by `_flip_moves` from n = 4 on. Each chunk is one piece of
+# moves, ranked and then merged by `_count_matrix` before the next, so it
+# bounds the count, ranking and sort buffers of a build.
 CHUNK_ENTRIES = 1 << 14
 
 # (src, dst, count) arrays of one step's moves; a scalar count is broadcast
@@ -360,12 +359,12 @@ def build_kernel(spec: ChainSpec) -> Kernel:
     Wilmer, Markov Chains and Mixing Times, section 1.5): every move has
     its reverse with the same count. For the drawn families, and for rev,
     w is the draw total, so pi is uniform. rev and grev count their moves
-    from flip sets where `_flip_sets_pay` and from the distinct gate
-    tables otherwise; the two give the same counts. Raises
-    StateCapExceeded when the state space is larger than the configured
-    cap."""
+    from flip sets from n = 4 on and from the distinct gate tables at
+    n = 3, where the tables are faster; the two give the same counts.
+    Raises StateCapExceeded when the state space is larger than the
+    configured cap."""
     states, index = _chain_states(spec)
-    if spec.family in ("rev", "grev") and _flip_sets_pay(spec.n, spec.k):
+    if spec.family in ("rev", "grev") and spec.n > 3:
         moves = _flip_moves(spec, states, index)
     elif spec.family in ("rev", "grev"):
         tables, weights = dedupe_gates(spec.n)
@@ -491,21 +490,6 @@ def _gate_moves(states: np.ndarray, tables: np.ndarray, weights: np.ndarray,
         src = np.broadcast_to(np.arange(a, a + dst.shape[1]), dst.shape)
         hit = dst >= 0
         yield src[hit], dst[hit], np.broadcast_to(weights[:, None], dst.shape)[hit]
-
-
-def _distinct_gates(n: int) -> int:
-    """D(n), the number of distinct permutations the gates of n wires
-    induce (the tables of `core.dedupe_gates`): the identity and, per
-    target, NOT, x_c and not x_c per other wire c, and the 10 functions
-    reading both wires of each pair of other wires."""
-    return 1 + n * (1 + 2 * (n - 1) + 10 * math.comb(n - 1, 2))
-
-
-def _flip_sets_pay(n: int, k: int) -> bool:
-    """Whether `_flip_moves` beats `_gate_moves`: from n = 4 on, where a
-    state's (2^k - 1) n + 1 successors are at most half of the D(n)
-    tables it would be mapped through."""
-    return n >= 4 and 2 * (((1 << k) - 1) * n + 1) <= _distinct_gates(n)
 
 
 # Truth tables h of controls c1 != c2 that read both control bits: 10 of 16.

@@ -8,8 +8,8 @@ of that rule). Every gate is an involution and therefore a permutation
 of {0,1}^n. `dedupe_gates` lists the distinct permutation tables
 (n <= 12) in first-seen v order with the number of indices v inducing
 each. The parameter-mode rev sampler draws v and the set-mode sampler a
-table; the exact kernels map states through the tables only at n = 3
-and at large k, and elsewhere count the rows each gate flips
+table; the exact kernels map states through the tables only at n = 3,
+and from n = 4 on count the rows each gate flips
 (`chains._flip_moves`), with no table and no bound on n.
 
 Tuples of k pairwise-distinct values from a ground set of size N (the
@@ -22,6 +22,7 @@ are sampled as arrays of 64-bit words, so n is not bounded by a word.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -101,10 +102,7 @@ def tuple_space_size(k: int, N: int) -> int:
     """N * (N-1) * ... * (N-k+1), the number of distinct k-tuples."""
     if k < 1 or N < 1 or k > N:
         raise ValueError(f"need 1 <= k <= N, got k={k}, N={N}")
-    size = 1
-    for j in range(k):
-        size *= N - j
-    return size
+    return math.perm(N, k)
 
 
 def enumerate_tuples(k: int, N: int) -> np.ndarray:

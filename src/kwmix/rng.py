@@ -1,10 +1,12 @@
 """Reproducible randomness built on numpy's counter-based Philox generator.
 
 Every experiment takes an integer seed and derives all of its randomness
-from it. A Monte Carlo statistic draws from the one stream of its seed
-(`make_rng`): `mc_counts` draws it in consecutive pieces of at most
-MC_PIECE rows and sums the binned values of each piece, for
-`kwise_stat_mc`, `end_state_test` and `generic_fraction_mc` alike.
+from the one Philox stream of that seed (`make_rng`), the only generator
+constructor of the package. A Monte Carlo statistic draws it in
+consecutive pieces of at most MC_PIECE rows and sums the binned values
+of each piece (`mc_counts`), for `kwise_stat_mc`, `end_state_test` and
+`generic_fraction_mc` alike; `analysis.lsc_search` draws its restarts'
+starts from it in restart order.
 """
 
 from __future__ import annotations
@@ -23,17 +25,6 @@ MC_PIECE = 1 << 16
 def make_rng(seed: int) -> np.random.Generator:
     """Single Philox stream keyed by an integer seed."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def split_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """`count` independent Philox streams derived from one seed.
-
-    The split depends only on (seed, count), never on thread scheduling.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.Generator(np.random.Philox(ss)) for ss in children]
 
 
 def mc_counts(samples: int, seed: int, bins: int,

@@ -13,11 +13,14 @@ and ``marginal`` the slices that ``analysis.chain_rule_residual`` sums
 over, and ``load_kernel_dump`` the dump format.
 ``coo_count_matrix`` is the scipy COO assembly that
 ``chains._count_matrix`` replaced, kept to check it bit for bit.
+``distinct_gates`` is the closed-form count of the permutations that
+``core.dedupe_gates`` tabulates.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -70,6 +73,14 @@ def enumerate_gates(n: int) -> list[Gate]:
     of ``core.gate_wires`` choice q and truth table h."""
     return [Gate(*wires, h) for wires in zip(*(w.tolist() for w in gate_wires(n)))
             for h in range(16)]
+
+
+def distinct_gates(n: int) -> int:
+    """D(n), the number of distinct permutations the gates of n wires
+    induce: the identity and, per target, NOT, x_c and not x_c per other
+    wire c, and the 10 functions reading both wires of each pair of other
+    wires."""
+    return 1 + n * (1 + 2 * (n - 1) + 10 * math.comb(n - 1, 2))
 
 
 def recolor(x: tuple[int, ...], i: int, color: int) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Subcommand behavior: outputs, determinism, sidecars, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from kwmix import cli
-from oracles import load_kernel_dump
+from oracles import distinct_gates, load_kernel_dump
 
 
 def run_cli(capsys, *argv):
@@ -544,8 +545,7 @@ def _k1_gate_gap(n: int, gate_mode: str) -> float:
     and the gap is 2 (1 + (n-1) + 5 C(n-1, 2)) / D(n)."""
     if gate_mode == "parameter":
         return 1 / n
-    pairs = (n - 1) * (n - 2) // 2
-    return 2 * (1 + (n - 1) + 5 * pairs) / (1 + n * (1 + 2 * (n - 1) + 10 * pairs))
+    return 2 * (1 + (n - 1) + 5 * math.comb(n - 1, 2)) / distinct_gates(n)
 
 
 @pytest.mark.parametrize("chain", [

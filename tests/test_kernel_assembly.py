@@ -29,6 +29,7 @@ from kwmix.generic import extract_block, insert_block, make_partition
 from oracles import (
     apply_gate_to_int,
     coo_count_matrix,
+    distinct_gates,
     enumerate_gates,
     is_generic,
     recolor,
@@ -393,7 +394,7 @@ def test_flip_sets_count_the_moves_of_the_gate_tables(spec):
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_distinct_gates_counts_the_gate_tables(n):
-    assert chains._distinct_gates(n) == len(dedupe_gates(n)[0])
+    assert distinct_gates(n) == len(dedupe_gates(n)[0])
 
 
 def test_flip_side_builds_make_no_gate_tables(monkeypatch):
@@ -411,3 +412,24 @@ def test_flip_side_builds_make_no_gate_tables(monkeypatch):
     assert calls == []
     build_kernel(ChainSpec(family="rev", k=2, n=3))  # three wires stay on the tables
     assert calls == [3]
+
+
+class _FlipSource(Exception):
+    pass
+
+
+@pytest.mark.parametrize("gate_mode", ["parameter", "set"])
+@pytest.mark.parametrize("family, w", [("rev", None), ("grev", 3)])
+def test_four_wires_take_flip_sets_at_every_k(monkeypatch, family, w, gate_mode):
+    # at k = 5 a state's 125 successors come near the 149 gate tables of
+    # n = 4, and the source still depends on n alone. The spy stops the
+    # build at the source, before its moves are counted.
+    def flip_moves(spec, states, index):
+        raise _FlipSource
+
+    monkeypatch.setattr(chains, "_flip_moves", flip_moves)
+    monkeypatch.setattr(chains, "dedupe_gates", None)  # no table is made
+    partition = make_partition(4, 5, w=w, p=1) if w else None
+    with pytest.raises(_FlipSource):
+        build_kernel(ChainSpec(family=family, k=5, n=4, partition=partition,
+                               gate_mode=gate_mode))
