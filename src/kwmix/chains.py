@@ -38,16 +38,17 @@ t factor kernels, built with ``scipy.sparse.kron``.
 complete or tgrev step is written once: `_draw_bounds` gives the ranges
 of the integers it draws and `_move` applies them, to per-row draws in
 the sampler and to every draw in ``build_kernel`` and
-``comparison.congestion_delta``. rev draws a gate index v and applies
-gate v through ``core.gate_flips``, the rule ``core.dedupe_gates`` also
-builds its tables with (or, in ``set`` mode, draws a deduplicated
-table), stepped on the transposed (k, S) array in the narrowest
-unsigned word holding n bits (uint16 up to n = 16, uint32 up to 32,
-uint64 up to 64); its (S, k) uint64 result is that of a loop on the
-(S, k) uint64 array making the same draws. Every row draws from the one
-generator passed to ``sample_chain``; rev draws a block of steps as one
-C-ordered (steps, S) call, whose values do not depend on the block
-length.
+``comparison.congestion_delta``; complete steps as ucc with k = 1, whose
+recoloring of its one vertex is the jump to a uniform state. rev draws
+a gate index v and applies gate v through ``core.gate_flips``, the rule
+``core.dedupe_gates`` also builds its tables with (or, in ``set`` mode,
+draws a deduplicated table), stepped on the transposed (k, S) array in
+the narrowest unsigned word holding n bits (uint16 up to n = 16, uint32
+up to 32, uint64 up to 64); its (S, k) uint64 result is that of a loop
+on the (S, k) uint64 array making the same draws. Every row draws from
+the one generator passed to ``sample_chain``; rev draws a block of steps
+as one C-ordered (steps, S) call, whose values do not depend on the
+block length.
 
 Gate randomness has two documented measures, both weights on the
 distinct permutations the gates induce (the tables of
@@ -127,13 +128,13 @@ class ChainSpec:
                 raise ValueError("product chain needs a nonempty remainder")
 
     def label(self) -> str:
-        if self.family in ("cc", "ucc"):
-            return f"{self.family}(k={self.k},N={self.ncolors})"
-        if self.family == "complete":
-            return f"complete(N={self.ncolors})"
-        if self.family == "tgrev":
-            return f"tgrev(k={self.k},n={self.n})"
-        return f"{self.family}(k={self.k},n={self.n},{self.gate_mode})"
+        """The family, then the k, n and N of `meta` as key=value, then
+        its gate mode where it has one: ``rev(k=2,n=3,parameter)``."""
+        meta = self.meta()
+        fields = [f"{key}={meta[key]}" for key in ("k", "n", "N") if key in meta]
+        if "gate_mode" in meta:
+            fields.append(meta["gate_mode"])
+        return f"{self.family}({','.join(fields)})"
 
     def meta(self) -> dict:
         """Header of the built kernel: the family and the fields it reads."""
@@ -225,14 +226,13 @@ def sample_chain(spec: ChainSpec, x: np.ndarray, t: int,
 def _draw_bounds(spec: ChainSpec) -> tuple[int, ...]:
     """Ranges of the integers one ucc, cc, complete or tgrev step draws
     per row, in draw order: ucc a coordinate and a color; cc a coordinate
-    and the r-th color available to it; complete the state it jumps to;
-    tgrev a kind (0 holds, 1 flips a remainder bit, 2 and 3 recolor a
-    block), a row, a remainder bit, a block and the r-th block value free
-    for the row."""
+    and the r-th color available to it; tgrev a kind (0 holds, 1 flips a
+    remainder bit, 2 and 3 recolor a block), a row, a remainder bit, a
+    block and the r-th block value free for the row. complete draws as
+    ucc with k = 1: its one coordinate, a range of one value that takes
+    nothing from the stream, and the state it jumps to."""
     k = spec.k
-    if spec.family == "complete":
-        return (spec.ncolors,)
-    if spec.family == "ucc":
+    if spec.family in ("ucc", "complete"):
         return k, spec.ncolors
     if spec.family == "cc":
         return k, spec.ncolors - k + 1
@@ -249,15 +249,12 @@ def _move(spec: ChainSpec, x: np.ndarray, draw: Sequence) -> np.ndarray:
     by all."""
     rows = np.arange(len(x))
     draw = [np.broadcast_to(d, rows.shape) for d in draw]
-    if spec.family == "ucc":  # recolor, swapping on collision
+    if spec.family in ("ucc", "complete"):  # recolor, swapping on collision
         i, color = draw
         y = np.where(x == color[:, None], x[rows, i][:, None], x)
         y[rows, i] = color
         return y
     y = x.copy()
-    if spec.family == "complete":  # jump to the drawn state
-        y[:, 0] = draw[0]
-        return y
     if spec.family == "cc":
         i, r = draw
         y[rows, i] = _nth_free(x, i, r)

@@ -79,6 +79,8 @@ def make_partition(
     override = w is not None or p is not None
     if w is None:
         w = default_block_width(n, k)
+        if w < 1:
+            raise ValueError(f"default sizing produced w={w}; supply an override")
     if p is None:
         p = math.ceil(n / (2 * w))
     if p < 1 and not override:

@@ -8,8 +8,10 @@ ranked against the kernel's (S, k) state array. At sizes where the
 tuple space is out of reach, circuits are sampled instead and a
 projected statistic of the output tuple is tested against its
 closed-form law under the uniform distribution on distinct tuples
-(chi-square goodness of fit). The projections keep the null law exactly
-computable, which raw TV over a ~2^(nk)-point support would not be.
+(chi-square goodness of fit). Each statistic is one branch of
+`_statistic`: its law, the bin counts it takes, and the binning of
+sampled tuples. The projections keep the null law exactly computable,
+which raw TV over a ~2^(nk)-point support would not be.
 Where the state space is small enough to count every state, sampled
 end states are tested against the uniform law directly
 (`end_state_test`, the statistic of ``kwmix mix-mc``). Both tests count
@@ -356,56 +358,40 @@ class StatTestReport:
         return self.p_value < significance
 
 
-def statistic_law(statistic: str, n: int, k: int, bins: int) -> np.ndarray:
-    """Exact law of the projected statistic under uniform distinct tuples."""
+def _statistic(statistic: str, n: int, k: int, bins: int
+               ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The exact law over `bins` bins of a projected statistic under
+    uniform distinct tuples, and `bin_of`, which maps a sampled (S, k)
+    tuple array to the bin of each row. Raises ValueError for a bin count
+    the statistic cannot take."""
     N = 1 << n
     if statistic == "hamming":
-        a = _hamming_pool(n, bins)
+        # weight of y1; the weights <= a and >= n - a pool into the end bins
+        a, odd = divmod(n + 1 - bins, 2)
+        if odd or a < 0 or bins < 2:
+            raise ValueError(f"hamming weight of an {n}-bit string needs n + 1 - 2a >= 2 "
+                             f"bins for some a >= 0, got {bins}")
         # per-coordinate marginal of a uniform distinct tuple is uniform
         weights = [math.comb(n, w) for w in range(n + 1)]
         pooled = [sum(weights[:a + 1]), *weights[a + 1:n - a], sum(weights[n - a:])]
-        return np.array([count / N for count in pooled])
-    if statistic == "xor":
-        if k < 2:
-            raise ValueError("xor statistic needs k >= 2")
-        _check_bins(bins, N)
-        # y1 ^ y2 is uniform over the N-1 nonzero strings; bucket v of the
-        # low-bit reduction holds N/bins strings, minus the zero string.
-        law = np.full(bins, (N // bins) / (N - 1))
-        law[0] = (N // bins - 1) / (N - 1)
-        return law
-    if statistic == "lowbits":
-        _check_bins(bins, N)
-        return np.full(bins, 1.0 / bins)
-    raise ValueError(f"unknown statistic {statistic!r}; pick one of {STATISTICS}")
-
-
-def _hamming_pool(n: int, bins: int) -> int:
-    """The a for which `bins` = n + 1 - 2a hamming bins: weights <= a pool
-    into the first bin and weights >= n - a into the last."""
-    a, odd = divmod(n + 1 - bins, 2)
-    if odd or a < 0 or bins < 2:
-        raise ValueError(f"hamming weight of an {n}-bit string needs n + 1 - 2a >= 2 "
-                         f"bins for some a >= 0, got {bins}")
-    return a
-
-
-def _check_bins(bins: int, N: int) -> None:
+        return (np.array([count / N for count in pooled]),
+                lambda tuples: np.clip(np.bitwise_count(tuples[:, 0]), a, n - a) - a)
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}; pick one of {STATISTICS}")
+    if statistic == "xor" and k < 2:
+        raise ValueError("xor statistic needs k >= 2")
+    # xor and lowbits bin a value by its low bits
     if bins < 2 or bins & (bins - 1):
         raise ValueError(f"bins must be a power of two >= 2, got {bins}")
     if bins > N:
         raise ValueError(f"bins={bins} exceeds the {N}-point value range")
-
-
-def _statistic_values(statistic: str, tuples: np.ndarray, n: int, bins: int) -> np.ndarray:
-    if statistic == "hamming":
-        a = _hamming_pool(n, bins)
-        return np.clip(np.bitwise_count(tuples[:, 0]), a, n - a) - a
     if statistic == "xor":
-        return (tuples[:, 0] ^ tuples[:, 1]) & (bins - 1)
-    if statistic == "lowbits":
-        return tuples[:, 0] & (bins - 1)
-    raise ValueError(f"unknown statistic {statistic!r}")
+        # y1 ^ y2 is uniform over the N-1 nonzero strings; bucket v of the
+        # low-bit reduction holds N/bins strings, minus the zero string.
+        law = np.full(bins, (N // bins) / (N - 1))
+        law[0] = (N // bins - 1) / (N - 1)
+        return law, lambda tuples: (tuples[:, 0] ^ tuples[:, 1]) & (bins - 1)
+    return np.full(bins, 1.0 / bins), lambda tuples: tuples[:, 0] & (bins - 1)
 
 
 def kwise_stat_mc(
@@ -430,13 +416,14 @@ def kwise_stat_mc(
     `seed`, one `sample_chain` or `core.sample_uniform_tuples` call per
     piece, so memory does not grow with `samples`.
 
-    Hamming pools the weights <= a and >= n - a into its two end bins,
-    which leaves n + 1 - 2a bins. Without `bins`, hamming pools with the
-    smallest such a, and xor and lowbits halve min(64, 2^n) bins, until
-    the least likely bin expects MIN_EXPECTED_COUNT samples, never below
-    2 bins; an explicit `bins` is never changed. Raises ValueError where
-    the least likely bin still expects fewer, too few for the chi-square
-    approximation.
+    `_statistic` gives each statistic's law and binning; hamming pools
+    the weights <= a and >= n - a into its two end bins, which leaves
+    n + 1 - 2a bins. Without `bins`, the bin counts are tried finest
+    first, hamming n + 1, n - 1, ... and xor and lowbits min(64, 2^n)
+    halved, never below 2 bins, and the first whose least likely bin
+    expects MIN_EXPECTED_COUNT samples is taken; an explicit `bins` is
+    never changed. Raises ValueError where the least likely bin still
+    expects fewer, too few for the chi-square approximation.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
@@ -444,22 +431,25 @@ def kwise_stat_mc(
         raise ValueError(f"need gates >= 0, got {gates}")
     if n > 64:
         raise ValueError(f"statistics are taken on one 64-bit word, need n <= 64, got {n}")
-    coarsen = bins is None
-    if bins is None:
-        bins = n + 1 if statistic == "hamming" else min(64, 1 << n)
-    law = statistic_law(statistic, n, k, bins)
-    while coarsen and samples * law[law > 0].min() < MIN_EXPECTED_COUNT:
-        coarser = bins - 2 if statistic == "hamming" else bins // 2
-        if coarser < 2:
+    if bins is not None:
+        choices = [bins]
+    elif statistic == "hamming":
+        choices = range(n + 1, 1, -2)
+    else:
+        choices = [min(64, 1 << n) >> i for i in range(min(n, 6))]
+    # finest first, keeping the coarsest if none expects enough; below
+    # n = 1 there is no choice, and `_statistic` refuses n + 1 bins
+    for bins in choices or [n + 1]:
+        law, bin_of = _statistic(statistic, n, k, bins)
+        if samples * law[law > 0].min() >= MIN_EXPECTED_COUNT:
             break
-        bins, law = coarser, statistic_law(statistic, n, k, coarser)
     if sampler == "circuit":
         spec = ChainSpec(family="rev", k=k, n=n)  # refuse a bad n or k before the count check
 
     def values(rows: int, rng: np.random.Generator) -> np.ndarray:
         tuples = (sample_chain(spec, np.tile(np.arange(k, dtype=np.uint64), (rows, 1)), gates, rng)
                   if sampler == "circuit" else sample_uniform_tuples(n, k, rows, rng)[..., 0])
-        return _statistic_values(statistic, tuples, n, bins)
+        return bin_of(tuples)
 
     _, chi2, dof, p_value = _chi_square(
         law * samples, samples, seed, values, "bin",

@@ -740,6 +740,29 @@ def test_zero_block_partition_exits_2(capsys):
     assert "invalid configuration" in err and "at least one block" in err
 
 
+def test_partition_commands_at_few_wires_end_with_an_exit_code(capsys):
+    # every command sizing a partition, with and without overrides, at
+    # n <= 3: a result (0), a refusal (2) or the state cap (3), and never
+    # a traceback; n = k = 1 sizes the default blocks at width 0
+    commands = []
+    for size in (["--n", str(n), "--k", str(k)] for n in (1, 2, 3) for k in (1, 2)):
+        for part in ([], ["--part-w", "1"], ["--part-w", "1", "--part-p", "1"]):
+            commands += [["generic-frac", *size, *part, "--samples", "20"],
+                         ["generic-frac", *size, *part, "--exact"],
+                         ["gap", "--chain", "grev", *size, *part],
+                         ["mix-exact", "--chain", "tgrev", *size, *part]]
+        commands.append(["tgrev-verify", *size, "--part-w", "1", "--part-p", "1"])
+    assert len(commands) == 78
+    codes = {}
+    for argv in commands:
+        codes[" ".join(argv)] = cli.main(argv)
+        capsys.readouterr()
+    assert set(codes.values()) <= {0, 2, 3}, codes
+    for argv in ("generic-frac --n 1 --k 1 --samples 20", "generic-frac --n 1 --k 1 --exact",
+                 "gap --chain grev --n 1 --k 1", "mix-exact --chain tgrev --n 1 --k 1"):
+        assert codes[argv] == 2
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])

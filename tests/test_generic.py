@@ -44,6 +44,15 @@ def test_default_partition_too_wide_errors():
         make_partition(64, 2)
 
 
+def test_default_partition_of_one_wire_and_one_row_is_refused():
+    # w = ceil(10 (log2 1 + log2 1)) = 0 leaves no block to size p by
+    with pytest.raises(ValueError, match="default sizing produced w=0; supply an override"):
+        make_partition(1, 1)
+    with pytest.raises(ValueError, match="default sizing produced w=0"):
+        make_partition(1, 1, p=1)
+    assert make_partition(1, 1, w=1).p == 1
+
+
 def test_blocks_are_contiguous_and_disjoint():
     part = make_partition(10, 2, w=3, p=2)
     assert part.blocks == ((0, 1, 2), (3, 4, 5))

@@ -22,6 +22,7 @@ from kwmix.mixing import (
     SAMPLERS,
     STATISTICS,
     _orbit_labels,
+    _statistic,
     _worst_tv_series,
     end_state_test,
     evolve,
@@ -31,7 +32,6 @@ from kwmix.mixing import (
     mixing_time_exact,
     orbit_starts,
     pointwise_relative_error,
-    statistic_law,
     tv_curve,
     tv_distance,
 )
@@ -319,7 +319,7 @@ def _enumerate_statistic_law(statistic, n, k, bins):
     ("hamming", 5), ("hamming", 3), ("xor", 4), ("xor", 16), ("lowbits", 8)])
 def test_statistic_laws_match_enumeration(statistic, bins):
     n, k = 4, 2
-    law = statistic_law(statistic, n, k, bins)
+    law = _statistic(statistic, n, k, bins)[0]
     oracle = _enumerate_statistic_law(statistic, n, k, bins)
     assert np.abs(law - oracle).max() <= 1e-15
     assert law.sum() == pytest.approx(1.0, abs=1e-14)
@@ -327,15 +327,15 @@ def test_statistic_laws_match_enumeration(statistic, bins):
 
 def test_statistic_law_rejects_bad_requests():
     with pytest.raises(ValueError):
-        statistic_law("xor", 4, 1, 4)       # needs two coordinates
+        _statistic("xor", 4, 1, 4)       # needs two coordinates
     with pytest.raises(ValueError):
-        statistic_law("lowbits", 4, 1, 3)   # bins must be a power of two
+        _statistic("lowbits", 4, 1, 3)   # bins must be a power of two
     with pytest.raises(ValueError):
-        statistic_law("hamming", 4, 1, 4)   # needs n + 1 - 2a bins
+        _statistic("hamming", 4, 1, 4)   # needs n + 1 - 2a bins
     with pytest.raises(ValueError):
-        statistic_law("hamming", 4, 1, 7)   # a < 0
+        _statistic("hamming", 4, 1, 7)   # a < 0
     with pytest.raises(ValueError):
-        statistic_law("hamming", 3, 1, 0)   # fewer than 2 bins
+        _statistic("hamming", 3, 1, 0)   # fewer than 2 bins
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 33, 64])
@@ -345,19 +345,29 @@ def test_pooled_hamming_law_sums_the_binomial_law_exactly(n):
         pooled = [range(a + 1), *([w] for w in range(a + 1, n - a)), range(n - a, n + 1)]
         exact = [float(Fraction(sum(math.comb(n, w) for w in weights), 2 ** n))
                  for weights in pooled]
-        assert statistic_law("hamming", n, 2, bins).tolist() == exact
+        assert _statistic("hamming", n, 2, bins)[0].tolist() == exact
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 10])
 def test_pooled_hamming_values_follow_the_pooled_law(n):
-    # every n-bit string once: the counts of the binned weights are the
-    # law's numerators, through the same pooling in both functions
+    # every n-bit string once, and for xor and lowbits every distinct pair
+    # at n <= 7: the counts of the binned values are the law's numerators,
+    # through the one branch of `_statistic` that gives both
     strings = np.arange(1 << n, dtype=np.uint64)[:, None]
     for bins in range(n + 1, 1, -2):
-        counts = np.bincount(mixing._statistic_values("hamming", strings, n, bins),
-                             minlength=bins)
+        law, bin_of = _statistic("hamming", n, 1, bins)
+        counts = np.bincount(bin_of(strings), minlength=bins)
         assert len(counts) == bins
-        assert (counts / (1 << n)).tolist() == statistic_law("hamming", n, 1, bins).tolist()
+        assert (counts / (1 << n)).tolist() == law.tolist()
+    if n > 7:
+        return
+    pairs = enumerate_tuples(2, 1 << n).astype(np.uint64)
+    for statistic in ("xor", "lowbits"):
+        for bins in (1 << b for b in range(1, n + 1)):
+            law, bin_of = _statistic(statistic, n, 2, bins)
+            counts = np.bincount(bin_of(pairs), minlength=bins)
+            assert len(counts) == bins
+            assert (counts / len(pairs)).tolist() == law.tolist()
 
 
 def test_sample_uniform_tuples_are_distinct():
@@ -438,9 +448,13 @@ def test_monte_carlo_pieces_draw_in_turn_from_one_stream(monkeypatch):
     monkeypatch.setattr(chains, "DRAW_BLOCK_BYTES", 1000)
     spec = ChainSpec(family="rev", k=2, n=6)
     seen = []
-    statistic_values = mixing._statistic_values
-    monkeypatch.setattr(mixing, "_statistic_values", lambda statistic, tuples, n, bins: (
-        seen.append(tuples) or statistic_values(statistic, tuples, n, bins)))
+    statistic = mixing._statistic
+
+    def spied(*args):
+        law, bin_of = statistic(*args)
+        return law, lambda tuples: seen.append(tuples) or bin_of(tuples)
+
+    monkeypatch.setattr(mixing, "_statistic", spied)
     for sampler in SAMPLERS:
         seen.clear()
         kwise_stat_mc(n=6, k=2, gates=50, samples=100, seed=3, bins=4, sampler=sampler)
