@@ -187,10 +187,11 @@ def lsc_search(
     depend on numpy's BLAS thread count. The vectors are too short for
     threaded BLAS to help, so the restarts run with every OpenBLAS pinned
     to one thread; the previous counts are restored on return and on
-    error.
+    error. A reducible kernel, whose constant is exactly 0, is refused first.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    kernel.check_irreducible("its log-Sobolev constant is 0")
     w, deg, erow, ecol, eweight = _symmetric_weights(kernel)
     pi = kernel.stationary
     log = np.log

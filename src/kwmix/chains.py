@@ -31,7 +31,9 @@ One helper sums them into a CSR matrix of counts, sorting them by int64
 the stationary law is pi = w / sum(w). For every family but grev, w is
 the draw total and pi uniform. Rows sum to 1 up to a few ulps.
 ``product_kernel`` is the Kronecker sum (1/t) sum_i I ⊗ P_i ⊗ I of its
-t factor kernels, built with ``scipy.sparse.kron``.
+t factor kernels, each term a `_kron_term` (``scipy.sparse.kron``), the
+one statement of a product state's digit order: ``generic`` reads each
+factor of tgrev through it.
 
 ``sample_chain`` runs rev, cc, ucc, complete and tgrev on a batch: an
 (S, k) state array, one move drawn per row and step. A ucc, cc,
@@ -62,6 +64,7 @@ sampler, and the state cap alone limits the gate kernels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import chain, product
@@ -612,30 +615,30 @@ def _tgrev_moves(spec: ChainSpec, states: np.ndarray, index) -> Moves:
                     2 * rem))
 
 
+def _kron_term(sizes: Sequence[int], i: int, matrix) -> sparse.csr_matrix:
+    """I ⊗ matrix ⊗ I on the product of factors of the given sizes (first
+    most significant): `matrix` moves digit i, the identities on the
+    factors before and after it keep the other digits."""
+    # COO throughout: the cheapest route through scipy's kron, whose
+    # BSR route for a dense factor would store that factor's zeros
+    before = sparse.identity(math.prod(sizes[:i]), format="coo")
+    after = sparse.identity(math.prod(sizes[i + 1:]), format="coo")
+    return sparse.kron(sparse.kron(before, matrix, format="coo"), after, format="csr")
+
+
 def product_kernel(factors: Sequence[Kernel]) -> Kernel:
     """Uniform mixture of single-factor moves on the product state space
     (first factor most significant): the Kronecker sum
-    (1/t) sum_i I ⊗ P_i ⊗ I of the factor kernels P_1..P_t, each P_i
-    between the identities on the factors before and after it, the terms
-    added in factor order."""
+    (1/t) sum_i I ⊗ P_i ⊗ I of the factor kernels P_1..P_t, the
+    `_kron_term`s added in factor order, with stationary law
+    pi_1 ⊗ ... ⊗ pi_t."""
     if not factors:
         raise ValueError("need at least one factor")
     sizes = [f.size for f in factors]
     check_state_cap(math.prod(sizes), "product chain")
-
-    def term(i: int) -> sparse.csr_matrix:
-        # COO throughout: the cheapest route through scipy's kron, whose
-        # BSR route for a dense factor would store that factor's zeros
-        before = sparse.identity(math.prod(sizes[:i]), format="coo")
-        after = sparse.identity(math.prod(sizes[i + 1:]), format="coo")
-        return sparse.kron(sparse.kron(before, factors[i].matrix, format="coo"), after,
-                           format="csr")
-
-    matrix = sum(map(term, range(len(factors))))
+    matrix = sum(_kron_term(sizes, i, f.matrix) for i, f in enumerate(factors))
     matrix.data /= len(factors)
-    pi = factors[0].stationary
-    for f in factors[1:]:
-        pi = np.outer(pi, f.stationary).ravel()
+    pi = functools.reduce(np.kron, [f.stationary for f in factors])
     kernel = Kernel(matrix, pi, {"family": "product", "factors": [f.meta for f in factors]})
     kernel.validate()
     return kernel

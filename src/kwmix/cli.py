@@ -334,9 +334,7 @@ def _run_mix_mc(args):
     spec = _spec_from_args(args)
     report = end_state_test(spec, args.t, args.samples, args.seed)
     obj = {"kernel": spec.label(), "t": args.t, "samples": args.samples,
-           "states": report.states, "distinct_visited": report.distinct_visited,
-           "chi2": report.chi2, "dof": report.dof, "p_value": report.p_value,
-           "empirical_tv": report.empirical_tv, "seed": args.seed}
+           **asdict(report), "seed": args.seed}
     header = ("kernel", "t", "samples", "states", "chi2", "dof", "p_value",
               "empirical_tv", "seed")
     return obj, header, [tuple(obj[h] for h in header)]
@@ -356,11 +354,8 @@ def _run_kwise_test(args):
         statistic=args.statistic, seed=args.seed, bins=args.bins,
         sampler=args.sampler,
     )
-    return _one_row({"n": report.n, "k": report.k, "gates": report.gates,
-                     "M": report.samples, "statistic": report.statistic,
-                     "bins": report.bins, "chi2": report.chi2, "dof": report.dof,
-                     "p_value": report.p_value, "seed": report.seed,
-                     "gate_mode": report.gate_mode, "sampler": report.sampler})
+    return _one_row({"M" if key == "samples" else key: value
+                     for key, value in asdict(report).items()})
 
 
 def _run_generic_frac(args):
@@ -375,10 +370,7 @@ def _run_generic_frac(args):
         return obj, header, [tuple(obj[h] for h in header)]
     est = generic_fraction_mc(partition, args.samples, seed=args.seed)
     obj = {"n": args.n, "k": args.k, "w": partition.w, "p": partition.p,
-           "mode": "mc", "fraction": est.fraction, "hits": est.hits,
-           "samples": est.samples, "wilson_low": est.wilson_low,
-           "wilson_high": est.wilson_high,
-           "union_bound_low": est.union_bound_low, "seed": args.seed}
+           "mode": "mc", **asdict(est), "seed": args.seed}
     header = ("n", "k", "w", "p", "mode", "fraction", "wilson_low",
               "wilson_high", "union_bound_low", "samples", "seed")
     return obj, header, [tuple(obj[h] for h in header)]

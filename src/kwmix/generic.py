@@ -140,10 +140,10 @@ def count_generic_states(partition: Partition) -> int:
 @dataclass(frozen=True)
 class FractionEstimate:
     fraction: float
-    wilson_low: float
-    wilson_high: float
     hits: int
     samples: int
+    wilson_low: float
+    wilson_high: float
     union_bound_low: float
 
 
@@ -177,10 +177,10 @@ def generic_fraction_mc(partition: Partition, samples: int, seed: int = 0) -> Fr
     low, high = _wilson(hits, samples)
     return FractionEstimate(
         fraction=hits / samples,
-        wilson_low=low,
-        wilson_high=high,
         hits=hits,
         samples=samples,
+        wilson_low=low,
+        wilson_high=high,
         union_bound_low=union_bound_generic_fraction(partition),
     )
 
@@ -277,17 +277,16 @@ def verify_tgrev_product_structure(partition: Partition) -> ProductStructureRepo
 
 def _factor_deviation(matrix, sizes, positions, factor, weight) -> float:
     """Largest |matrix entry * weight - factor entry| over the moves of the
-    factor at each of `positions` of a product state (digits of the given
-    sizes, first most significant), in every context of the other digits."""
-    idx = np.arange(matrix.shape[0])
-    values = np.arange(factor.size)
-    expected = factor.dense()
+    factor at each of `positions` of a product state of factors of the
+    given sizes, in every context of the other digits: the factor is read
+    through the Kronecker term that `chains.product_kernel` places it by,
+    and both on the moves of that digit alone."""
+    from .chains import _kron_term
+
     worst = 0.0
     for m in positions:
-        stride = math.prod(sizes[m + 1:])
-        digit = (idx // stride % factor.size)[:, None]
-        cols = idx[:, None] + (values - digit) * stride
-        got = matrix[idx[:, None], cols].toarray() * weight
-        dev = np.abs(got - expected[digit, values])[values != digit]
-        worst = max(worst, float(dev.max(initial=0.0)))
+        moves = _kron_term(sizes, m, np.ones((factor.size,) * 2) - np.eye(factor.size))
+        dev = (matrix.multiply(moves) * weight
+               - _kron_term(sizes, m, factor.matrix).multiply(moves))
+        worst = max(worst, float(abs(dev).max()))
     return worst

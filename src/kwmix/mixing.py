@@ -429,6 +429,8 @@ def kwise_stat_mc(
         raise ValueError(f"unknown sampler {sampler!r}")
     if gates < 0:
         raise ValueError(f"need gates >= 0, got {gates}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if n > 64:
         raise ValueError(f"statistics are taken on one 64-bit word, need n <= 64, got {n}")
     if bins is not None:
@@ -437,9 +439,8 @@ def kwise_stat_mc(
         choices = range(n + 1, 1, -2)
     else:
         choices = [min(64, 1 << n) >> i for i in range(min(n, 6))]
-    # finest first, keeping the coarsest if none expects enough; below
-    # n = 1 there is no choice, and `_statistic` refuses n + 1 bins
-    for bins in choices or [n + 1]:
+    # finest first, keeping the coarsest if none expects enough
+    for bins in choices:
         law, bin_of = _statistic(statistic, n, k, bins)
         if samples * law[law > 0].min() >= MIN_EXPECTED_COUNT:
             break

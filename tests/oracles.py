@@ -14,7 +14,9 @@ over, and ``load_kernel_dump`` the dump format.
 ``coo_count_matrix`` is the scipy COO assembly that
 ``chains._count_matrix`` replaced, kept to check it bit for bit.
 ``distinct_gates`` is the closed-form count of the permutations that
-``core.dedupe_gates`` tabulates.
+``core.dedupe_gates`` tabulates. ``factor_deviation_by_index`` is the
+stride-and-digit indexing that ``generic._factor_deviation`` replaced
+with ``chains._kron_term``, kept to check it bit for bit.
 """
 
 from __future__ import annotations
@@ -244,3 +246,22 @@ def coo_count_matrix(moves: Moves, size: int) -> sparse.csr_matrix:
         shape=(size, size))
     summed.sum_duplicates()
     return summed.tocsr()
+
+
+def factor_deviation_by_index(matrix, sizes, positions, factor, weight) -> float:
+    """Largest |matrix entry * weight - factor entry| over the moves of the
+    factor at each of `positions` of a product state (digits of the given
+    sizes, first most significant), in every context of the other digits,
+    each entry found by its digit's stride."""
+    idx = np.arange(matrix.shape[0])
+    values = np.arange(factor.size)
+    expected = factor.dense()
+    worst = 0.0
+    for m in positions:
+        stride = math.prod(sizes[m + 1:])
+        digit = (idx // stride % factor.size)[:, None]
+        cols = idx[:, None] + (values - digit) * stride
+        got = matrix[idx[:, None], cols].toarray() * weight
+        dev = np.abs(got - expected[digit, values])[values != digit]
+        worst = max(worst, float(dev.max(initial=0.0)))
+    return worst

@@ -132,6 +132,20 @@ def test_product_of_single_factor_is_identity_operation():
     assert np.allclose(prod.dense(), ucc.dense(), atol=0)
 
 
+def test_product_stationary_law_is_the_outer_product_loop_bit_for_bit():
+    # grev's law is not uniform, so every product of two factors is a
+    # product of distinct floats
+    grev = build_kernel(ChainSpec(family="grev", k=2, n=4,
+                                  partition=make_partition(4, 2, w=1, p=2)))
+    factors = [grev, build_kernel(ChainSpec(family="complete", ncolors=3)), grev]
+    for count in range(1, 4):
+        expected = factors[0].stationary
+        for f in factors[1:count]:
+            expected = np.outer(expected, f.stationary).ravel()
+        got = product_kernel(factors[:count]).stationary
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
 def test_product_gap_k2_k3_against_dense_eigensolve():
     # oracle: build the 6x6 mixture explicitly and eigensolve it
     k2 = np.full((2, 2), 0.5)

@@ -763,6 +763,83 @@ def test_partition_commands_at_few_wires_end_with_an_exit_code(capsys):
         assert codes[argv] == 2
 
 
+def test_reducible_searches_and_sizes_below_one_wire_exit_2(capsys):
+    # a reducible kernel's log-Sobolev constant is exactly 0, so a search
+    # would report roundoff; below one wire there is no string to bin
+    commands = [
+        ["lsc-search", "--chain", "tgrev", "--n", "3", "--k", "2", "--part-w", "1",
+         "--part-p", "1", "--restarts", "6"],
+        ["lsc-search", "--chain", "cc", "--k", "2", "--N", "2"],
+    ]
+    messages = ["reducible and its log-Sobolev constant is 0"] * 2
+    for n in ("0", "-1"):
+        for statistic in ("xor", "hamming", "lowbits"):
+            for sampler in ("circuit", "uniform"):
+                commands.append(["kwise-test", "--n", n, "--k", "2", "--gates", "5",
+                                 "--samples", "100", "--statistic", statistic,
+                                 "--sampler", sampler])
+                messages.append(f"need n >= 1, got {n}")
+    for argv, message in zip(commands, messages):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("kwmix: invalid configuration") and message in err, argv
+
+
+MC_ROWS = {
+    "mix-mc": (("mix-mc", "--chain", "ucc", "--k", "2", "--N", "3", "--t", "5",
+                "--samples", "300"), "end_state_test",
+               ["kernel", "t", "samples", "states", "distinct_visited", "chi2", "dof",
+                "p_value", "empirical_tv", "seed"],
+               ["kernel", "t", "samples", "states", "chi2", "dof", "p_value",
+                "empirical_tv", "seed"]),
+    "kwise-test": (("kwise-test", "--n", "4", "--k", "2", "--gates", "5",
+                    "--samples", "300"), "kwise_stat_mc",
+                   ["n", "k", "gates", "M", "statistic", "bins", "chi2", "dof",
+                    "p_value", "seed", "gate_mode", "sampler"], None),
+    "generic-frac": (("generic-frac", "--n", "6", "--k", "2", "--part-w", "2",
+                      "--part-p", "1", "--samples", "300"), "generic_fraction_mc",
+                     ["n", "k", "w", "p", "mode", "fraction", "hits", "samples",
+                      "wilson_low", "wilson_high", "union_bound_low", "seed"],
+                     ["n", "k", "w", "p", "mode", "fraction", "wilson_low",
+                      "wilson_high", "union_bound_low", "samples", "seed"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MC_ROWS))
+def test_monte_carlo_json_keys_and_csv_header(capsys, command):
+    argv, _, keys, header = MC_ROWS[command]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)) == keys
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.split("\n")[0] == ",".join(header or keys)
+
+
+@pytest.mark.parametrize("command", sorted(MC_ROWS))
+def test_a_report_field_reaches_the_json_row(capsys, monkeypatch, command):
+    # the commands print the library's report, so a field that the report
+    # gains reaches the row with no CLI edit
+    from dataclasses import asdict, field, make_dataclass
+
+    argv, library_call, keys, _ = MC_ROWS[command]
+    real = getattr(cli, library_call)
+
+    def with_extra_field(*args, **kwargs):
+        report = real(*args, **kwargs)
+        frozen = type(report).__dataclass_params__.frozen
+        grown = make_dataclass(type(report).__name__, [("extra", float, field(default=0.0))],
+                               bases=(type(report),), frozen=frozen)
+        return grown(**asdict(report), extra=0.125)
+
+    monkeypatch.setattr(cli, library_call, with_extra_field)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["extra"] == 0.125
+    assert [key for key in obj if key != "extra"] == keys
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy import stats as sps
 
 from kwmix.chains import ChainSpec, build_kernel
@@ -23,7 +24,7 @@ from kwmix.generic import (
     verify_tgrev_product_structure,
 )
 from kwmix.rng import make_rng
-from oracles import is_generic
+from oracles import factor_deviation_by_index, is_generic
 
 
 def test_default_partition_n512_k2():
@@ -306,3 +307,33 @@ def test_sparse_factor_deviations_match_dense_loop(n, k, w, p):
             assert (block_dev, rem_dev) == (ref_block, ref_rem)
         else:
             assert max(ref_block, ref_rem) > 1e-3
+
+
+@pytest.mark.parametrize("n,k,w,p", [(6, 2, 2, 2), (3, 2, 2, 1), (5, 3, 2, 1), (4, 1, 1, 2)])
+def test_kronecker_factor_deviations_match_index_arithmetic(n, k, w, p):
+    # each factor read through chains._kron_term against the stride-and-digit
+    # indexing it replaced, bit for bit, on perturbed tgrev matrices: every
+    # entry scaled, some moves dropped, and stray entries added where the
+    # factors have none
+    part = make_partition(n, k, w=w, p=p)
+    tgrev = build_kernel(ChainSpec(family="tgrev", k=k, n=n, partition=part))
+    cc_block = build_kernel(ChainSpec(family="cc", k=k, ncolors=1 << w))
+    lazy_bit = build_kernel(ChainSpec(family="complete", ncolors=2))
+    rem_bits = k * len(part.remainder)
+    sizes = [cc_block.size] * p + [2] * rem_bits
+    cases = ((range(p), cc_block, 2.0 * p), (range(p, p + rem_bits), lazy_bit, 2.0 * rem_bits))
+    matrices = [tgrev.matrix]
+    for seed in range(3):
+        rng = make_rng(seed)
+        noisy = tgrev.matrix.copy()
+        noisy.data *= 1 + 0.01 * (rng.random(noisy.nnz) - 0.5)
+        noisy.data[rng.random(noisy.nnz) < 0.01] = 0.0
+        noisy.eliminate_zeros()
+        stray = sparse.random(tgrev.size, tgrev.size, density=0.001, format="csr",
+                              random_state=rng)
+        matrices.append((noisy + 0.01 * stray).tocsr())
+    for matrix in matrices:
+        for positions, factor, weight in cases:
+            args = (matrix, sizes, positions, factor, weight)
+            assert _factor_deviation(*args) == factor_deviation_by_index(*args)
+    assert min(_factor_deviation(m, sizes, *cases[0]) for m in matrices[1:]) > 0
