@@ -9,25 +9,20 @@ bound would disprove it, and failing to find one is evidence in favor.
 
 Entropy and the Dirichlet form use natural log and the 0*log(0) = 0
 convention; reported sums run through math.fsum so the tight acceptance
-tolerances are not eaten by accumulation error. The lsc_search objective
-sums with ufunc reductions, not np.dot: numpy and scipy each bring their
-own OpenBLAS thread pool, and a threaded ddot on numpy's pool fights
-scipy's L-BFGS-B pool for the same cores on every step. The restarts run
-with every loaded OpenBLAS pinned to one thread (_one_blas_thread), since
-otherwise scipy's idle pool busy-waits after each L-BFGS-B step.
+tolerances are not eaten by accumulation error. lsc_search runs its
+restarts as the rows of one numpy L-BFGS (Liu and Nocedal, 1989), whose
+objective takes only sparse matvecs and row-wise ufunc reductions: no
+BLAS call, so no BLAS thread pool, and a row's result does not depend on
+the rows beside it.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
+from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .chains import Kernel, _tuple_states
@@ -50,9 +45,10 @@ def dirichlet_form(kernel: Kernel, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     if f.shape != (kernel.size,):
         raise ValueError(f"function has shape {f.shape}, kernel has {kernel.size} states")
-    m = kernel.matrix.tocoo()
-    diff = f[m.row] - f[m.col]
-    terms = diff * diff * kernel.stationary[m.row] * m.data
+    m = kernel.matrix
+    rows = np.repeat(np.arange(kernel.size), np.diff(m.indptr))
+    diff = f[rows] - f[m.indices]
+    terms = diff * diff * kernel.stationary[rows] * m.data
     return 0.5 * _fsum(terms)
 
 
@@ -89,65 +85,32 @@ def lsc_ratio(kernel: Kernel, f: np.ndarray) -> float:
     return dirichlet_form(kernel, np.sqrt(f)) / ent
 
 
-# where Linux lists the shared objects mapped into this process
-_PROC_MAPS = "/proc/self/maps"
-# (get, set) thread-count symbols of the OpenBLAS builds that numpy and
-# scipy bundle (scipy-openblas, 64- and 32-bit ints) and of a plain build
-_BLAS_THREAD_SYMBOLS = tuple(
-    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
+# Most (restarts x undirected edges) entries of one group of restarts that
+# lsc_search steps together. A group's edge differences and its L-BFGS
+# history (2 x _HISTORY arrays of restarts x states) scale with it, so the
+# search's memory does not grow with the restart count.
+SEARCH_ENTRIES = 1 << 20
+# L-BFGS of each restart: (s, y) pairs kept, as scipy's maxcor; Armijo
+# constant; most step halvings of one line search
+_HISTORY = 10
+_ARMIJO = 1e-4
+_BACKTRACKS = 20
+# a restart stops when the relative fall of the ratio is at most _FTOL,
+# when its largest gradient entry is at most _GTOL, or after _MAXITER steps
+_FTOL = 1e-13
+_GTOL = 1e-12
+_MAXITER = 500
+# why a restart stopped: the three limits above, a line search that found
+# no Armijo step, or a start whose ratio is undefined (no positive mean
+# or entropy)
+STOPS = ("ftol", "gtol", "maxiter", "line_search", "collapsed")
 
 
-def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS loaded in this
-    process, found in _PROC_MAPS; none where that file is missing."""
-    paths = set()
-    try:
-        with open(_PROC_MAPS) as fp:
-            for line in fp:
-                path = line.split()[-1]
-                name = os.path.basename(path).lower()
-                if "openblas" in name and ".so" in name:
-                    paths.add(path)
-    except OSError:
-        return []
-    controls = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return controls
-
-
-# held while the thread counts are pinned, so that a second caller reads
-# the counts only after the first has restored them
-_BLAS_PIN_LOCK = threading.Lock()
-
-
-@contextmanager
-def _one_blas_thread():
-    """Pin every loaded OpenBLAS to one thread, then restore each count.
-
-    Process-wide while it is held; concurrent callers take turns. A no-op
-    where no OpenBLAS is found.
-    """
-    with _BLAS_PIN_LOCK:
-        saved = [(set_, get()) for get, set_ in _openblas_thread_controls()]
-        try:
-            for set_, _ in saved:
-                set_(1)
-            yield
-        finally:
-            for set_, threads in saved:
-                set_(threads)
+@dataclass
+class RestartStats:
+    iterations: int
+    evaluations: int
+    stop: str  # one of STOPS
 
 
 @dataclass
@@ -155,7 +118,8 @@ class SearchResult:
     best_ratio: float
     witness: np.ndarray
     restarts: int
-    evaluations: int  # objective calls over all restarts, collapsed ones included
+    evaluations: int  # objective rows over all restarts, collapsed ones included
+    runs: list[RestartStats]  # one per restart, in restart order
 
 
 def _symmetric_weights(kernel: Kernel):
@@ -169,6 +133,172 @@ def _symmetric_weights(kernel: Kernel):
     return w, deg, coo.row[off], coo.col[off], coo.data[off]
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    # summed in C order, each row gets the same pairwise sum whatever rows
+    # sit beside it; a column-major operand (a transposed sparse product
+    # is one) would be summed down the columns instead
+    return np.add.reduce(np.ascontiguousarray(a), axis=1)
+
+
+def _ratio_objective(kernel: Kernel):
+    """(objective, undirected edges) of the search on f = g^2.
+
+    objective(g) maps a (rows, states) array to each row's ratio and its
+    gradient in g. Energy and entropy are evaluated in cancellation-free
+    forms, so near-constant g cannot produce a spuriously small ratio; a
+    row with no positive mean or entropy gets ratio inf and gradient 0.
+    The energy is the weighted sum of squared differences over each
+    undirected edge once (W is symmetric), taken by sparse products,
+    which sum each column in edge order: like _row_sums, they give a row
+    the same value whatever rows sit beside it.
+    """
+    w, deg, erow, ecol, eweight = _symmetric_weights(kernel)
+    once = erow < ecol
+    edges = int(once.sum())
+    # row e is +1 at one end of edge e and -1 at the other, so a product
+    # with it gives each difference exactly
+    incidence = sparse.csr_matrix(
+        (np.tile([1.0, -1.0], edges), np.column_stack([erow[once], ecol[once]]).ravel(),
+         np.arange(0, 2 * edges + 1, 2)), shape=(edges, kernel.size))
+    weight = sparse.csr_matrix(eweight[once][None, :])
+    pi = kernel.stationary
+
+    def objective(g: np.ndarray):
+        with np.errstate(all="ignore"):
+            diff = incidence @ g.T
+            energy = (weight @ (diff * diff))[0]
+            g2 = g * g
+            mean = _row_sums(pi * g2)[:, None]
+            dev = g2 - mean
+            stable = np.where(g2 > 0, g2 * np.log1p(dev / mean) - dev, mean)
+            logterm = np.where(g2 > 0, np.log(g2) - np.log(mean), 0.0)
+            ent = _row_sums(pi * stable)
+            valid = (mean[:, 0] > 0.0) & (ent >= 1e-300)
+            ratio = np.where(valid, energy / ent, np.inf)
+            grad_energy = 2.0 * (deg * g - (w @ g.T).T)
+            grad_ent = 2.0 * pi * g * logterm
+            grad = (grad_energy - ratio[:, None] * grad_ent) / ent[:, None]
+        grad[~valid] = 0.0
+        return ratio, grad
+
+    return objective, edges
+
+
+def _lbfgs(objective, x: np.ndarray):
+    """Minimize objective from each row of x by L-BFGS, all rows together.
+
+    Each row keeps _HISTORY (s, y) pairs, skipping a pair whose curvature
+    s.y is not above eps |y|^2 (it enters with weight 0), and steps by
+    backtracking Armijo from step 1, or 1/|grad| on the first step. A row
+    stops under the first of the STOPS it meets, and stopped rows leave
+    the arrays. Returns (best value, its point, iterations, evaluations,
+    stop) per row: the best is taken over every evaluated point, not
+    only over the accepted ones.
+    """
+    rows, size = x.shape
+    best_f = np.full(rows, np.inf)
+    best_x = x.copy()
+    iterations = np.zeros(rows, dtype=np.int64)
+    evaluations = np.zeros(rows, dtype=np.int64)
+    stops = np.full(rows, "", dtype=object)
+
+    def evaluate(at: np.ndarray, points: np.ndarray):
+        evaluations[at] += 1
+        values, grads = objective(points)
+        better = values < best_f[at]
+        best_f[at[better]] = values[better]
+        best_x[at[better]] = points[better]
+        return values, grads
+
+    live = np.arange(rows)  # row of x behind each row still running
+    f, grad = evaluate(live, x)
+    stops[~np.isfinite(f)] = "collapsed"
+    stops[np.isfinite(f) & (np.abs(grad).max(axis=1) <= _GTOL)] = "gtol"
+    keep = stops == ""
+    live, x, f, grad = live[keep], x[keep], f[keep], grad[keep]
+    s_hist = np.zeros((_HISTORY, len(live), size))
+    y_hist = np.zeros((_HISTORY, len(live), size))
+    rho = np.zeros((_HISTORY, len(live)))
+    gamma = np.ones(len(live))
+    step_no = 0
+    while len(live):
+        # two-loop recursion: d = -H grad, H built from the stored pairs
+        slots = [(step_no - 1 - j) % _HISTORY for j in range(min(step_no, _HISTORY))]
+        q = grad.copy()
+        alphas = []
+        for slot in slots:
+            alphas.append(rho[slot] * _row_sums(s_hist[slot] * q))
+            q -= alphas[-1][:, None] * y_hist[slot]
+        q *= gamma[:, None]
+        for slot, alpha in zip(reversed(slots), reversed(alphas)):
+            beta = rho[slot] * _row_sums(y_hist[slot] * q)
+            q += s_hist[slot] * (alpha - beta)[:, None]
+        d = -q
+        slope = _row_sums(grad * d)
+        if step_no == 0:
+            step = 1.0 / np.sqrt(_row_sums(grad * grad))
+        else:
+            step = np.ones(len(live))
+
+        new_x, new_f, new_grad = x.copy(), f.copy(), grad.copy()
+        moved = np.zeros(len(live), dtype=bool)
+        pending = np.flatnonzero(slope < 0.0)
+        for _ in range(_BACKTRACKS):
+            if not len(pending):
+                break
+            points = x[pending] + step[pending, None] * d[pending]
+            values, grads = evaluate(live[pending], points)
+            ok = values <= f[pending] + _ARMIJO * step[pending] * slope[pending]
+            done = pending[ok]
+            new_x[done], new_f[done], new_grad[done] = points[ok], values[ok], grads[ok]
+            moved[done] = True
+            pending = pending[~ok]
+            step[pending] *= 0.5
+
+        s, y = new_x - x, new_grad - grad
+        sy = _row_sums(s * y)
+        yy = _row_sums(y * y)
+        curved = moved & (sy > np.finfo(float).eps * yy)
+        slot = step_no % _HISTORY
+        s_hist[slot] = np.where(curved[:, None], s, 0.0)
+        y_hist[slot] = np.where(curved[:, None], y, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho[slot] = np.where(curved, 1.0 / sy, 0.0)
+            gamma = np.where(curved, sy / yy, gamma)
+        iterations[live] += 1
+        step_no += 1
+
+        fall = f - new_f
+        scale = np.maximum(np.maximum(np.abs(f), np.abs(new_f)), 1.0)
+        stop = np.select(
+            [~moved, np.abs(new_grad).max(axis=1) <= _GTOL, fall <= _FTOL * scale,
+             np.full(len(live), step_no >= _MAXITER)],
+            ["line_search", "gtol", "ftol", "maxiter"], "")
+        stops[live] = stop
+        x, f, grad = new_x, new_f, new_grad
+        keep = stop == ""
+        if not keep.all():
+            live, x, f, grad, gamma = live[keep], x[keep], f[keep], grad[keep], gamma[keep]
+            s_hist, y_hist, rho = s_hist[:, keep], y_hist[:, keep], rho[:, keep]
+    return best_f, best_x, iterations, evaluations, stops
+
+
+def _starts(rng: np.random.Generator, first: int, rows: int, size: int) -> np.ndarray:
+    """Starting g of restarts first .. first + rows - 1, one per row,
+    drawn in restart order from rng: in turn log-normal, additive and
+    uniform with one raised state."""
+    starts = np.empty((rows, size))
+    for row, r in enumerate(range(first, first + rows)):
+        if r % 3 == 0:
+            starts[row] = np.exp(0.8 * rng.standard_normal(size))
+        elif r % 3 == 1:
+            starts[row] = 1.0 + 0.5 * rng.standard_normal(size)
+        else:
+            starts[row] = 0.05 + rng.random(size)
+            starts[row, rng.integers(size)] += 3.0
+    return starts
+
+
 def lsc_search(
     kernel: Kernel,
     restarts: int = 200,
@@ -179,87 +309,38 @@ def lsc_search(
     Parameterizes f = g^2 and runs L-BFGS on g from multiplicatively
     perturbed starts, drawn restart by restart from the one Philox stream
     of the seed, so the first r starts do not depend on how many restarts
-    follow. Returns the smallest ratio found and its witness; the value
-    is a certified upper bound on the log-Sobolev constant. The
-    objective's sums are ufunc reductions, not np.dot, because numpy and
-    scipy bring separate OpenBLAS pools: a threaded dot on numpy's pool
-    would busy-wait against scipy's L-BFGS-B pool, and the result would
-    depend on numpy's BLAS thread count. The vectors are too short for
-    threaded BLAS to help, so the restarts run with every OpenBLAS pinned
-    to one thread; the previous counts are restored on return and on
-    error. A reducible kernel, whose constant is exactly 0, is refused first.
+    follow. The restarts advance together as the rows of one array
+    (_lbfgs), in groups of at most SEARCH_ENTRIES (restarts x edges)
+    entries; a row's steps do not depend on its group. The objective
+    takes only sparse matvecs and ufunc reductions, no BLAS call. Each
+    restart's best evaluated point is re-checked with the exact
+    lsc_ratio; the smallest, the first of equal ones, is returned with
+    its witness, a certified upper bound on the log-Sobolev constant. A
+    reducible kernel, whose constant is exactly 0, is refused first.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
     kernel.check_irreducible("its log-Sobolev constant is 0")
-    w, deg, erow, ecol, eweight = _symmetric_weights(kernel)
-    pi = kernel.stationary
-    log = np.log
-
-    def make_objective(tracker: list):
-        # tracker holds [best_ratio, best_g, evaluations]: every evaluated
-        # point is a valid witness, so keep the minimum over all of them,
-        # not just L-BFGS endpoints. Energy and entropy are evaluated in
-        # cancellation-free forms so near-constant g cannot produce a
-        # spuriously small ratio.
-        def objective(g: np.ndarray):
-            tracker[2] += 1
-            diff = g[erow] - g[ecol]
-            energy = 0.5 * float(np.add.reduce(diff * diff * eweight))
-            g2 = g * g
-            mean = float(np.add.reduce(pi * g2))
-            if mean <= 0.0:
-                return np.inf, np.zeros_like(g)
-            dev = g2 - mean
-            with np.errstate(divide="ignore", invalid="ignore"):
-                stable = np.where(g2 > 0, g2 * np.log1p(dev / mean) - dev, mean)
-                logterm = np.where(g2 > 0, log(g2) - math.log(mean), 0.0)
-            ent = float(np.add.reduce(pi * stable))
-            if ent < 1e-300:
-                return np.inf, np.zeros_like(g)
-            grad_energy = 2.0 * (deg * g - w @ g)
-            grad_ent = 2.0 * pi * g * logterm
-            ratio = energy / ent
-            if ratio < tracker[0]:
-                tracker[0] = ratio
-                tracker[1] = g.copy()
-            grad = (grad_energy - ratio * grad_ent) / ent
-            return ratio, grad
-
-        return objective
-
-    def run_restart(r: int) -> tuple[float, np.ndarray | None, int]:
-        # (ratio, witness, evaluations); a collapsed restart has no
-        # witness and ratio inf, but its evaluations still count
-        if r % 3 == 0:
-            g0 = np.exp(0.8 * rng.standard_normal(kernel.size))
-        elif r % 3 == 1:
-            g0 = 1.0 + 0.5 * rng.standard_normal(kernel.size)
-        else:
-            g0 = 0.05 + rng.random(kernel.size)
-            g0[rng.integers(kernel.size)] += 3.0
-        tracker: list = [np.inf, None, 0]
-        optimize.minimize(
-            make_objective(tracker), g0, jac=True, method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-13, "gtol": 1e-12},
-        )
-        if tracker[1] is None:
-            return np.inf, None, tracker[2]
-        g = np.abs(tracker[1])
-        f = g * g
-        if entropy(pi, f) <= 1e-13:
-            return np.inf, None, tracker[2]
-        return lsc_ratio(kernel, f), f, tracker[2]
-
+    objective, edges = _ratio_objective(kernel)
+    group = max(1, SEARCH_ENTRIES // max(1, edges))
     rng = make_rng(seed)
-    with _one_blas_thread():
-        outcomes = [run_restart(r) for r in range(restarts)]
-    # min keeps the first of equal ratios
-    best_ratio, witness, _ = min(outcomes, key=lambda out: out[0])
+    best_ratio, witness, runs = np.inf, None, []
+    for first in range(0, restarts, group):
+        rows = min(group, restarts - first)
+        found, points, iterations, evaluations, stops = _lbfgs(
+            objective, _starts(rng, first, rows, kernel.size))
+        for value, g in zip(found, np.abs(points)):
+            f = g * g
+            if value < np.inf and entropy(kernel.stationary, f) > 1e-13:
+                ratio = lsc_ratio(kernel, f)
+                if ratio < best_ratio:
+                    best_ratio, witness = ratio, f
+        runs += [RestartStats(int(i), int(e), s)
+                 for i, e, s in zip(iterations, evaluations, stops)]
     if witness is None:
         raise ValueError("every restart collapsed to a constant function")
     return SearchResult(best_ratio=best_ratio, witness=witness, restarts=restarts,
-                        evaluations=sum(out[2] for out in outcomes))
+                        evaluations=sum(run.evaluations for run in runs), runs=runs)
 
 
 def ucc_alpha_lower_bound(k: int, N: int, base: float = math.e) -> float:

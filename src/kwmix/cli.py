@@ -17,6 +17,7 @@ lines, and an --out path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -99,6 +100,7 @@ def _spec_from_args(args: argparse.Namespace) -> ChainSpec:
     )
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kwmix",

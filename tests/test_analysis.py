@@ -1,7 +1,6 @@
 """Dirichlet forms, entropy, ratio search, and the entropy chain rule."""
 
 import math
-import sys
 import threading
 
 import numpy as np
@@ -155,65 +154,105 @@ def no_blas_dot(monkeypatch):
 
 
 def test_search_objective_makes_no_blas_dot_call(no_blas_dot):
-    # 17280 off-diagonal edges, above OpenBLAS's threaded-ddot threshold:
-    # a dot there wakes numpy's BLAS pool against scipy's L-BFGS-B pool
+    # 17280 off-diagonal edges, above OpenBLAS's threaded-ddot threshold
     kernel = build_kernel(ChainSpec(family="ucc", k=3, ncolors=10))
     coo = kernel.matrix.tocoo()
     assert np.count_nonzero(coo.row != coo.col) == 17280
     result = lsc_search(kernel, restarts=12, seed=0)
-    assert result.best_ratio == pytest.approx(0.12838395071555084, rel=1e-12)
-    assert result.evaluations == 368
+    assert result.best_ratio == pytest.approx(0.12838395071555392, rel=1e-12)
+    assert result.evaluations == 363
 
 
 def test_gate_chain_search_is_pinned(no_blas_dot):
     kernel = build_kernel(ChainSpec(family="rev", k=2, n=4))
     result = lsc_search(kernel, restarts=24, seed=0)
     assert result.best_ratio == pytest.approx(0.06037139964559212, rel=1e-12)
-    assert result.evaluations == 1128
+    assert result.evaluations == 1129
+
+
+def _spy_starts(monkeypatch, change=lambda first, starts: starts):
+    """Record every group of starts lsc_search draws, after change(first,
+    starts) has had its say."""
+    groups = []
+    draw = analysis._starts
+
+    def spied(rng, first, rows, size):
+        groups.append(change(first, draw(rng, first, rows, size)))
+        return groups[-1]
+
+    monkeypatch.setattr(analysis, "_starts", spied)
+    return groups
 
 
 def test_search_counts_the_evaluations_of_a_collapsed_restart(monkeypatch):
-    # restart 0 starts at a constant function, where the objective returns
-    # inf with a zero gradient: L-BFGS-B ends without a witness, but every
-    # call it made still counts
-    calls = []
-    minimize = optimize.minimize
+    # restart 0 starts at g = 0, where the objective is inf with a zero
+    # gradient: it stops at once with no witness, but its one evaluation
+    # still counts
+    def zero_first(first, starts):
+        if first == 0:
+            starts[0] = 0.0
+        return starts
 
-    def counting(fun, x0, **kwargs):
-        def counted(g):
-            calls[-1] += 1
-            return fun(g)
-
-        calls.append(0)
-        return minimize(counted, np.ones_like(x0) if len(calls) == 1 else x0, **kwargs)
-
-    monkeypatch.setattr(analysis.optimize, "minimize", counting)
+    _spy_starts(monkeypatch, zero_first)
     kernel = build_kernel(ChainSpec(family="ucc", k=2, ncolors=5))
     result = lsc_search(kernel, restarts=4, seed=0)
-    assert len(calls) == 4 and calls[0] >= 1
-    assert result.evaluations == sum(calls)
+    assert result.runs[0] == analysis.RestartStats(iterations=0, evaluations=1, stop="collapsed")
+    assert all(run.stop != "collapsed" for run in result.runs[1:])
+    assert result.evaluations == sum(run.evaluations for run in result.runs)
+    monkeypatch.undo()
+    full = lsc_search(kernel, restarts=4, seed=0)
+    assert result.runs[1:] == full.runs[1:]
+    assert result.evaluations == full.evaluations - full.runs[0].evaluations + 1
 
 
 def test_fewer_restarts_take_the_first_starts_of_more(monkeypatch):
     # the restarts draw their starts in turn from the one stream of the
     # seed, so a shorter search runs a prefix of a longer one
-    starts = []
-    minimize = optimize.minimize
-
-    def recording(fun, x0, **kwargs):
-        starts[-1].append(x0.copy())
-        return minimize(fun, x0, **kwargs)
-
-    monkeypatch.setattr(analysis.optimize, "minimize", recording)
+    groups = _spy_starts(monkeypatch)
     kernel = build_kernel(ChainSpec(family="ucc", k=2, ncolors=5))
     for restarts in (4, 8):
-        starts.append([])
         lsc_search(kernel, restarts=restarts, seed=3)
-    short, long = starts
-    assert len(short) == 4 and len(long) == 8
-    for a, b in zip(short, long):
-        np.testing.assert_array_equal(a, b)
+    short, long = groups
+    assert short.shape == (4, kernel.size) and long.shape == (8, kernel.size)
+    np.testing.assert_array_equal(short, long[:4])
     assert not any(np.array_equal(long[0], later) for later in long[1:])
+
+
+@pytest.mark.parametrize("entries", [1, 500, 1500])
+def test_search_groups_do_not_change_the_result(monkeypatch, entries):
+    # ucc k=2 N=5 has 70 undirected edges: groups of 1, 7 and 21 restarts
+    kernel = build_kernel(ChainSpec(family="ucc", k=2, ncolors=5))
+    whole = lsc_search(kernel, restarts=40, seed=2)
+    groups = _spy_starts(monkeypatch)
+    monkeypatch.setattr(analysis, "SEARCH_ENTRIES", entries)
+    split = lsc_search(kernel, restarts=40, seed=2)
+    rows = max(1, entries // 70)
+    assert [len(g) for g in groups] == [rows] * (40 // rows) + [40 % rows] * (40 % rows > 0)
+    assert split.best_ratio == whole.best_ratio
+    np.testing.assert_array_equal(split.witness, whole.witness)
+    assert split.runs == whole.runs and split.evaluations == whole.evaluations
+
+
+def test_search_records_each_restart():
+    kernel = build_kernel(ChainSpec(family="ucc", k=2, ncolors=6))
+    result = lsc_search(kernel, restarts=30, seed=0)
+    assert len(result.runs) == 30
+    assert sum(run.evaluations for run in result.runs) == result.evaluations
+    for run in result.runs:
+        assert run.stop in analysis.STOPS
+        # one evaluation at the start and at least one per step
+        assert 1 <= run.iterations < run.evaluations
+        assert run.iterations <= 500
+
+
+def test_search_reaches_the_complete_graph_constant():
+    # the complete graph's log-Sobolev constant is (1 - 2/N) / log(N - 1)
+    # (Diaconis and Saloff-Coste, 1996, Theorem A.1)
+    for N in range(3, 17):
+        kernel = build_kernel(ChainSpec(family="complete", ncolors=N))
+        exact = (1.0 - 2.0 / N) / math.log(N - 1)
+        assert lsc_search(kernel, restarts=200, seed=0).best_ratio == \
+            pytest.approx(exact, rel=1e-6)
 
 
 def test_recurrence_direction_compatibility():
@@ -493,66 +532,7 @@ def test_chain_rule_residual_equals_the_per_color_path(k, N, monkeypatch):
             assert got == _chain_rule_per_color(f, i, k, N)
 
 
-def _blas_threads() -> list[int]:
-    return [get() for get, _ in analysis._openblas_thread_controls()]
-
-
-def _numpy_uses_openblas() -> bool:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return sys.platform.startswith("linux") and "openblas" in str(blas.get("name")).lower()
-
-
-def test_search_runs_every_restart_on_one_blas_thread(monkeypatch):
-    before = _blas_threads()
-    # numpy's and scipy's bundled copies, where numpy links OpenBLAS
-    assert len(before) >= 2 or not _numpy_uses_openblas()
-    seen = []
-    minimize = optimize.minimize
-
-    def recording(*args, **kwargs):
-        seen.append(_blas_threads())
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(analysis.optimize, "minimize", recording)
-    kernel = build_kernel(ChainSpec(family="ucc", k=3, ncolors=10))
-    result = lsc_search(kernel, restarts=12, seed=0)
-    assert seen == [[1] * len(before)] * 12
-    assert _blas_threads() == before
-    # pinning the pools changes no digit of the search
-    assert result.best_ratio == 0.12838395071555084
-    assert result.evaluations == 368
-
-
-def test_blas_thread_counts_are_restored_when_a_restart_raises(monkeypatch):
-    before = _blas_threads()
-    minimize = optimize.minimize
-    calls = []
-
-    def failing(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 2:
-            raise RuntimeError("restart failed")
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(analysis.optimize, "minimize", failing)
-    kernel = build_kernel(ChainSpec(family="ucc", k=2, ncolors=5))
-    with pytest.raises(RuntimeError, match="restart failed"):
-        lsc_search(kernel, restarts=4, seed=0)
-    assert _blas_threads() == before
-
-
-def test_search_runs_where_no_openblas_is_found(monkeypatch, tmp_path):
-    kernel = build_kernel(ChainSpec(family="ucc", k=2, ncolors=5))
-    expected = lsc_search(kernel, restarts=4, seed=0)
-    monkeypatch.setattr(analysis, "_PROC_MAPS", str(tmp_path / "missing"))
-    assert analysis._openblas_thread_controls() == []
-    result = lsc_search(kernel, restarts=4, seed=0)
-    assert result.best_ratio == expected.best_ratio
-    assert result.evaluations == expected.evaluations
-
-
-def test_concurrent_searches_restore_the_blas_thread_counts():
-    before = _blas_threads()
+def test_concurrent_searches_agree():
     kernel = build_kernel(ChainSpec(family="ucc", k=3, ncolors=10))
     expected = lsc_search(kernel, restarts=6, seed=0)
     results = []
@@ -565,4 +545,3 @@ def test_concurrent_searches_restore_the_blas_thread_counts():
         assert not worker.is_alive()
     assert [(r.best_ratio, r.evaluations) for r in results] == \
         [(expected.best_ratio, expected.evaluations)] * 2
-    assert _blas_threads() == before

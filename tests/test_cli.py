@@ -687,6 +687,49 @@ def test_monte_carlo_commands_load_no_scipy_stats():
     assert out.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
+def test_exact_commands_load_no_scipy_optimize():
+    # the log-Sobolev search is kwmix's own L-BFGS: no command imports
+    # scipy.optimize, and `import kwmix.cli` does not either
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = [
+        ["gap", "--chain", "ucc", "--k", "2", "--N", "5"],
+        ["mix-exact", "--chain", "rev", "--n", "3", "--k", "2"],
+        ["kwise-test", "--n", "6", "--k", "2", "--gates", "5", "--samples", "2000"],
+        ["lsc-search", "--chain", "ucc", "--k", "2", "--N", "5", "--restarts", "3"],
+    ]
+    code = ("import sys\n"
+            "import kwmix.cli\n"
+            f"codes = [kwmix.cli.main(argv) for argv in {runs!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
+def test_parser_is_built_once_per_process(capsys):
+    # a call that argparse rejects leaves the cached parser as it was
+    def rejected():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gap", "--chain", "nope"])
+        return exc.value.code, capsys.readouterr().err
+
+    def accepted():
+        return run_cli(capsys, "gap", "--chain", "ucc", "--k", "2", "--N", "4")
+
+    cli.build_parser.cache_clear()
+    cached = rejected(), accepted()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    fresh = []
+    for call in (rejected, accepted):
+        cli.build_parser.cache_clear()
+        fresh.append(call())
+    assert cached == tuple(fresh)
+    assert cached[0][0] == 2 and "invalid choice: 'nope'" in cached[0][1]
+    assert cached[1][0] == 0 and cached[1][1].startswith("kernel,states,spectral_gap")
+
+
 def test_mix_mc_is_seed_deterministic(capsys):
     # the same seed prints the same bytes; another seed moves the statistic
     runs = [
