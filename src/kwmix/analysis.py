@@ -100,9 +100,13 @@ _BACKTRACKS = 20
 _FTOL = 1e-13
 _GTOL = 1e-12
 _MAXITER = 500
+# an entropy of f = g^2 at most this fraction of its mean E_pi[f] is too
+# small to trust: a constant f has entropy 0 but computes to about 1e-32
+# times its mean, which would give it a ratio near 0 (_trusted_entropy)
+ENTROPY_FLOOR = 1e-13
 # why a restart stopped: the three limits above, a line search that found
-# no Armijo step, or a start whose ratio is undefined (no positive mean
-# or entropy)
+# no Armijo step, or a start whose ratio is undefined (no entropy above
+# the floor)
 STOPS = ("ftol", "gtol", "maxiter", "line_search", "collapsed")
 
 
@@ -133,6 +137,13 @@ def _symmetric_weights(kernel: Kernel):
     return w, deg, coo.row[off], coo.col[off], coo.data[off]
 
 
+def _trusted_entropy(ent, mean):
+    """Whether an entropy is above ENTROPY_FLOOR times its function's
+    mean: the one rule of the search objective and the witness check. A
+    function of mean 0 has entropy 0 and fails it."""
+    return ent > ENTROPY_FLOOR * mean
+
+
 def _row_sums(a: np.ndarray) -> np.ndarray:
     # summed in C order, each row gets the same pairwise sum whatever rows
     # sit beside it; a column-major operand (a transposed sparse product
@@ -146,7 +157,8 @@ def _ratio_objective(kernel: Kernel):
     objective(g) maps a (rows, states) array to each row's ratio and its
     gradient in g. Energy and entropy are evaluated in cancellation-free
     forms, so near-constant g cannot produce a spuriously small ratio; a
-    row with no positive mean or entropy gets ratio inf and gradient 0.
+    row whose entropy fails _trusted_entropy (a constant or zero g among
+    them) gets ratio inf and gradient 0.
     The energy is the weighted sum of squared differences over each
     undirected edge once (W is symmetric), taken by sparse products,
     which sum each column in edge order: like _row_sums, they give a row
@@ -173,7 +185,7 @@ def _ratio_objective(kernel: Kernel):
             stable = np.where(g2 > 0, g2 * np.log1p(dev / mean) - dev, mean)
             logterm = np.where(g2 > 0, np.log(g2) - np.log(mean), 0.0)
             ent = _row_sums(pi * stable)
-            valid = (mean[:, 0] > 0.0) & (ent >= 1e-300)
+            valid = _trusted_entropy(ent, mean[:, 0])
             ratio = np.where(valid, energy / ent, np.inf)
             grad_energy = 2.0 * (deg * g - (w @ g.T).T)
             grad_ent = 2.0 * pi * g * logterm
@@ -324,6 +336,7 @@ def lsc_search(
     objective, edges = _ratio_objective(kernel)
     group = max(1, SEARCH_ENTRIES // max(1, edges))
     rng = make_rng(seed)
+    pi = kernel.stationary
     best_ratio, witness, runs = np.inf, None, []
     for first in range(0, restarts, group):
         rows = min(group, restarts - first)
@@ -331,7 +344,7 @@ def lsc_search(
             objective, _starts(rng, first, rows, kernel.size))
         for value, g in zip(found, np.abs(points)):
             f = g * g
-            if value < np.inf and entropy(kernel.stationary, f) > 1e-13:
+            if value < np.inf and _trusted_entropy(entropy(pi, f), _fsum(pi * f)):
                 ratio = lsc_ratio(kernel, f)
                 if ratio < best_ratio:
                     best_ratio, witness = ratio, f

@@ -18,7 +18,8 @@ it reads the validated ``ChainSpec``, which refuses a field its family
 does not read. Every kernel is a random walk on a symmetric weighted
 move graph. `_chain_states` gives the family's states, an (S, k) int64
 array kept as ``Kernel.states`` (None for product kernels), and ranks
-successor tuples by sorted base-N keys (``_StateIndex``, which also
+successor tuples by their base-N keys (``_StateIndex``: a key -> rank
+table where the keys are dense, a binary search where sparse; it also
 ranks the symmetry images of ``mixing.orbit_starts``). The moves come
 as arrays (src, dst, count), count being the integer weight of the
 draws of one step that move src to dst: for rev and grev from n = 4 on,
@@ -27,8 +28,9 @@ counted from the state's column types (`_flip_moves`), and at n = 3
 each distinct gate table (`_gate_moves`); the tgrev draws grouped by
 the values each kind reads; and every draw for ucc, cc and complete.
 One helper sums them into a CSR matrix of counts, sorting them by int64
-(src, dst) keys; each row is divided once by its own total w(x), and
-the stationary law is pi = w / sum(w). For every family but grev, w is
+(src, dst) keys (a drawn family's pieces come sorted and are merged as
+runs); each row is divided once by its own total w(x), and the
+stationary law is pi = w / sum(w). For every family but grev, w is
 the draw total and pi uniform. Rows sum to 1 up to a few ulps.
 ``product_kernel`` is the Kronecker sum (1/t) sum_i I ⊗ P_i ⊗ I of its
 t factor kernels, each term a `_kron_term` (``scipy.sparse.kron``), the
@@ -404,14 +406,16 @@ def _count_matrix(moves: Moves, size: int) -> sparse.csr_matrix:
     """Sum the moves into a canonical CSR matrix of counts.
 
     A move is keyed by the int64 ``src * size + dst``, so sorted keys are
-    in (row, col) order. Each emitted piece is merged on arrival
-    (`_merge_keys`), so buffers stay near the final nnz; the merged pieces
-    are merged once more only when their keys do not already increase
-    (the gate chains emit pieces in src order). Counts are integers only,
-    so their sums are exact in any order, and the CSR constructor stores
-    the indices as int32 where they fit, so the arrays are those of a COO
-    assembly byte for byte. Refuses a size whose keys overflow int64
-    (StateCapExceeded) and a move off the states.
+    in (row, col) order. A piece whose keys already strictly increase (a
+    drawn family's piece: one move per state, in src order) is kept as
+    it is; any other is merged on arrival (`_merge_keys`), so buffers stay
+    near the final nnz. The pieces are merged once more only when their
+    keys do not already increase, by a stable sort (timsort on int64),
+    which merges the sorted pieces as runs instead of sorting them again.
+    Counts are integers only, so their sums are exact in any order, and
+    the CSR constructor stores the indices as int32 where they fit, so the
+    arrays are those of a COO assembly byte for byte. Refuses a size whose
+    keys overflow int64 (StateCapExceeded) and a move off the states.
     """
     if size > math.isqrt(np.iinfo(np.int64).max):
         raise StateCapExceeded(f"{size} states: (src, dst) keys overflow int64")
@@ -420,22 +424,31 @@ def _count_matrix(moves: Moves, size: int) -> sparse.csr_matrix:
         if len(src) and (src.min() < 0 or dst.min() < 0 or src.max() >= size
                          or dst.max() >= size):
             raise InvariantViolation(f"a move leaves the {size} states")
-        key, summed = _merge_keys(src.astype(np.int64, copy=False) * size + dst,
-                                  np.broadcast_to(count, src.shape))
+        key = src.astype(np.int64, copy=False) * size + dst
+        count = np.broadcast_to(count, src.shape)
+        if not _increasing(key):
+            key, count = _merge_keys(key, count)
         keys.append(key)
-        counts.append(summed)
+        counts.append(count)
     if not keys:
         return sparse.csr_matrix((size, size), dtype=np.int64)
     keys, counts = np.concatenate(keys), np.concatenate(counts)  # frees the pieces
-    if (keys[1:] <= keys[:-1]).any():
-        keys, counts = _merge_keys(keys, counts)
+    if not _increasing(keys):
+        keys, counts = _merge_keys(keys, counts, kind="stable")
     indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // size, minlength=size))))
     return sparse.csr_matrix((counts, keys % size, indptr), shape=(size, size))
 
 
-def _merge_keys(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, sorted, and the summed integer counts of each."""
-    order = np.argsort(keys)
+def _increasing(keys: np.ndarray) -> bool:
+    """Whether the keys strictly increase, so none repeats."""
+    return bool((keys[1:] > keys[:-1]).all())
+
+
+def _merge_keys(keys: np.ndarray, counts: np.ndarray,
+                kind: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted by an argsort of the given kind, and the
+    summed integer counts of each."""
+    order = np.argsort(keys, kind=kind)
     keys = keys[order]
     first = np.empty(len(keys), bool)  # first of a run of equal keys
     first[:1] = True
@@ -444,25 +457,42 @@ def _merge_keys(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.nd
     return keys[starts], np.add.reduceat(counts[order], starts, dtype=counts.dtype)
 
 
+# A key -> rank table over all base^k keys is built when there are at most
+# this many keys per state; sparser spans are ranked by binary search.
+DIRECT_SPAN = 8
+
+
 class _StateIndex:
     """Ranker of k-tuples among the rows of an (S, k) state array.
 
     Tuples are read as base-`base` numbers, `keys[i]` being that of
-    state i, and looked up in the sorted keys of the states. Calling the
-    index maps (..., k) tuples to (...) ranks, and `rank_keys` maps keys,
-    with -1 for a tuple that is not a state.
+    state i. Calling the index maps (..., k) tuples to (...) ranks, and
+    `rank_keys` maps keys, with -1 for a key that is not a state's (any
+    key outside [0, base^k) among them). A span of at most DIRECT_SPAN
+    keys per state is ranked by direct address, through a table holding
+    each key's rank; a sparser one by binary search in the sorted keys of
+    the states (`tests/oracles.py` keeps that rule as the reference).
     """
 
     def __init__(self, states: np.ndarray, base: int) -> None:
         self.weights = base ** np.arange(states.shape[1] - 1, -1, -1, dtype=np.int64)
         self.keys = states @ self.weights
-        self._order = np.argsort(self.keys)
-        self._sorted_keys = self.keys[self._order]
+        self._span = base ** states.shape[1]
+        self._table = None
+        if self._span <= DIRECT_SPAN * len(states):
+            self._table = np.full(self._span, -1, np.int64)
+            self._table[self.keys] = np.arange(len(states))
+        else:
+            self._order = np.argsort(self.keys)
+            self._sorted_keys = self.keys[self._order]
 
     def __call__(self, tuples: np.ndarray) -> np.ndarray:
         return self.rank_keys(tuples @ self.weights)
 
     def rank_keys(self, keys: np.ndarray) -> np.ndarray:
+        if self._table is not None:
+            outside = (keys < 0) | (keys >= self._span)
+            return np.where(outside, -1, self._table.take(keys, mode="clip"))
         pos = np.searchsorted(self._sorted_keys, keys).clip(max=len(self._order) - 1)
         return np.where(self._sorted_keys[pos] == keys, self._order[pos], -1)
 

@@ -75,8 +75,9 @@ def congestion_delta(k: int, N: int) -> CongestionResult:
 
     def loaded_moves() -> Moves:
         yield from _step_moves(cc, x, index, cc_draws, N - k)
-        for free in range(N):
+        for free in range(N):  # one piece per detour color
             unused = ~(x == free).any(axis=1)
+            tails, heads = [], []
             for i, j in permutations(range(k), 2):
                 path = [x[unused]]
                 for coord, color in ((i, free), (j, path[0][:, i]), (i, path[0][:, j])):
@@ -84,8 +85,10 @@ def congestion_delta(k: int, N: int) -> CongestionResult:
                     step[:, coord] = color
                     path.append(step)
                 ranks = [src[unused]] + [index(step) for step in path[1:]]
-                for a, b in zip(ranks, ranks[1:]):
-                    yield a, b, 3
+                tails += ranks[:-1]
+                heads += ranks[1:]
+            if tails:  # k = 1 has no swap
+                yield np.concatenate(tails), np.concatenate(heads), 3
 
     draws = _count_matrix(_step_moves(cc, x, index, cc_draws), len(x))
     loads = _count_matrix(loaded_moves(), len(x))

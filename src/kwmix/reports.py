@@ -102,8 +102,11 @@ def dump_kernel(kernel: Kernel, fp: IO[str]) -> None:
     """Kernel dump: one JSON header line, then CSV (row, col, prob) triples
     in (row, col) order, duplicate entries summed.
 
-    A kernel has few distinct probabilities, so each distinct value and
-    each index is turned into text once.
+    A kernel has few distinct probabilities, so each distinct value is
+    turned into text once, with its newline, and each index once, with
+    its comma. A piece's lines are those texts joined by numpy on
+    fixed-width bytes and written as one string, the NUL padding of the
+    fixed width removed.
     """
     header = dict(kernel.meta)
     fp.write(json_dumps(header))
@@ -114,12 +117,13 @@ def dump_kernel(kernel: Kernel, fp: IO[str]) -> None:
         m = m.copy()
         m.sum_duplicates()
     rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-    distinct, value = np.unique(m.data, return_inverse=True)
-    probs = [fmt_float(p) for p in distinct.tolist()]
-    index = [str(i) for i in range(max(m.shape))]
+    distinct = np.unique(m.data)
+    value = np.searchsorted(distinct, m.data)
+    probs = np.array([fmt_float(p) + "\n" for p in distinct.tolist()], dtype=np.bytes_)
+    index = np.array([f"{i}," for i in range(max(m.shape))], dtype=np.bytes_)
     for lo in range(0, m.nnz, DUMP_PIECE_ENTRIES):
         piece = slice(lo, lo + DUMP_PIECE_ENTRIES)
-        fp.write("".join(
-            f"{index[r]},{index[c]},{probs[v]}\n" for r, c, v in
-            zip(rows[piece].tolist(), m.indices[piece].tolist(), value[piece].tolist())))
+        lines = np.char.add(np.char.add(index[rows[piece]], index[m.indices[piece]]),
+                            probs[value[piece]])
+        fp.write(lines.tobytes().replace(b"\0", b"").decode())
 

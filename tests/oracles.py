@@ -14,9 +14,12 @@ over, and ``load_kernel_dump`` the dump format.
 ``coo_count_matrix`` is the scipy COO assembly that
 ``chains._count_matrix`` replaced, kept to check it bit for bit.
 ``distinct_gates`` is the closed-form count of the permutations that
-``core.dedupe_gates`` tabulates. ``factor_deviation_by_index`` is the
-stride-and-digit indexing that ``generic._factor_deviation`` replaced
-with ``chains._kron_term``, kept to check it bit for bit.
+``core.dedupe_gates`` tabulates. ``search_ranks`` is the binary search in
+sorted state keys that ``chains._StateIndex`` keeps only for sparse
+spans, the reference its direct-address table is checked against.
+``factor_deviation_by_index`` is the stride-and-digit indexing that
+``generic._factor_deviation`` replaced with ``chains._kron_term``, kept
+to check it bit for bit.
 """
 
 from __future__ import annotations
@@ -228,6 +231,18 @@ def load_kernel_dump(fp: IO[str]) -> tuple[dict, list[tuple[int, int, float]]]:
         r, c, p = line.split(",")
         triples.append((int(r), int(c), float(p)))
     return header, triples
+
+
+def search_ranks(states: np.ndarray, base: int, keys: np.ndarray) -> np.ndarray:
+    """Rank of each key among the base-`base` keys of the rows of an
+    (S, k) state array, -1 for a key no row has: a binary search in the
+    sorted keys of the states."""
+    weights = base ** np.arange(states.shape[1] - 1, -1, -1, dtype=np.int64)
+    state_keys = states @ weights
+    order = np.argsort(state_keys)
+    sorted_keys = state_keys[order]
+    pos = np.searchsorted(sorted_keys, keys).clip(max=len(order) - 1)
+    return np.where(sorted_keys[pos] == keys, order[pos], -1)
 
 
 def coo_count_matrix(moves: Moves, size: int) -> sparse.csr_matrix:

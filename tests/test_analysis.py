@@ -205,6 +205,26 @@ def test_search_counts_the_evaluations_of_a_collapsed_restart(monkeypatch):
     assert result.evaluations == full.evaluations - full.runs[0].evaluations + 1
 
 
+def test_a_constant_g_has_no_ratio(monkeypatch):
+    # the rounded mean of a constant g^2 differs from g^2 by an ulp, so its
+    # entropy computes to about 1e-32, not 0: below the floor relative to
+    # the mean it gets ratio inf and gradient 0, whatever the constant
+    kernel = build_kernel(ChainSpec(family="ucc", k=2, ncolors=5))
+    objective, _ = analysis._ratio_objective(kernel)
+    ratio, grad = objective(np.array([np.ones(kernel.size), np.full(kernel.size, 3.0)]))
+    assert ratio.tolist() == [np.inf, np.inf]
+    assert not grad.any()
+
+    def constant_first(first, starts):
+        if first == 0:
+            starts[0] = 1.0
+        return starts
+
+    _spy_starts(monkeypatch, constant_first)
+    result = lsc_search(kernel, restarts=2, seed=0)
+    assert result.runs[0] == analysis.RestartStats(iterations=0, evaluations=1, stop="collapsed")
+
+
 def test_fewer_restarts_take_the_first_starts_of_more(monkeypatch):
     # the restarts draw their starts in turn from the one stream of the
     # seed, so a shorter search runs a prefix of a longer one

@@ -9,7 +9,9 @@ product chains must match entry for entry.
 replaced (``oracles.coo_count_matrix``) byte for byte, dtypes included,
 and the gate chains' two move sources, flip sets (``chains._flip_moves``)
 and distinct gate tables (``chains._gate_moves``), must sum to the same
-bytes in both gate measures.
+bytes in both gate measures. ``chains._StateIndex`` must rank every key
+as the binary search of ``oracles.search_ranks`` does, on both sides of
+its direct-address rule.
 """
 
 from collections import Counter
@@ -33,6 +35,7 @@ from oracles import (
     enumerate_gates,
     is_generic,
     recolor,
+    search_ranks,
 )
 
 
@@ -271,14 +274,22 @@ def test_count_matrix_equals_coo_assembly(name):
 
 @st.composite
 def move_pieces(draw, size: int):
-    """Pieces of moves on `size` states with repeated keys and integer
-    counts, scalar or per move, some so large that a float sum of them
-    would round."""
+    """Pieces of moves on `size` states with integer counts, scalar or
+    per move, some so large that a float sum of them would round. The
+    pieces hold repeated keys in any order, or strictly increasing keys
+    (kept without a merge on arrival) coming in src order or against it."""
     big = draw(st.booleans())
+    order = draw(st.sampled_from(["any", "increasing", "src-descending"]))
     pieces = []
     for _ in range(draw(st.integers(1, 5))):
-        m = draw(st.integers(0, 12))
-        ends = st.lists(st.integers(0, size - 1), min_size=m, max_size=m)
+        if order == "any":
+            m = draw(st.integers(0, 12))
+            ends = st.lists(st.integers(0, size - 1), min_size=m, max_size=m)
+            src, dst = _i(draw(ends), dtype=np.int64), _i(draw(ends), dtype=np.int64)
+        else:
+            keys = sorted(draw(st.sets(st.integers(0, size * size - 1), max_size=12)))
+            src, dst = np.divmod(_i(keys, dtype=np.int64), size)
+        m = len(src)
         if big:
             counts = _i(draw(st.lists(st.sampled_from([BIG, 1, 3]), min_size=m, max_size=m)),
                         dtype=np.int64)
@@ -287,7 +298,9 @@ def move_pieces(draw, size: int):
         else:
             counts = _i(draw(st.lists(st.integers(1, 9), min_size=m, max_size=m)),
                         dtype=np.int64)
-        pieces.append((_i(draw(ends), dtype=np.int64), _i(draw(ends), dtype=np.int64), counts))
+        pieces.append((src, dst, counts))
+    if order == "src-descending":
+        pieces.sort(key=lambda piece: -piece[0].min(initial=0))
     return pieces
 
 
@@ -295,6 +308,61 @@ def move_pieces(draw, size: int):
 @given(pieces=move_pieces(size=4))
 def test_count_matrix_equals_coo_assembly_on_random_pieces(pieces):
     _assert_same_csr(chains._count_matrix(pieces, 4), coo_count_matrix(pieces, 4))
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(family="ucc", k=4, ncolors=11),
+    ChainSpec(family="cc", k=3, ncolors=6),
+    ChainSpec(family="complete", ncolors=7),
+    ChainSpec(family="tgrev", k=2, n=5, partition=make_partition(5, 2, w=2, p=2)),
+], ids=ChainSpec.label)
+def test_drawn_pieces_are_merged_once(spec, monkeypatch):
+    # every per-draw piece holds one move per state in src order, so its
+    # keys already increase: only the concatenation is merged
+    calls = []
+    merge = chains._merge_keys
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return merge(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "_merge_keys", spy)
+    build_kernel(spec)
+    assert len(calls) <= 1
+
+
+RANK_SPACES = {  # (spec, base, whether its span is sparse)
+    "tuples": (ChainSpec(family="ucc", k=3, ncolors=5), 5, False),
+    "tuples-sparse": (ChainSpec(family="rev", k=8, n=3), 8, True),  # 8^8 keys, 8! states
+    "generic": (ChainSpec(family="grev", k=2, n=5, partition=make_partition(5, 2, w=2, p=2)),
+                32, False),
+    "generic-sparse": (ChainSpec(family="grev", k=3, n=6,
+                                 partition=make_partition(6, 3, w=2, p=3)), 64, True),
+    "complete": (ChainSpec(family="complete", ncolors=7), 7, False),
+}
+
+
+@pytest.mark.parametrize("searched", [False, True], ids=["default", "all-searched"])
+@pytest.mark.parametrize("name", RANK_SPACES)
+def test_ranks_equal_the_binary_search(name, searched, monkeypatch):
+    spec, base, sparse_span = RANK_SPACES[name]
+    if searched:
+        monkeypatch.setattr(chains, "DIRECT_SPAN", 0)
+    states, index = chains._chain_states(spec)
+    assert (index._table is None) == (sparse_span or searched)
+    k = states.shape[1]
+    span = base ** k
+    rng = np.random.default_rng(5)
+    # random tuples repeat entries and are mostly not generic
+    tuples = rng.integers(0, base, size=(3000, k))
+    assert np.array_equal(index(states), np.arange(len(states)))
+    assert np.array_equal(index(tuples), search_ranks(states, base, tuples @ index.weights))
+    assert (index(tuples) == -1).any() == (len(states) < span)  # complete has every tuple
+    keys = np.concatenate([[-1, -span, -(1 << 62), span, span + 1, 1 << 62],
+                           rng.integers(-span, 2 * span, size=1000)])
+    ranks = index.rank_keys(keys)
+    assert np.array_equal(ranks, search_ranks(states, base, keys))
+    assert (ranks[:6] == -1).all()
 
 
 def test_count_matrix_of_no_moves_is_zero():
