@@ -37,8 +37,8 @@ t factor kernels, each term a `_kron_term` (``scipy.sparse.kron``), the
 one statement of a product state's digit order: ``generic`` reads each
 factor of tgrev through it.
 
-``sample_chain`` runs rev, cc, ucc, complete and tgrev on a batch: an
-(S, k) state array, one move drawn per row and step. A ucc, cc,
+``sample_chain`` runs rev, cc, ucc, complete and tgrev (not grev) on a
+batch: an (S, k) state array, one move drawn per row and step. A ucc, cc,
 complete or tgrev step is written once: `_draw_bounds` gives the ranges
 of the integers it draws and `_move` applies them, to per-row draws in
 the sampler and to every draw in ``build_kernel`` and
@@ -185,9 +185,6 @@ class Kernel:
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def transpose_csr(self) -> sparse.csr_matrix:
-        return self.matrix.transpose().tocsr()
-
     def strong_classes(self) -> int:
         """Number of strongly connected classes (one O(nnz) pass); more
         than one means the kernel is reducible."""
@@ -213,6 +210,8 @@ def sample_chain(spec: ChainSpec, x: np.ndarray, t: int,
     Each step draws one move per row, the moves `build_kernel` counts.
     Returns a new (S, k) array, uint64 for rev (n <= 64) and int64 otherwise.
     """
+    if spec.family == "grev":
+        raise ValueError("sample_chain runs rev, cc, ucc, complete and tgrev, not grev")
     if t < 0:
         raise ValueError("need t >= 0")
     if spec.family == "rev" and spec.n > 64:
@@ -364,7 +363,10 @@ def build_kernel(spec: ChainSpec) -> Kernel:
     from flip sets from n = 4 on and from the distinct gate tables at
     n = 3, where the tables are faster; the two give the same counts.
     Raises StateCapExceeded when the state space is larger than the
-    configured cap."""
+    configured cap, or, at k = 1 for complete, ucc and cc (each the
+    complete graph), when its N^2 kernel entries are, before enumerating."""
+    if spec.ncolors is not None and spec.k == 1:
+        check_state_cap(spec.ncolors ** 2, spec.label(), unit="kernel entries")
     states, index = _chain_states(spec)
     if spec.family in ("rev", "grev") and spec.n > 3:
         moves = _flip_moves(spec, states, index)
@@ -388,14 +390,10 @@ def build_kernel(spec: ChainSpec) -> Kernel:
 
 def _chain_states(spec: ChainSpec):
     """The family's states, an (S, k) int64 array, and their
-    `_StateIndex` ranker: distinct tuples over 2^n (rev) or N (ucc, cc),
-    the generic states of the partition (grev, tgrev), or the N singleton
-    states of complete, capped by its N^2 kernel entries."""
+    `_StateIndex` ranker: distinct tuples over 2^n (rev) or N (ucc, cc,
+    complete), or the generic states of the partition (grev, tgrev)."""
     base = spec.ncolors if spec.n is None else 1 << spec.n
-    if spec.family == "complete":
-        check_state_cap(base * base, spec.label(), unit="kernel entries")
-        states = np.arange(base)[:, None]
-    elif spec.partition is not None:
+    if spec.partition is not None:
         states = enumerate_generic_states(spec.partition)
     else:
         states = _tuple_states(spec.k, base, spec.label())

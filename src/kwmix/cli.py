@@ -4,7 +4,8 @@ Each invocation runs exactly one experiment, writes a machine-readable
 result (CSV or JSON, floats at 17 significant digits), and, when writing
 to a file, a metadata sidecar carrying the package version, the exact
 command line, and the wall time. Result files contain no timestamps, so
-identical configuration and seed give byte-identical bytes.
+identical configuration and seed give byte-identical bytes. A kernel
+dump is streamed to stdout or the --out file, never held whole.
 
 Exit codes: 0 success, 2 invalid configuration, 3 state-space cap
 exceeded or memory exhausted, 4 internal invariant violation. Exit 2
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import asdict
@@ -63,8 +64,8 @@ from .reports import csv_lines, dump_kernel, json_dumps
 from .rng import make_rng
 
 
-def _chain_arguments(sub: argparse.ArgumentParser, families: tuple[str, ...]) -> None:
-    sub.add_argument("--chain", required=True, choices=families)
+def _chain_arguments(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--chain", required=True, choices=FAMILIES)
     sub.add_argument("--k", type=int, default=1)
     sub.add_argument("--n", type=int, help="wires (rev/grev/tgrev)")
     sub.add_argument("--N", type=int, dest="ncolors", help="colors (cc/ucc/complete)")
@@ -112,17 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("kernel-dump", help="write an exact kernel "
                           "(JSON header line + row,col,prob CSV triples)")
-    _chain_arguments(sub, FAMILIES)
+    _chain_arguments(sub)
     _common_arguments(sub, format_help="ignored: the dump is always a JSON header "
                       "line and row,col,prob CSV triples")
 
     sub = subs.add_parser("gap", help="spectral gap of an exact kernel")
-    _chain_arguments(sub, FAMILIES)
+    _chain_arguments(sub)
     _common_arguments(sub)
 
     sub = subs.add_parser("lsc-search", help="multi-start search for small "
                           "log-Sobolev ratios (upper bounds on the constant)")
-    _chain_arguments(sub, ("rev", "cc", "ucc", "tgrev", "complete"))
+    _chain_arguments(sub)
     sub.add_argument("--restarts", type=int, default=200)
     _common_arguments(sub, seed=True)
 
@@ -147,14 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
     _common_arguments(sub, seed=True)
 
     sub = subs.add_parser("mix-exact", help="exact mixing time and TV decay")
-    _chain_arguments(sub, FAMILIES)
+    _chain_arguments(sub)
     sub.add_argument("--eps", type=float, default=0.25)
     sub.add_argument("--max-steps", type=int, default=100_000)
     _common_arguments(sub)
 
     sub = subs.add_parser("mix-mc", help="sampled end-state frequencies of "
                           "t-step trajectories vs the uniform stationary law")
-    _chain_arguments(sub, ("rev", "cc", "ucc", "tgrev"))
+    _chain_arguments(sub)
     sub.add_argument("--t", type=int, required=True)
     sub.add_argument("--samples", type=int, default=100_000)
     _common_arguments(sub, seed=True)
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations: each returns (json_obj, csv_header, csv_rows)
+# Subcommands: each returns (json_obj, csv_header, csv_rows), or a writer
 # ---------------------------------------------------------------------------
 
 
@@ -220,12 +221,8 @@ def _one_row(obj: dict) -> tuple[dict, tuple, list[tuple]]:
     return obj, tuple(obj), [tuple(obj.values())]
 
 
-def _run_kernel_dump(args) -> tuple[dict, None, None]:
-    spec = _spec_from_args(args)
-    kernel = build_kernel(spec)
-    buf = io.StringIO()
-    dump_kernel(kernel, buf)
-    return {"_raw": buf.getvalue()}, None, None
+def _run_kernel_dump(args) -> functools.partial:
+    return functools.partial(dump_kernel, build_kernel(_spec_from_args(args)))
 
 
 def _run_gap(args):
@@ -404,26 +401,27 @@ _RUNNERS = {
 
 
 def _render(args, obj, header, rows) -> str:
-    if "_raw" in obj:
-        return obj["_raw"]
     if args.format == "json":
         return json_dumps(obj) + "\n"
     return "\n".join(csv_lines(header, rows)) + "\n"
 
 
-def _write_result(args, argv: list[str], text: str, wall_time: float) -> None:
+def _write_result(args, argv: list[str], result, started: float) -> None:
+    """Call a writer, or write a rendered triple, on stdout or --out."""
+    write = result if callable(result) else operator.methodcaller(
+        "write", _render(args, *result))
     if args.out == "-":
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     with open(args.out, "w") as fp:
-        fp.write(text)
+        write(fp)
     params = {k: v for k, v in vars(args).items() if k != "subcommand"}
     sidecar = {
         "version": __version__,
         "command": argv,
         "params": params,
         "output": args.out,
-        "wall_time_s": wall_time,
+        "wall_time_s": time.perf_counter() - started,
     }
     with open(args.out + ".meta.json", "w") as fp:
         fp.write(json_dumps(sidecar) + "\n")
@@ -464,9 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.subcommand == "batch":
             return max(map(_batch_entry, _batch_commands(args.file)), default=0)
-        obj, header, rows = _RUNNERS[args.subcommand](args)
-        wall_time = time.perf_counter() - started
-        _write_result(args, argv, _render(args, obj, header, rows), wall_time)
+        _write_result(args, argv, _RUNNERS[args.subcommand](args), started)
     except (ValueError, IndexError, OSError) as exc:
         print(f"kwmix: invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -43,12 +43,13 @@ ORBIT_FAMILIES = {"rev", "grev", "tgrev"}
 
 def _evolution(kernel: Kernel, starts: Sequence[int]) -> Iterator[np.ndarray]:
     """The (S, R) distributions at t = 0, 1, 2, ... (without end) of the
-    chain started from point masses at `starts`, one column per start."""
+    chain started from point masses at `starts`, one column per start,
+    stepped by the view P.T (no copy of P), whose sums are a CSR copy's."""
     starts = np.asarray(starts, dtype=np.int64)
     bad = starts[(starts < 0) | (starts >= kernel.size)]
     if len(bad):
         raise IndexError(f"start state {bad[0]} out of range")
-    pt = kernel.transpose_csr()
+    pt = kernel.matrix.T
     dists = np.zeros((kernel.size, len(starts)))
     dists[starts, np.arange(len(starts))] = 1.0
     while True:

@@ -130,25 +130,46 @@ def test_mix_exact_series(capsys):
     ("--chain", "ucc", "--k", "2", "--N", "5"),
 ])
 def test_mix_exact_evolves_once_and_matches_the_library(capsys, monkeypatch, argv):
-    from kwmix.chains import Kernel
+    from kwmix import mixing
     from kwmix.mixing import mixing_time_exact
 
-    transposes = []
-    original = Kernel.transpose_csr
+    evolutions = []
+    original = mixing._evolution
 
-    def counted(kernel):
-        transposes.append(kernel.size)
-        return original(kernel)
+    def counted(kernel, starts):
+        evolutions.append(kernel.size)
+        return original(kernel, starts)
 
-    monkeypatch.setattr(Kernel, "transpose_csr", counted)
+    monkeypatch.setattr(mixing, "_evolution", counted)
     code, out, _ = run_cli(capsys, "mix-exact", *argv, "--format", "json")
-    assert code == 0 and len(transposes) == 1
+    assert code == 0 and len(evolutions) == 1
     obj = json.loads(out)
     assert len(obj["series"]) == max(2 * obj["tau"], 1) + 1
-    monkeypatch.setattr(Kernel, "transpose_csr", original)
+    monkeypatch.setattr(mixing, "_evolution", original)
     kernel = cli.build_kernel(cli._spec_from_args(cli.build_parser().parse_args(
         ["mix-exact", *argv])))
     assert obj["tau"] == mixing_time_exact(kernel, 0.25)
+
+
+def test_every_chain_command_takes_every_family(capsys):
+    # the --chain choices are chains.FAMILIES; what a family cannot run is
+    # refused by the library: grev has no draw rule for mix-mc to sample
+    code, out, _ = run_cli(capsys, "lsc-search", "--chain", "grev", "--n", "4", "--k", "2",
+                           "--part-w", "1", "--part-p", "2", "--restarts", "6",
+                           "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert 0 < obj["best_ratio"] < math.inf and obj["paper_bound"] is None
+    code, out, _ = run_cli(capsys, "mix-mc", "--chain", "complete", "--N", "4", "--t", "2",
+                           "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["states"] == 4 and obj["p_value"] > 0.001
+    code, out, err = run_cli(capsys, "mix-mc", "--chain", "grev", "--n", "5", "--k", "2",
+                             "--part-w", "2", "--part-p", "2", "--t", "3")
+    assert code == 2 and out == ""
+    assert err == ("kwmix: invalid configuration: sample_chain runs rev, cc, ucc, "
+                   "complete and tgrev, not grev\n")
 
 
 def test_mix_mc(capsys):
@@ -292,6 +313,52 @@ def test_kernel_dump_roundtrip(tmp_path, capsys):
         assert p == dense[r, c]
 
 
+@pytest.mark.parametrize("argv", [
+    "--chain ucc --k 3 --N 5", "--chain cc --k 2 --N 4", "--chain complete --N 7",
+    "--chain rev --n 4 --k 2", "--chain grev --n 5 --k 2 --part-w 2 --part-p 2",
+])
+def test_kernel_dump_streams_the_library_dump_byte_for_byte(argv, tmp_path, capsys):
+    import io
+
+    from kwmix.reports import dump_kernel
+
+    buf = io.StringIO()
+    dump_kernel(cli.build_kernel(cli._spec_from_args(cli.build_parser().parse_args(
+        ["kernel-dump", *argv.split()]))), buf)
+    code, out, err = run_cli(capsys, "kernel-dump", *argv.split())
+    assert (code, out, err) == (0, buf.getvalue(), "")
+    path = tmp_path / "kernel.dump"
+    code, out, _ = run_cli(capsys, "kernel-dump", *argv.split(), "--out", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_bytes() == buf.getvalue().encode()
+    sidecar = json.loads((tmp_path / "kernel.dump.meta.json").read_text())
+    assert sidecar["command"] == ["kernel-dump", *argv.split(), "--out", str(path)]
+
+
+def test_kernel_dump_holds_no_copy_of_its_text(tmp_path, capsys):
+    # rev k=3 n=5: a 30 MB dump of a kernel whose build peaks at about
+    # 35 MB of traced memory. Streamed in pieces, the command peaks near
+    # the build; a whole-text copy would add more than the dump's size.
+    import tracemalloc
+
+    argv = ["kernel-dump", "--chain", "rev", "--n", "5", "--k", "3"]
+    spec = cli._spec_from_args(cli.build_parser().parse_args(argv))
+    tracemalloc.start()
+    try:
+        kernel = cli.build_kernel(spec)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        del kernel
+        tracemalloc.reset_peak()
+        path = tmp_path / "kernel.dump"
+        assert cli.main(argv + ["--out", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 20e6
+    assert peak < build_peak + size / 2, (peak, build_peak, size)
+
+
 def test_kernel_dump_ignores_format_as_its_help_says(capsys):
     outs = {fmt: run_cli(capsys, "kernel-dump", "--chain", "cc", "--k", "2", "--N", "4",
                          "--format", fmt) for fmt in ("csv", "json")}
@@ -378,19 +445,26 @@ def test_exit_code_state_cap(capsys, monkeypatch):
 
 
 def test_state_cap_messages_name_what_they_count(capsys, monkeypatch):
-    # complete(N=4) has 4 states but 16 kernel entries; every other family
-    # counts states. The caps are tiny, so nothing is allocated.
+    # complete(N=4) has 4 states but 16 kernel entries, and so have ucc and
+    # cc at k = 1, whose one vertex recolors as the complete graph; every
+    # other kernel counts states. The caps are tiny, so nothing is allocated.
     monkeypatch.setenv("KWM_STATE_CAP", "15")
     code, out, err = run_cli(capsys, "gap", "--chain", "complete", "--N", "4")
     assert code == 3 and out == ""
     assert err == ("kwmix: state cap exceeded: complete(N=4) has 16 kernel entries, "
                    "cap is 15\n")
+    for family in ("ucc", "cc"):
+        code, out, err = run_cli(capsys, "gap", "--chain", family, "--N", "4")
+        assert code == 3 and out == ""
+        assert err == (f"kwmix: state cap exceeded: {family}(k=1,N=4) has 16 kernel "
+                       "entries, cap is 15\n")
     code, out, err = run_cli(capsys, "gap", "--chain", "ucc", "--k", "2", "--N", "6")
     assert code == 3 and out == ""
     assert err == "kwmix: state cap exceeded: ucc(k=2,N=6) has 30 states, cap is 15\n"
     monkeypatch.setenv("KWM_STATE_CAP", "16")
-    code, _, _ = run_cli(capsys, "gap", "--chain", "complete", "--N", "4")
-    assert code == 0
+    for family in ("complete", "ucc", "cc"):
+        code, _, _ = run_cli(capsys, "gap", "--chain", family, "--N", "4")
+        assert code == 0
 
 
 def test_exit_code_out_of_memory(capsys, monkeypatch):
@@ -526,12 +600,12 @@ def test_mix_exact_without_mixing_exits_2(capsys):
 
 def test_reducible_kernel_exits_2_before_stepping(capsys, monkeypatch):
     # 2^w = k: no row can change its block value, so 4 closed classes
-    from kwmix.chains import Kernel
+    from kwmix import mixing
 
-    def never(kernel):
+    def never(kernel, starts):
         raise AssertionError("a reducible kernel was evolved")
 
-    monkeypatch.setattr(Kernel, "transpose_csr", never)
+    monkeypatch.setattr(mixing, "_evolution", never)
     code, out, err = run_cli(capsys, "mix-exact", "--chain", "tgrev", "--n", "5",
                              "--k", "2", "--part-w", "1", "--part-p", "2")
     assert code == 2 and out == ""

@@ -1,5 +1,6 @@
 """Distribution evolution, mixing times, and the statistical harness."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -13,7 +14,13 @@ from scipy import stats as sps
 
 import kwmix.rng
 from kwmix import chains, cli, generic, mixing
-from kwmix.chains import ChainSpec, build_kernel, enumerate_generic_states, sample_chain
+from kwmix.chains import (
+    ChainSpec,
+    build_kernel,
+    enumerate_generic_states,
+    product_kernel,
+    sample_chain,
+)
 from kwmix.core import enumerate_tuples, sample_uniform_tuples
 from kwmix.errors import InvariantViolation
 from kwmix.generic import generic_fraction_mc, make_partition
@@ -59,17 +66,30 @@ def test_evolution_conserves_mass(rev32):
     assert abs(p.sum() - 1.0) <= 1e-12
 
 
-@pytest.mark.parametrize("spec", [
-    ChainSpec(family="rev", k=2, n=4),
-    ChainSpec(family="ucc", k=3, ncolors=7),
-    ChainSpec(family="cc", k=3, ncolors=6),
-    ChainSpec(family="grev", k=2, n=5, partition=make_partition(5, 2, w=2, p=2)),
-], ids=["rev", "ucc", "cc", "grev"])
-def test_one_column_evolution_equals_the_matvec_loop_bit_for_bit(spec):
-    # evolve and tv_curve step an (S, 1) matrix; its products must be
-    # those of the plain vector loop, to the last bit
-    kernel = build_kernel(spec)
-    pt = kernel.transpose_csr()
+# Kernels whose evolution is checked against a CSR copy of P^T; grev's
+# renormalized rows, and a product with a grev factor, have P != P^T.
+EVOLVED = {
+    "rev": lambda: build_kernel(ChainSpec(family="rev", k=2, n=4)),
+    "ucc": lambda: build_kernel(ChainSpec(family="ucc", k=3, ncolors=7)),
+    "cc": lambda: build_kernel(ChainSpec(family="cc", k=3, ncolors=6)),
+    "grev": lambda: build_kernel(ChainSpec(family="grev", k=2, n=5,
+                                           partition=make_partition(5, 2, w=2, p=2))),
+    "product": lambda: product_kernel([
+        build_kernel(ChainSpec(family="grev", k=2, n=4,
+                               partition=make_partition(4, 2, w=1, p=2))),
+        build_kernel(ChainSpec(family="cc", k=2, ncolors=3))]),
+}
+
+
+@pytest.mark.parametrize("name", EVOLVED)
+def test_one_column_evolution_equals_the_matvec_loop_bit_for_bit(name):
+    # evolve and tv_curve step an (S, 1) matrix through the view P.T; its
+    # products must be those of the plain vector loop over a CSR copy of
+    # P^T, to the last bit
+    kernel = EVOLVED[name]()
+    if name in ("grev", "product"):
+        assert (kernel.matrix != kernel.matrix.T).nnz
+    pt = kernel.matrix.transpose().tocsr()
     for start in (0, kernel.size - 1):
         p = np.zeros(kernel.size)
         p[start] = 1.0
@@ -79,6 +99,18 @@ def test_one_column_evolution_equals_the_matvec_loop_bit_for_bit(spec):
             curve.append(tv_distance(p, kernel.stationary))
         assert np.array_equal(evolve(kernel, start, 60), p)
         assert tv_curve(kernel, start, 60) == curve
+
+
+@pytest.mark.parametrize("name", EVOLVED)
+def test_all_starts_series_equals_the_csr_copy_bit_for_bit(name):
+    # the same kernel with P stored as the transpose of a CSR copy of P^T,
+    # so that its evolution steps that copy: the worst-start series over
+    # every start, an (S, S) matrix per step, must not change by a bit
+    kernel = EVOLVED[name]()
+    copied = dataclasses.replace(kernel, matrix=kernel.matrix.transpose().tocsr().T)
+    assert copied.matrix.T.format == "csr" and kernel.matrix.T.format == "csc"
+    assert (list(itertools.islice(_worst_tv_series(kernel, all_starts=True), 40))
+            == list(itertools.islice(_worst_tv_series(copied, all_starts=True), 40)))
 
 
 def test_evolution_refuses_out_of_range_starts_and_negative_times(rev32):
