@@ -11,12 +11,15 @@ experiments. Everything is seedable and reproducible.
 __version__ = "0.1.0"
 
 from .analysis import (
+    ChainRuleReport,
+    chain_rule_check,
     chain_rule_residual,
     complete_alpha_lower_bound,
     dirichlet_form,
     entropy,
     lsc_ratio,
     lsc_search,
+    paper_alpha_floor,
     spectral_gap,
     ucc_alpha_lower_bound,
     verify_reversible,
@@ -30,7 +33,9 @@ from .chains import (
     sample_chain,
 )
 from .comparison import (
+    ComparisonReport,
     CongestionResult,
+    compare_check,
     congestion_delta,
     congestion_formula_bound,
     dirichlet_comparison_residual,

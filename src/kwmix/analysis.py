@@ -6,6 +6,9 @@ evaluated at a valid witness is an upper bound on that constant, so a
 multi-start descent that drives the ratio down is a falsification
 harness for claimed lower bounds: finding a witness below a claimed
 bound would disprove it, and failing to find one is evidence in favor.
+`paper_alpha_floor` is the claimed bound that applies to a chain, and
+`chain_rule_check` tests the conditional-entropy chain rule on random
+functions.
 
 Entropy and the Dirichlet form use natural log and the 0*log(0) = 0
 convention; reported sums run through math.fsum so the tight acceptance
@@ -25,7 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .chains import Kernel, _tuple_states
+from .chains import ChainSpec, Kernel, _tuple_states
 from .errors import InvariantViolation
 from .rng import make_rng
 
@@ -126,15 +129,16 @@ class SearchResult:
     runs: list[RestartStats]  # one per restart, in restart order
 
 
-def _symmetric_weights(kernel: Kernel):
+def _flow(kernel: Kernel) -> sparse.csr_matrix:
+    """The probability flow pi_x P_xy of each edge, as CSR."""
+    return kernel.matrix.multiply(kernel.stationary[:, None]).tocsr()
+
+
+def _symmetric_weights(flow: sparse.csr_matrix):
     # W[x,y] = (pi_x P_xy + pi_y P_yx) / 2; for reversible kernels this
     # equals pi_x P_xy and leaves the Dirichlet form unchanged.
-    d = kernel.matrix.multiply(kernel.stationary[:, None]).tocsr()
-    w = ((d + d.T) * 0.5).tocsr()
-    deg = np.asarray(w.sum(axis=1)).ravel()
-    coo = w.tocoo()
-    off = coo.row != coo.col
-    return w, deg, coo.row[off], coo.col[off], coo.data[off]
+    w = ((flow + flow.T) * 0.5).tocsr()
+    return w, np.asarray(w.sum(axis=1)).ravel()
 
 
 def _trusted_entropy(ent, mean):
@@ -164,15 +168,16 @@ def _ratio_objective(kernel: Kernel):
     which sum each column in edge order: like _row_sums, they give a row
     the same value whatever rows sit beside it.
     """
-    w, deg, erow, ecol, eweight = _symmetric_weights(kernel)
-    once = erow < ecol
+    w, deg = _symmetric_weights(_flow(kernel))
+    coo = w.tocoo()
+    once = coo.row < coo.col  # W's strict upper triangle, in row-major order
     edges = int(once.sum())
     # row e is +1 at one end of edge e and -1 at the other, so a product
     # with it gives each difference exactly
     incidence = sparse.csr_matrix(
-        (np.tile([1.0, -1.0], edges), np.column_stack([erow[once], ecol[once]]).ravel(),
+        (np.tile([1.0, -1.0], edges), np.column_stack([coo.row[once], coo.col[once]]).ravel(),
          np.arange(0, 2 * edges + 1, 2)), shape=(edges, kernel.size))
-    weight = sparse.csr_matrix(eweight[once][None, :])
+    weight = sparse.csr_matrix(coo.data[once][None, :])
     pi = kernel.stationary
 
     def objective(g: np.ndarray):
@@ -328,10 +333,13 @@ def lsc_search(
     restart's best evaluated point is re-checked with the exact
     lsc_ratio; the smallest, the first of equal ones, is returned with
     its witness, a certified upper bound on the log-Sobolev constant. A
-    reducible kernel, whose constant is exactly 0, is refused first.
+    kernel of fewer than 2 states, on which every function is constant,
+    and a reducible kernel, whose constant is exactly 0, are refused first.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if kernel.size < 2:
+        raise ValueError(f"log-Sobolev search needs at least 2 states, got {kernel.size}")
     kernel.check_irreducible("its log-Sobolev constant is 0")
     objective, edges = _ratio_objective(kernel)
     group = max(1, SEARCH_ENTRIES // max(1, edges))
@@ -370,6 +378,17 @@ def complete_alpha_lower_bound(N: int, base: float = math.e) -> float:
     return 1.0 / (3.0 * math.log(N, base))
 
 
+def paper_alpha_floor(spec: ChainSpec, base: float = math.e) -> float | None:
+    """The claimed log-Sobolev floor that applies to a chain, in log base
+    `base`: the complete graph's, ucc's where it is stated (2k <= N), and
+    None for every other chain."""
+    if spec.family == "complete":
+        return complete_alpha_lower_bound(spec.ncolors, base)
+    if spec.family == "ucc" and 2 * spec.k <= spec.ncolors:
+        return ucc_alpha_lower_bound(spec.k, spec.ncolors, base)
+    return None
+
+
 def spectral_gap(kernel: Kernel) -> float:
     """1 - lambda_2 of the symmetrized kernel (requires reversibility).
 
@@ -389,14 +408,15 @@ def spectral_gap(kernel: Kernel) -> float:
     """
     if kernel.size < 2:
         raise ValueError(f"spectral gap needs at least 2 states, got {kernel.size}")
-    report = verify_reversible(kernel, tol=GAP_REVERSIBILITY_TOL)
+    flow = _flow(kernel)
+    report = _detailed_balance(flow, GAP_REVERSIBILITY_TOL)
     if not report.passes:
         raise ValueError(
             f"kernel is not reversible (violation {report.max_violation:.3e})")
     kernel.check_irreducible("its spectral gap is 0")
     if kernel.stationary.min() <= 0:
         raise ValueError("spectral gap needs a strictly positive stationary law")
-    a, deg = _symmetric_weights(kernel)[:2]
+    a, deg = _symmetric_weights(flow)
     scale = 1.0 / np.sqrt(deg)
     rows = np.repeat(np.arange(kernel.size), np.diff(a.indptr))
     # scale[x] * scale[y] is one commutative product, so A stays exactly symmetric
@@ -427,7 +447,10 @@ class ReversibilityReport:
 
 def verify_reversible(kernel: Kernel, tol: float = 1e-12) -> ReversibilityReport:
     """Largest detailed-balance violation |pi_x P_xy - pi_y P_yx|."""
-    flow = kernel.matrix.multiply(kernel.stationary[:, None]).tocoo()
+    return _detailed_balance(_flow(kernel), tol)
+
+
+def _detailed_balance(flow: sparse.csr_matrix, tol: float) -> ReversibilityReport:
     asym = (flow - flow.T).tocoo()
     if asym.nnz == 0:
         return ReversibilityReport(0.0, True, (0, 0))
@@ -457,12 +480,68 @@ def chain_rule_residual(f: np.ndarray, i: int, k: int, N: int) -> float:
     f = np.asarray(f, dtype=float)
     if f.shape != (len(states),):
         raise ValueError(f"function has shape {f.shape}, expected ({len(states)},)")
-    column = states[:, i]
-    lhs = entropy(np.full(len(f), 1.0 / len(f)), f)
+    return _chain_rule_terms(f, states[:, i], N)[0]
+
+
+def _chain_rule_terms(f: np.ndarray, column: np.ndarray, N: int) -> tuple[float, float]:
+    """(chain_rule_residual, Ent(f)) of f on the tuple space, `column`
+    holding coordinate i of each tuple."""
+    ent = entropy(np.full(len(f), 1.0 / len(f)), f)
     cond_terms = []
     for c in range(N):
         sliced = f[column == c]
         cond_terms.append(entropy(np.full(len(sliced), 1.0 / len(sliced)), sliced))
     marginal = np.bincount(column, weights=f, minlength=N) / (len(f) // N)
     rhs = math.fsum(cond_terms) / N + entropy(np.full(N, 1.0 / N), marginal)
-    return abs(lhs - rhs)
+    return abs(ent - rhs), ent
+
+
+def _check_count(count: int) -> None:
+    """A check needs at least one random function (the commands' --count)."""
+    if count < 1:
+        raise ValueError(f"need --count >= 1, got {count}")
+
+
+@dataclass
+class CoordinateResidual:
+    i: int
+    max_abs_residual: float
+    max_rel_residual: float  # each residual over its Ent(f)
+
+
+@dataclass
+class ChainRuleReport:
+    k: int
+    N: int
+    count: int
+    max_abs_residual: float
+    max_rel_residual: float
+    per_coordinate: list[CoordinateResidual]
+
+
+def chain_rule_check(k: int, N: int, count: int, seed: int = 0) -> ChainRuleReport:
+    """Largest chain_rule_residual, absolute and relative to Ent(f), of
+    `count` random f = U[0,1) + 0.05 per coordinate i on the distinct
+    k-tuples of N colors.
+
+    The count and the state cap are checked, and the tuple space
+    enumerated once, before any f is drawn. The f of coordinate 0 come
+    first from the one stream of the seed, then those of coordinate 1,
+    and so on.
+    """
+    _check_count(count)
+    states = _tuple_states(k, N, f"tuple function(k={k},N={N})")
+    rng = make_rng(seed)
+    per_coordinate = []
+    for i in range(k):
+        max_abs = max_rel = 0.0
+        for _ in range(count):
+            res, ent = _chain_rule_terms(rng.random(len(states)) + 0.05, states[:, i], N)
+            max_abs = max(max_abs, res)
+            max_rel = max(max_rel, res / ent if ent > 0 else res)
+        per_coordinate.append(CoordinateResidual(i, max_abs, max_rel))
+    return ChainRuleReport(
+        k=k, N=N, count=count,
+        max_abs_residual=max(c.max_abs_residual for c in per_coordinate),
+        max_rel_residual=max(c.max_rel_residual for c in per_coordinate),
+        per_coordinate=per_coordinate)

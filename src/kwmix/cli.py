@@ -1,5 +1,9 @@
 """Experiment runner: every operation as a reproducible subcommand.
 
+A subcommand parses its arguments, makes one library call and renders
+what the call returns; the experiment itself, its draws and its checks
+of the configuration live in the library.
+
 Each invocation runs exactly one experiment, writes a machine-readable
 result (CSV or JSON, floats at 17 significant digits), and, when writing
 to a file, a metadata sidecar carrying the package version, the exact
@@ -20,30 +24,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import operator
 import sys
 import time
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
-from .analysis import (
-    chain_rule_residual,
-    complete_alpha_lower_bound,
-    entropy,
-    lsc_search,
-    spectral_gap,
-    ucc_alpha_lower_bound,
-)
+from .analysis import chain_rule_check, lsc_search, paper_alpha_floor, spectral_gap
 from .chains import FAMILIES, GATE_MODES, ChainSpec, build_kernel
-from .comparison import (
-    UNIVERSAL_CONGESTION_BOUND,
-    congestion_delta,
-    dirichlet_comparison_residual,
-)
-from .core import tuple_space_size
+from .comparison import UNIVERSAL_CONGESTION_BOUND, compare_check, congestion_delta
 from .errors import InvariantViolation, StateCapExceeded
 from .generic import (
     generic_fraction_exact,
@@ -61,7 +50,6 @@ from .mixing import (
     mixing_curve,
 )
 from .reports import csv_lines, dump_kernel, json_dumps
-from .rng import make_rng
 
 
 def _chain_arguments(sub: argparse.ArgumentParser) -> None:
@@ -232,20 +220,12 @@ def _run_gap(args):
     return _one_row({"kernel": spec.label(), "states": kernel.size, "spectral_gap": gap})
 
 
-def _paper_alpha_bound(spec: ChainSpec, base: float) -> float | None:
-    if spec.family == "complete":
-        return complete_alpha_lower_bound(spec.ncolors, base)
-    if spec.family == "ucc" and 2 * spec.k <= spec.ncolors:
-        return ucc_alpha_lower_bound(spec.k, spec.ncolors, base)
-    return None
-
-
 def _run_lsc_search(args):
     spec = _spec_from_args(args)
     kernel = build_kernel(spec)
     result = lsc_search(kernel, restarts=args.restarts, seed=args.seed)
-    bound_ln = _paper_alpha_bound(spec, math.e)
-    bound_lg2 = _paper_alpha_bound(spec, 2.0)
+    bound_ln = paper_alpha_floor(spec)
+    bound_lg2 = paper_alpha_floor(spec, 2.0)
     return _one_row({
         "kernel": spec.label(),
         "restarts": result.restarts,
@@ -258,34 +238,10 @@ def _run_lsc_search(args):
     })
 
 
-def _check_count(count: int) -> None:
-    if count < 1:
-        raise ValueError(f"need --count >= 1, got {count}")
-
-
 def _run_chain_rule_check(args):
-    _check_count(args.count)
-    k, N = args.k, args.ncolors
-    size = tuple_space_size(k, N)
-    rng = make_rng(args.seed)
-    rows = []
-    worst_abs = worst_rel = 0.0
-    for i in range(k):
-        max_abs = max_rel = 0.0
-        for _ in range(args.count):
-            f = rng.random(size) + 0.05
-            res = chain_rule_residual(f, i, k, N)
-            ent = entropy(np.full(size, 1.0 / size), f)
-            max_abs = max(max_abs, res)
-            max_rel = max(max_rel, res / ent if ent > 0 else res)
-        rows.append((k, N, i, args.count, max_abs, max_rel))
-        worst_abs = max(worst_abs, max_abs)
-        worst_rel = max(worst_rel, max_rel)
-    obj = {"k": k, "N": N, "count": args.count,
-           "max_abs_residual": worst_abs, "max_rel_residual": worst_rel,
-           "per_coordinate": [
-               {"i": r[2], "max_abs_residual": r[4], "max_rel_residual": r[5]}
-               for r in rows]}
+    obj = asdict(chain_rule_check(args.k, args.ncolors, args.count, args.seed))
+    rows = [(obj["k"], obj["N"], c["i"], obj["count"], c["max_abs_residual"],
+             c["max_rel_residual"]) for c in obj["per_coordinate"]]
     return obj, ("k", "N", "i", "count", "max_abs_residual", "max_rel_residual"), rows
 
 
@@ -301,19 +257,7 @@ def _run_congestion(args):
 
 
 def _run_compare_check(args):
-    _check_count(args.count)
-    k, N = args.k, args.ncolors
-    ucc = build_kernel(ChainSpec(family="ucc", k=k, ncolors=N))
-    cc = build_kernel(ChainSpec(family="cc", k=k, ncolors=N))
-    a_delta = congestion_delta(k, N).a_delta
-    rng = make_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.count):
-        f = rng.random(ucc.size)
-        worst = max(worst, dirichlet_comparison_residual(
-            np.sqrt(f), ucc, cc, a_delta))
-    return _one_row({"k": k, "N": N, "count": args.count, "A_delta": a_delta,
-                     "max_residual": worst})
+    return _one_row(asdict(compare_check(args.k, args.ncolors, args.count, args.seed)))
 
 
 def _run_mix_exact(args):

@@ -12,6 +12,8 @@ weighted load over all uniform-chain moves, the expectation over l'
 averaged rather than sampled. The loads are integer moves on the state
 array, assembled as the kernels are. The map's scalar statement, one path
 per (state, move), is the test oracle in ``tests/oracles.py``.
+`compare_check` tests the Dirichlet-form comparison that the constant
+gives on random functions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .analysis import dirichlet_form
+from .analysis import _check_count, dirichlet_form
 from .chains import (
     ChainSpec,
     Kernel,
@@ -30,8 +32,10 @@ from .chains import (
     _count_matrix,
     _draw_bounds,
     _step_moves,
+    build_kernel,
 )
 from .errors import InvariantViolation
+from .rng import make_rng
 
 UNIVERSAL_CONGESTION_BOUND = 19.0  # 1 + 9*2, valid whenever k <= N/2
 
@@ -114,3 +118,32 @@ def dirichlet_comparison_residual(f: np.ndarray, ucc_kernel: Kernel, cc_kernel: 
     e_ucc = dirichlet_form(ucc_kernel, f)
     e_cc = dirichlet_form(cc_kernel, f)
     return max(0.0, e_ucc - a_delta * e_cc)
+
+
+@dataclass
+class ComparisonReport:
+    k: int
+    N: int
+    count: int
+    A_delta: float
+    max_residual: float
+
+
+def compare_check(k: int, N: int, count: int, seed: int = 0) -> ComparisonReport:
+    """Largest dirichlet_comparison_residual of sqrt(f) over `count`
+    random f = U[0,1) on the ucc and cc kernels of (k, N), drawn from the
+    one stream of the seed.
+
+    The count and congestion_delta's 1 <= k < N are checked, and A
+    computed, before either kernel is built.
+    """
+    _check_count(count)
+    a_delta = congestion_delta(k, N).a_delta
+    ucc = build_kernel(ChainSpec(family="ucc", k=k, ncolors=N))
+    cc = build_kernel(ChainSpec(family="cc", k=k, ncolors=N))
+    rng = make_rng(seed)
+    worst = 0.0
+    for _ in range(count):
+        root = np.sqrt(rng.random(ucc.size))
+        worst = max(worst, dirichlet_comparison_residual(root, ucc, cc, a_delta))
+    return ComparisonReport(k=k, N=N, count=count, A_delta=a_delta, max_residual=worst)

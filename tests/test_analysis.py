@@ -2,6 +2,7 @@
 
 import math
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.sparse.linalg import eigsh
 
 from kwmix import analysis
 from kwmix.analysis import (
+    chain_rule_check,
     chain_rule_residual,
     complete_alpha_lower_bound,
     dirichlet_form,
@@ -550,6 +552,46 @@ def test_chain_rule_residual_equals_the_per_color_path(k, N, monkeypatch):
             got = chain_rule_residual(f, i, k, N)
             assert len(calls) == 1  # the tuple space is enumerated once
             assert got == _chain_rule_per_color(f, i, k, N)
+
+
+@pytest.mark.parametrize("k,N", [(2, 5), (3, 8)])
+def test_chain_rule_check_equals_the_residual_loop(k, N, monkeypatch):
+    # the loop over chain_rule_residual, one enumeration per call, that
+    # the check replaces
+    size = tuple_space_size(k, N)
+    rng = make_rng(7)
+    per_coordinate = []
+    for i in range(k):
+        max_abs = max_rel = 0.0
+        for _ in range(4):
+            f = rng.random(size) + 0.05
+            res = chain_rule_residual(f, i, k, N)
+            ent = entropy(np.full(size, 1.0 / size), f)
+            max_abs = max(max_abs, res)
+            max_rel = max(max_rel, res / ent if ent > 0 else res)
+        per_coordinate.append({"i": i, "max_abs_residual": max_abs,
+                               "max_rel_residual": max_rel})
+    calls = []
+    original = analysis._tuple_states
+    monkeypatch.setattr(analysis, "_tuple_states",
+                        lambda *a: calls.append(a) or original(*a))
+    report = asdict(chain_rule_check(k, N, 4, seed=7))
+    assert len(calls) == 1  # the tuple space is enumerated once per check
+    assert report == {
+        "k": k, "N": N, "count": 4,
+        "max_abs_residual": max(c["max_abs_residual"] for c in per_coordinate),
+        "max_rel_residual": max(c["max_rel_residual"] for c in per_coordinate),
+        "per_coordinate": per_coordinate}
+
+
+def test_spectral_gap_forms_the_flow_once(monkeypatch):
+    kernel = build_kernel(ChainSpec(family="ucc", k=3, ncolors=16))
+    calls = []
+    original = type(kernel.matrix).multiply
+    monkeypatch.setattr(type(kernel.matrix), "multiply",
+                        lambda *a: calls.append(a) or original(*a))
+    spectral_gap(kernel)
+    assert len(calls) == 1
 
 
 def test_concurrent_searches_agree():

@@ -575,6 +575,28 @@ def test_nonpositive_count_exits_2(capsys, subcommand, count):
     assert err == f"kwmix: invalid configuration: need --count >= 1, got {count}\n"
 
 
+@pytest.mark.parametrize("argv,code,message,spied", [
+    (("chain-rule-check", "--k", "4", "--N", "120", "--count", "1"), 3,
+     "state cap exceeded: tuple function(k=4,N=120) has 197149680 states",
+     ("analysis", "make_rng")),
+    (("compare-check", "--k", "11", "--N", "11"), 2, "need 1 <= k < N",
+     ("comparison", "build_kernel")),
+    (("compare-check", "--k", "8", "--N", "8"), 2, "need 1 <= k < N",
+     ("comparison", "build_kernel")),
+], ids=["chain-rule-cap", "compare-k11-N11", "compare-k8-N8"])
+def test_checks_refuse_before_drawing_or_building(capsys, monkeypatch, argv, code,
+                                                  message, spied):
+    import importlib
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{spied[1]} was called before the refusal")
+
+    monkeypatch.setattr(importlib.import_module(f"kwmix.{spied[0]}"), spied[1], never)
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert message in err and err.count("\n") == 1
+
+
 def test_cli_imports_no_private_kwmix_name():
     import ast
 
@@ -587,6 +609,24 @@ def test_cli_imports_no_private_kwmix_name():
              for alias in node.names]
     assert "build_kernel" in names
     assert [n for n in names if n.startswith("_") and not n.endswith("__")] == []
+
+
+def test_cli_imports_neither_numpy_nor_rng():
+    import ast
+
+    # the CLI parses, makes one library call per subcommand and renders:
+    # it has no array to compute and nothing to draw
+    with open(cli.__file__) as fp:
+        tree = ast.parse(fp.read())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = "kwmix" if node.level else ""
+            module = ".".join(filter(None, [package, node.module]))
+            modules += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    assert "kwmix.analysis" in modules
+    assert [m for m in modules if m.split(".")[0] == "numpy" or m == "kwmix.rng"] == []
 
 
 def test_mix_exact_without_mixing_exits_2(capsys):
@@ -887,8 +927,11 @@ def test_reducible_searches_and_sizes_below_one_wire_exit_2(capsys):
         ["lsc-search", "--chain", "tgrev", "--n", "3", "--k", "2", "--part-w", "1",
          "--part-p", "1", "--restarts", "6"],
         ["lsc-search", "--chain", "cc", "--k", "2", "--N", "2"],
+        ["lsc-search", "--chain", "complete", "--N", "1"],
+        ["lsc-search", "--chain", "ucc", "--k", "1", "--N", "1"],
     ]
-    messages = ["reducible and its log-Sobolev constant is 0"] * 2
+    messages = (["reducible and its log-Sobolev constant is 0"] * 2
+                + ["log-Sobolev search needs at least 2 states, got 1"] * 2)
     for n in ("0", "-1"):
         for statistic in ("xor", "hamming", "lowbits"):
             for sampler in ("circuit", "uniform"):
@@ -903,6 +946,13 @@ def test_reducible_searches_and_sizes_below_one_wire_exit_2(capsys):
 
 
 MC_ROWS = {
+    "chain-rule-check": (("chain-rule-check", "--k", "2", "--N", "4", "--count", "3"),
+                         "chain_rule_check",
+                         ["k", "N", "count", "max_abs_residual", "max_rel_residual",
+                          "per_coordinate"],
+                         ["k", "N", "i", "count", "max_abs_residual", "max_rel_residual"]),
+    "compare-check": (("compare-check", "--k", "2", "--N", "4", "--count", "3"),
+                      "compare_check", ["k", "N", "count", "A_delta", "max_residual"], None),
     "mix-mc": (("mix-mc", "--chain", "ucc", "--k", "2", "--N", "3", "--t", "5",
                 "--samples", "300"), "end_state_test",
                ["kernel", "t", "samples", "states", "distinct_visited", "chi2", "dof",

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from kwmix.analysis import dirichlet_form
 from kwmix.chains import ChainSpec, build_kernel
 from kwmix.comparison import (
     UNIVERSAL_CONGESTION_BOUND,
+    compare_check,
     congestion_delta,
     congestion_formula_bound,
     dirichlet_comparison_residual,
@@ -199,3 +201,17 @@ def test_comparison_residual_indicator_theta_2_6():
     f = np.zeros(tuple_space_size(k, N))
     f[7] = 1.0
     assert dirichlet_comparison_residual(f, *_residual_inputs(k, N)) <= 1e-12
+
+
+def test_compare_check_equals_the_acceptance_loop():
+    # acceptance criterion 3's loop over random f on (3, 8)
+    ucc = build_kernel(ChainSpec(family="ucc", k=3, ncolors=8))
+    cc = build_kernel(ChainSpec(family="cc", k=3, ncolors=8))
+    a_delta = congestion_delta(3, 8).a_delta
+    rng = make_rng(0)
+    worst = 0.0
+    for _ in range(100):
+        root = np.sqrt(rng.random(ucc.size))
+        worst = max(worst, dirichlet_form(ucc, root) - a_delta * dirichlet_form(cc, root))
+    report = compare_check(3, 8, 100, 0)
+    assert (report.A_delta, report.max_residual) == (a_delta, worst)

@@ -17,6 +17,8 @@ KEPT = {
     "mixing_time_exact": "acceptance criterion 7 and the README library quick start",
     "tv_curve": "acceptance criterion 7",
     "pointwise_relative_error": "acceptance criterion 7",
+    "verify_reversible": "acceptance criterion 1",
+    "chain_rule_residual": "acceptance criterion 4",
 }
 
 
