@@ -16,12 +16,20 @@ tolerances are not eaten by accumulation error. lsc_search runs its
 restarts as the rows of one numpy L-BFGS (Liu and Nocedal, 1989), whose
 objective takes only sparse matvecs and row-wise ufunc reductions: no
 BLAS call, so no BLAS thread pool, and a row's result does not depend on
-the rows beside it.
+the rows beside it. spectral_gap's eigensolve, the package's only LAPACK
+and ARPACK call, runs with every loaded OpenBLAS set to one thread
+(_one_blas_thread): a small solve is faster there than on a pool that
+then spins idle, and its float does not depend on the machine's thread
+count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +41,9 @@ from .errors import InvariantViolation
 from .rng import make_rng
 
 # Kernels with at most this many states take the dense eigvalsh path in
-# spectral_gap; there both solvers take a few milliseconds.
+# spectral_gap. On one BLAS thread both solvers take 2-4 ms there (120 and
+# 210 states, 2 vCPUs); moving the cut would move the printed digits of
+# the gaps it passes over.
 DENSE_GAP_STATES = 200
 # largest detailed-balance violation spectral_gap accepts as reversible
 GAP_REVERSIBILITY_TOL = 1e-9
@@ -374,7 +384,10 @@ def ucc_alpha_lower_bound(k: int, N: int, base: float = math.e) -> float:
 
 
 def complete_alpha_lower_bound(N: int, base: float = math.e) -> float:
-    """Known log-Sobolev floor 1 / (3 log N) for the complete graph."""
+    """Known log-Sobolev floor 1 / (3 log N) for the complete graph, for
+    N >= 2 (log 1 = 0)."""
+    if N < 2:
+        raise ValueError(f"bound is stated for N >= 2, got N={N}")
     return 1.0 / (3.0 * math.log(N, base))
 
 
@@ -389,6 +402,70 @@ def paper_alpha_floor(spec: ChainSpec, base: float = math.e) -> float | None:
     return None
 
 
+# where Linux lists the shared objects mapped into this process
+_PROC_MAPS = "/proc/self/maps"
+# (get, set) thread-count symbols of the OpenBLAS builds that numpy and
+# scipy bundle (scipy-openblas, 64- and 32-bit ints) and of a plain build
+_BLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", ""))
+
+
+@functools.cache
+def _openblas_thread_controls(maps: str) -> tuple[tuple, ...]:
+    """(get, set) thread-count functions of every OpenBLAS listed in the
+    file `maps`: each listed path that names OpenBLAS, loads and exports
+    one of the _BLAS_THREAD_SYMBOLS pairs. None where that file is missing.
+
+    Cached per file: reading /proc/self/maps takes about a millisecond,
+    as long as a small solve. Both copies the solvers call are mapped
+    once this module is imported (numpy's, and scipy's through
+    scipy.sparse.linalg), so the first scan finds them.
+    """
+    try:
+        with open(maps) as fp:
+            paths = {line.split()[-1] for line in fp if "openblas" in line.lower()}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+# held while the thread counts are set to one, so that a second caller
+# reads the counts only after the first has restored them
+_BLAS_PIN_LOCK = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set every loaded OpenBLAS to one thread, then restore each count.
+
+    Process-wide while it is held; concurrent callers take turns. A no-op
+    where no OpenBLAS is found.
+    """
+    with _BLAS_PIN_LOCK:
+        saved = [(set_, get()) for get, set_ in _openblas_thread_controls(_PROC_MAPS)]
+        try:
+            for set_, _ in saved:
+                set_(1)
+            yield
+        finally:
+            for set_, threads in saved:
+                set_(threads)
+
+
 def spectral_gap(kernel: Kernel) -> float:
     """1 - lambda_2 of the symmetrized kernel (requires reversibility).
 
@@ -399,7 +476,9 @@ def spectral_gap(kernel: Kernel) -> float:
     largest eigenvalues to machine precision (tol=0) on the sparse A, so
     no S x S copy is made and there is no size limit. eigsh starts from a
     fixed positive vector (make_rng(0)), not ARPACK's own random one, so
-    the same kernel gives the same float on every call.
+    the same kernel gives the same float on every call. Either solver runs
+    with every loaded OpenBLAS set to one thread (_one_blas_thread), so
+    the float does not depend on the machine's thread count either.
 
     Raises ValueError for a kernel of fewer than 2 states, for a
     reducible kernel (more than one strongly connected class, whose gap
@@ -421,16 +500,17 @@ def spectral_gap(kernel: Kernel) -> float:
     rows = np.repeat(np.arange(kernel.size), np.diff(a.indptr))
     # scale[x] * scale[y] is one commutative product, so A stays exactly symmetric
     a.data *= scale[rows] * scale[a.indices]
-    if kernel.size <= DENSE_GAP_STATES:
-        top2 = np.linalg.eigvalsh(a.toarray())[-2:]
-    else:
-        v0 = 0.5 + make_rng(0).random(kernel.size)
-        try:
-            top2 = np.sort(eigsh(a, k=2, which="LA", tol=0, v0=v0,
-                                 return_eigenvectors=False))
-        except ArpackNoConvergence as exc:
-            raise ValueError(
-                f"eigsh did not converge on {kernel.size} states: {exc}") from exc
+    with _one_blas_thread():
+        if kernel.size <= DENSE_GAP_STATES:
+            top2 = np.linalg.eigvalsh(a.toarray())[-2:]
+        else:
+            v0 = 0.5 + make_rng(0).random(kernel.size)
+            try:
+                top2 = np.sort(eigsh(a, k=2, which="LA", tol=0, v0=v0,
+                                     return_eigenvectors=False))
+            except ArpackNoConvergence as exc:
+                raise ValueError(
+                    f"eigsh did not converge on {kernel.size} states: {exc}") from exc
     lambda2, top = (float(v) for v in top2)
     if abs(top - 1.0) > 1e-10:
         raise InvariantViolation(

@@ -1,6 +1,8 @@
 """Dirichlet forms, entropy, ratio search, and the entropy chain rule."""
 
 import math
+import shutil
+import sys
 import threading
 from dataclasses import asdict
 
@@ -18,6 +20,7 @@ from kwmix.analysis import (
     entropy,
     lsc_ratio,
     lsc_search,
+    paper_alpha_floor,
     spectral_gap,
     ucc_alpha_lower_bound,
     verify_reversible,
@@ -369,23 +372,128 @@ def test_sparse_spectral_gap_is_deterministic():
     assert spectral_gap(kernel) == first
 
 
-def test_spectral_gap_raises_on_solver_failure(monkeypatch):
+def test_spectral_gap_raises_on_solver_failure(monkeypatch, two_blas_threads):
     from scipy.sparse.linalg import ArpackNoConvergence
 
     from kwmix.errors import InvariantViolation
 
     kernel = build_kernel(ChainSpec(family="ucc", k=2, ncolors=4))
     monkeypatch.setattr(analysis, "DENSE_GAP_STATES", 0)
+    seen = []
 
     def no_convergence(*args, **kwargs):
+        seen.append(_threads(two_blas_threads))
         raise ArpackNoConvergence("synthetic", np.array([]), np.array([]))
 
     monkeypatch.setattr(analysis, "eigsh", no_convergence)
     with pytest.raises(ValueError, match="did not converge"):
         spectral_gap(kernel)
+    # the failed solve ran on one thread, and the counts are back
+    assert seen == [[1] * len(two_blas_threads)]
+    assert _threads(two_blas_threads) == [2] * len(two_blas_threads)
     monkeypatch.setattr(analysis, "eigsh", lambda *a, **kw: np.array([0.5, 0.999]))
     with pytest.raises(InvariantViolation, match="top eigenvalue"):
         spectral_gap(kernel)
+    assert _threads(two_blas_threads) == [2] * len(two_blas_threads)
+
+
+def _threads(controls) -> list[int]:
+    return [get() for get, _ in controls]
+
+
+def _numpy_uses_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return sys.platform.startswith("linux") and "openblas" in str(blas.get("name")).lower()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The (get, set) pair of every OpenBLAS found, each set to two
+    threads for the test, so that a count left at one shows; the
+    previous counts are restored afterwards."""
+    controls = analysis._openblas_thread_controls(analysis._PROC_MAPS)
+    # numpy's and scipy's bundled copies, where numpy links OpenBLAS
+    assert len(controls) >= 2 or not _numpy_uses_openblas()
+    saved = _threads(controls)
+    for _, set_ in controls:
+        set_(2)
+    yield controls
+    for (_, set_), threads in zip(controls, saved):
+        set_(threads)
+
+
+def _spy(solver, controls, seen):
+    def spying(*args, **kwargs):
+        seen.append(_threads(controls))
+        return solver(*args, **kwargs)
+    return spying
+
+
+@pytest.mark.parametrize("dense_states", [analysis.DENSE_GAP_STATES, 0],
+                         ids=["eigvalsh", "eigsh"])
+def test_each_gap_solver_runs_on_one_blas_thread(dense_states, two_blas_threads,
+                                                 monkeypatch):
+    kernel = build_kernel(ChainSpec(family="ucc", k=2, ncolors=4))
+    monkeypatch.setattr(analysis, "DENSE_GAP_STATES", dense_states)
+    seen = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", _spy(np.linalg.eigvalsh, two_blas_threads, seen))
+    monkeypatch.setattr(analysis, "eigsh", _spy(analysis.eigsh, two_blas_threads, seen))
+    assert spectral_gap(kernel) == pytest.approx(0.5, abs=1e-13)  # ucc's gap is 1/k
+    assert seen == [[1] * len(two_blas_threads)]  # one solve, on one thread
+    assert _threads(two_blas_threads) == [2] * len(two_blas_threads)
+
+
+def test_gap_solves_where_no_openblas_is_found(two_blas_threads, monkeypatch, tmp_path):
+    import _ctypes
+
+    kernels = [build_kernel(ChainSpec(family="ucc", k=2, ncolors=4)),
+               build_kernel(ChainSpec(family="ucc", k=3, ncolors=8))]  # 12 and 336 states
+    expected = [spectral_gap(kernel) for kernel in kernels]
+    # a library that does not load, and one that loads but has no thread symbols
+    fake = tmp_path / "libopenblas_fake.so"
+    shutil.copy(_ctypes.__file__, fake)
+    maps = tmp_path / "maps"
+    maps.write_text(f"7f00-7f01 r-xp 0 08:01 1 {tmp_path / 'libopenblas_missing.so'}\n"
+                    f"7f01-7f02 r-xp 0 08:01 2 {fake}\n")
+    seen = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", _spy(np.linalg.eigvalsh, two_blas_threads, seen))
+    monkeypatch.setattr(analysis, "eigsh", _spy(analysis.eigsh, two_blas_threads, seen))
+    for path in (maps, tmp_path / "missing"):
+        monkeypatch.setattr(analysis, "_PROC_MAPS", str(path))
+        assert analysis._openblas_thread_controls(str(path)) == ()
+        assert [spectral_gap(kernel) for kernel in kernels] == expected
+    # nothing was set: every solve ran on the counts the process had
+    assert seen == [[2] * len(two_blas_threads)] * 4
+
+
+def test_concurrent_gaps_agree_and_restore_the_blas_thread_counts(two_blas_threads):
+    kernels = [build_kernel(ChainSpec(family="ucc", k=2, ncolors=4)),
+               build_kernel(ChainSpec(family="ucc", k=3, ncolors=8))]  # both solvers
+    expected = [spectral_gap(kernel) for kernel in kernels] * 5
+    results = [[] for _ in range(4)]  # more workers than cores
+    workers = [threading.Thread(target=lambda out=out: out.extend(
+        spectral_gap(kernel) for kernel in kernels * 5)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected] * len(workers)
+    assert _threads(two_blas_threads) == [2] * len(two_blas_threads)
+
+
+def test_complete_floor_refuses_one_color_before_dividing():
+    # log 1 = 0, so the floor 1 / (3 log N) is stated for N >= 2 only
+    with pytest.raises(ValueError, match="N=1"):
+        complete_alpha_lower_bound(1)
+    with pytest.raises(ValueError, match="N=1"):
+        paper_alpha_floor(ChainSpec(family="complete", ncolors=1))
+    assert complete_alpha_lower_bound(2) == 1.0 / (3.0 * math.log(2))
 
 
 def test_spectral_gap_rejects_nonreversible():

@@ -84,19 +84,36 @@ def test_lsc_search_is_seed_deterministic(capsys):
     assert outputs["0"][0] != outputs["1"][0]
 
 
-def test_lsc_search_does_not_depend_on_blas_threads():
-    # ucc k=3 N=10 has 17280 edges, where a BLAS dot would be threaded
+def _stdout_by_blas_threads(*argv) -> tuple[str, str]:
+    """stdout of `kwmix argv` in two fresh interpreters: one with every
+    *_NUM_THREADS variable removed, so BLAS runs on the machine's default
+    thread count, and one with OPENBLAS_NUM_THREADS=1. A command whose
+    digits do not depend on BLAS threads prints the same in both."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    argv = ["lsc-search", "--chain", "ucc", "--k", "3", "--N", "10", "--restarts", "4"]
-    code = f"import sys; from kwmix.cli import main; sys.exit(main({argv!r}))"
+    code = f"import sys; from kwmix.cli import main; sys.exit(main({list(argv)!r}))"
     env = {key: value for key, value in os.environ.items()
            if not key.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = src
-    runs = [subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
-                           text=True, check=True).stdout
-            for child_env in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})]
-    assert runs[0] == runs[1]
-    assert "ucc(k=3,N=10)" in runs[0]
+    default, one = (subprocess.run([sys.executable, "-c", code], env=child_env,
+                                   capture_output=True, text=True, check=True).stdout
+                    for child_env in (env, {**env, "OPENBLAS_NUM_THREADS": "1"}))
+    return default, one
+
+
+def test_lsc_search_does_not_depend_on_blas_threads():
+    # ucc k=3 N=10 has 17280 edges, where a BLAS dot would be threaded
+    default, one = _stdout_by_blas_threads("lsc-search", "--chain", "ucc", "--k", "3",
+                                           "--N", "10", "--restarts", "4")
+    assert default == one
+    assert "ucc(k=3,N=10)" in default
+
+
+def test_gap_does_not_depend_on_blas_threads():
+    # 29760 states, solved by eigsh; on two threads without the one-thread
+    # solve this printed ...88492827, and ...88492694 on one
+    default, one = _stdout_by_blas_threads("gap", "--chain", "rev", "--n", "5", "--k", "3")
+    assert default == one
+    assert '"rev(k=3,n=5,parameter)",29760,0.1154657548849' in default
 
 
 def test_chain_rule_check(capsys):
