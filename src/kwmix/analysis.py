@@ -41,9 +41,9 @@ from .errors import InvariantViolation
 from .rng import make_rng
 
 # Kernels with at most this many states take the dense eigvalsh path in
-# spectral_gap. On one BLAS thread both solvers take 2-4 ms there (120 and
-# 210 states, 2 vCPUs); moving the cut would move the printed digits of
-# the gaps it passes over.
+# spectral_gap. On one BLAS thread a 144-state gap takes 3-5 ms and a
+# 992-state eigsh gap 13-16 ms (2 vCPUs); moving the cut would move the
+# printed digits of the gaps it passes over.
 DENSE_GAP_STATES = 200
 # largest detailed-balance violation spectral_gap accepts as reversible
 GAP_REVERSIBILITY_TOL = 1e-9
