@@ -50,9 +50,11 @@ draws a deduplicated table), stepped on the transposed (k, S) array in
 the narrowest unsigned word holding n bits (uint16 up to n = 16, uint32
 up to 32, uint64 up to 64); its (S, k) uint64 result is that of a loop
 on the (S, k) uint64 array making the same draws. Every row draws from
-the one generator passed to ``sample_chain``; rev draws a block of steps
-as one C-ordered (steps, S) call, whose values do not depend on the
-block length.
+the one generator passed to ``sample_chain``; rev reads its gate
+indices off that generator's raw words by exact division
+(`_gate_draws`), on one helper thread that draws the next block of
+steps while the current one is stepped, so the values depend neither on
+the block length nor on timing.
 
 Gate randomness has two documented measures, both weights on the
 distinct permutations the gates induce (the tables of
@@ -68,6 +70,8 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
@@ -274,9 +278,12 @@ def _move(spec: ChainSpec, x: np.ndarray, draw: Sequence) -> np.ndarray:
     return y
 
 
-# Most bytes of gate draws the rev sampler holds at once; a block spans
-# several steps, so the draw calls stay long.
+# Most bytes of gate draws in one block of the rev sampler; a block spans
+# several steps, so the helper thread's calls stay long.
 DRAW_BLOCK_BYTES = 1 << 20
+# Most raw 64-bit words the helper reads in one call, so that it holds
+# little besides the block it fills.
+RAW_DRAW_WORDS = 1 << 15
 
 
 def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
@@ -285,14 +292,18 @@ def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
 
     The state is stepped transposed, as a C-contiguous (k, S) array in the
     narrowest unsigned word holding n bits, so each per-sample gate vector
-    broadcasts along the long axis. In parameter mode each step makes one
-    exact bounded uint32 draw per row of the gate index v in
-    [0, 16 n (n-1)^2) and XORs in the `core.gate_flips` of gate v: the
-    truth table is v & 15 and v >> 4 indexes the `core.gate_wires` tables
-    of target and controls, so each gate is drawn with probability
-    exactly 1 / (16 n (n-1)^2). In set mode each step draws one
-    deduplicated table per row. The draws come in blocks of steps
-    (`_gate_draws`).
+    broadcasts along the long axis. In parameter mode each step draws per
+    row one gate index v, exactly uniform on [0, 16 n (n-1)^2), and XORs
+    in the `core.gate_flips` of gate v: the truth table is v & 15 and
+    v >> 4 indexes the `core.gate_wires` tables of target and controls, so
+    each gate is drawn with probability exactly 1 / (16 n (n-1)^2). In
+    set mode each step draws one deduplicated table per row. The indices
+    come from `_gate_draws`: raw 32-bit words u, each giving u // L with
+    L = 2^32 // high unless u >= L high, so every index has exactly L
+    preimages. Its helper thread draws the next block of steps while this
+    one is stepped, and is joined before this returns, also when a step
+    raises. This rule fixes the seeded values that ``kwise-test`` (circuit
+    sampler) and ``mix-mc --chain rev`` print.
     """
     if n < 64 and x.size and x.max() >> n:
         raise ValueError(f"rev states are {n}-bit strings")
@@ -300,29 +311,76 @@ def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
     x = np.ascontiguousarray(x.T, dtype=word)
     if gate_mode == "set":
         tables = dedupe_gates(n)[0]
-        for v in _gate_draws(rng, t, x.shape[1], len(tables), np.int64):
-            x = tables[v, x]
+        with closing(_gate_draws(rng, t, x.shape[1], len(tables), np.int64)) as draws:
+            for v in draws:
+                x = tables[v, x]
         return np.ascontiguousarray(x.T, dtype=np.uint64)
     targets, controls1, controls2 = (w.astype(word) for w in gate_wires(n))
     flips, scratch = np.empty_like(x), np.empty_like(x)
-    for v in _gate_draws(rng, t, x.shape[1], 16 * len(targets), np.uint32):
-        h = (v & 15).astype(word)
-        q = (v >> 4).astype(np.intp)
-        x ^= gate_flips(x, targets.take(q), controls1.take(q), controls2.take(q), h,
-                        flips, scratch)
+    with closing(_gate_draws(rng, t, x.shape[1], 16 * len(targets), np.uint32)) as draws:
+        for v in draws:
+            h = (v & 15).astype(word)
+            q = (v >> 4).astype(np.intp)
+            x ^= gate_flips(x, targets.take(q), controls1.take(q), controls2.take(q), h,
+                            flips, scratch)
     return np.ascontiguousarray(x.T, dtype=np.uint64)
 
 
 def _gate_draws(rng: np.random.Generator, t: int, rows: int,
                 high: int, dtype: type) -> Iterator[np.ndarray]:
-    """The t per-step draw vectors of `_sample_rev`, `rows` draws in
-    [0, high) each. A block of steps is one C-ordered (steps, rows) call,
-    which yields the values of that many one-step calls, so the draws do
-    not depend on the block length. A block holds at most
-    DRAW_BLOCK_BYTES (one step of more rows exceeds it)."""
+    """The t per-step draw vectors of `_sample_rev`, `rows` gate indices
+    in [0, high) each, as `dtype`.
+
+    Each index comes from one 32-bit word of ``rng.bit_generator``'s raw
+    64-bit output, split low half first: with L = 2^32 // high, a word
+    u >= L high is skipped and otherwise gives v = u // L. Each of the
+    `high` values has exactly L preimages, so the draw is exactly uniform.
+    The i-th draw, counted step-major then row-minor, is the i-th accepted
+    word; the call draws the fewest raw words holding its t * rows
+    accepted ones, and an accepted word left over at the end is dropped.
+
+    One helper thread draws and decodes the blocks of steps, each of at
+    most DRAW_BLOCK_BYTES of draws (one step of more rows exceeds it),
+    block i + 1 while the caller steps block i, in raw calls of at most
+    RAW_DRAW_WORDS words. It is the bit generator's only user until this
+    generator is exhausted or closed, which joins it. Words carry over
+    from one block to the next, so the values depend neither on the block
+    length nor on timing.
+    """
+    if not 2 <= high <= 1 << 32:
+        raise ValueError(f"gate draws need 2 <= high <= 2^32, got {high}")
+    span = (1 << 32) // high
+    limit = span * high
     steps = max(1, DRAW_BLOCK_BYTES // (np.dtype(dtype).itemsize * max(rows, 1)))
-    for done in range(0, t, steps):
-        yield from rng.integers(0, high, size=(min(steps, t - done), rows), dtype=dtype)
+    words = np.empty(0, dtype=np.uint32)  # accepted and not yet read
+
+    def draw(block: np.ndarray) -> np.ndarray:
+        nonlocal words
+        out = block.reshape(-1)  # a view of the C-contiguous block, left to fill
+        while len(out):
+            if not len(words):
+                raw = rng.bit_generator.random_raw(min(-(-len(out) // 2), RAW_DRAW_WORDS))
+                words = raw.astype("<u8", copy=False).view("<u4")
+                accepted = words < limit
+                if not accepted.all():
+                    words = words[accepted]
+            take = min(len(words), len(out))
+            np.floor_divide(words[:take], span, out=out[:take])
+            out, words = out[take:], words[take:]
+        words = words.copy()  # the leftover, without the raw call it views
+        return block
+
+    # The blocks are allocated on the caller's thread, which frees them;
+    # allocated on the helper's, every block's pages were faulted in anew.
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = None
+        for done in range(0, t, steps):
+            drawn, pending = pending, helper.submit(
+                draw, np.empty((min(steps, t - done), rows), dtype=dtype))
+            if drawn is not None:
+                yield from drawn.result()
+        if pending is not None:
+            yield from pending.result()
 
 
 def _nth_free(values: np.ndarray, i: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -146,9 +146,10 @@ def test_criterion_6_gate_involution_and_bijectivity(monkeypatch):
         ok &= bool((np.sort(tables, axis=1) == identity).all())
         ok &= bool((np.take_along_axis(tables, tables, axis=1) == identity).all())
     # row v of one parameter-mode step draws gate index v, and every row is
-    # the tuple of all n-bit strings, so its image is gate v's table
-    monkeypatch.setattr(chains, "_gate_draws",
-                        lambda rng, t, rows, high, dtype: iter([np.arange(high, dtype=dtype)]))
+    # the tuple of all n-bit strings, so its image is gate v's table (the
+    # stub is a generator because the sampler closes its draws)
+    monkeypatch.setattr(chains, "_gate_draws", lambda rng, t, rows, high, dtype: (
+        v for v in [np.arange(high, dtype=dtype)]))
     for n in range(3, 6):
         x = np.tile(np.arange(1 << n), (16 * n * (n - 1) ** 2, 1))
         images = sample_chain(ChainSpec(family="rev", k=1 << n, n=n), x, 1, make_rng(0))

@@ -1,8 +1,11 @@
 """Exact kernels: closed-form entries, symmetry, and sampler agreement."""
 
 import math
+import threading
+import time
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from scipy.sparse.csgraph import connected_components
 
 from kwmix import chains
 from kwmix.chains import (
+    GATE_MODES,
     ChainSpec,
     _count_matrix,
     _draw_bounds,
@@ -529,20 +533,35 @@ def test_sampler_rejects_families_without_moves_and_bad_shapes():
 # ---------------------------------------------------------------------------
 
 
+def _exact_draws(rng, high):
+    """Gate indices in [0, high), one at a time: each raw 64-bit word of
+    the bit generator is two 32-bit words u, low half first; with
+    L = 2^32 // high, a word u >= L high is skipped and any other gives
+    u // L."""
+    span = 2 ** 32 // high
+    while True:
+        word = int(rng.bit_generator.random_raw())
+        for u in (word & 0xFFFFFFFF, word >> 32):
+            if u < span * high:
+                yield u // span
+
+
 def _reference_rev_steps(x, t, rng, n, tables=None):
-    """rev steps on an (S, k) uint64 array: per row one uint32 draw v in
-    [0, 16 n (n-1)^2), read as truth table v & 15 and wire choice
-    q = v >> 4 = (target (n-1) + j1) (n-1) + j2, control i being the wire
-    target + 1 + ji (mod n); or in set mode one deduplicated table."""
+    """rev steps on an (S, k) uint64 array, drawing per step and row one
+    index v of `_exact_draws`: in parameter mode v in [0, 16 n (n-1)^2),
+    read as truth table v & 15 and wire choice q = v >> 4 =
+    (target (n-1) + j1) (n-1) + j2, control i being the wire
+    target + 1 + ji (mod n); in set mode the index of one deduplicated
+    table."""
     x = np.array(x, dtype=np.uint64)
-    size = len(x)
+    draws = _exact_draws(rng, 16 * n * (n - 1) ** 2 if tables is None else len(tables))
     for _ in range(t):
+        v = np.array([next(draws) for _ in range(len(x))], dtype=np.uint64)
         if tables is not None:
-            x = tables[rng.integers(len(tables), size=size)[:, None], x]
+            x = tables[v[:, None], x]
             continue
-        v = rng.integers(0, 16 * n * (n - 1) ** 2, size=size, dtype=np.uint32)
-        h = (v & 15).astype(np.uint64)
-        q = (v >> 4).astype(np.uint64)
+        h = v & 15
+        q = v >> 4
         target = q // (n - 1) ** 2
         j1 = (target + 1 + q // (n - 1) % (n - 1)) % n
         j2 = (target + 1 + q % (n - 1)) % n
@@ -590,15 +609,98 @@ def test_rev_set_sampler_equals_the_uint64_loop(n):
 @pytest.mark.parametrize("t", [0, 25])
 @pytest.mark.parametrize("gate_mode", ["parameter", "set"])
 def test_rev_draw_blocks_do_not_change_the_draws(monkeypatch, block_bytes, rows, t, gate_mode):
-    # blocks of 1 step, of a few steps (t=25 crosses several) or of all 25
+    # blocks of 1 step, of a few steps (t=25 crosses several) or of all 25,
+    # read from raw calls of at most 1, 13 or 125 words
     monkeypatch.setattr(chains, "DRAW_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(chains, "RAW_DRAW_WORDS", -(-block_bytes // 8))
     n = 5
     tables = dedupe_gates(n)[0].astype(np.uint64) if gate_mode == "set" else None
     spec = ChainSpec(family="rev", k=3, n=n, gate_mode=gate_mode)
     for seed in range(3):
         x = _distinct_starts(n, 3, seed, rows)
-        np.testing.assert_array_equal(sample_chain(spec, x, t, make_rng(seed)),
-                                      _reference_rev_steps(x, t, make_rng(seed), n, tables))
+        rng, reference = make_rng(seed), make_rng(seed)
+        np.testing.assert_array_equal(sample_chain(spec, x, t, rng),
+                                      _reference_rev_steps(x, t, reference, n, tables))
+        # the call drew the fewest raw words holding its draws
+        assert rng.bit_generator.random_raw() == reference.bit_generator.random_raw()
+
+
+class _RawWords:
+    """A generator whose bit generator returns the given 64-bit words in
+    turn, recording the size of each raw call."""
+
+    def __init__(self, words):
+        self.words, self.sizes = list(words), []
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+def test_a_word_at_the_limit_is_skipped_and_the_next_gives_the_gate():
+    # L = 2^32 // high; a 32-bit word u >= L high is skipped, any other
+    # gives u // L, and each 64-bit word splits low half first
+    high = 16 * 12 * 11 ** 2
+    span = 2 ** 32 // high
+    words = _RawWords([(6 * span - 1) << 32 | span * high,
+                       (7 * span) << 32 | (span * high - 1)])
+    draws = list(chains._gate_draws(words, 1, 2, high, np.uint32))
+    assert [v.tolist() for v in draws] == [[5, high - 1]]
+    # the first raw word gives one index, so one more raw word is drawn;
+    # its high half, 7 L, is left over and dropped
+    assert words.sizes == [1, 1]
+
+
+def test_a_range_of_2_32_takes_every_word_as_drawn():
+    words = _RawWords([0xFFFFFFFF00000000 | 1234])
+    draws = list(chains._gate_draws(words, 2, 1, 2 ** 32, np.int64))
+    assert [v.tolist() for v in draws] == [[1234], [2 ** 32 - 1]]
+
+
+@pytest.mark.parametrize("high", [2 ** 32 + 1, 1, 0])
+def test_gate_draws_refuse_a_range_outside_2_to_2_32(high):
+    with pytest.raises(ValueError, match="2 <= high <= 2"):
+        next(chains._gate_draws(make_rng(0), 1, 1, high, np.int64))
+
+
+def test_no_draw_thread_outlives_a_rev_sample(monkeypatch):
+    # blocks of one or two steps of 40 rows, so a drawn block is in flight
+    monkeypatch.setattr(chains, "DRAW_BLOCK_BYTES", 320)
+    x = _distinct_starts(5, 2, 0)
+    before = threading.active_count()
+    for gate_mode in GATE_MODES:
+        sample_chain(ChainSpec(family="rev", k=2, n=5, gate_mode=gate_mode), x, 25, make_rng(0))
+        assert threading.active_count() == before
+    for _ in chains._gate_draws(make_rng(0), 25, 40, 100, np.uint32):
+        break
+    assert threading.active_count() == before
+
+    def failing(*args):
+        raise RuntimeError("step failed")
+
+    monkeypatch.setattr(chains, "gate_flips", failing)
+    with pytest.raises(RuntimeError, match="step failed"):
+        sample_chain(ChainSpec(family="rev", k=2, n=5), x, 25, make_rng(0))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("slowed", ["draws", "steps"])
+def test_a_slowed_thread_does_not_change_the_draws(monkeypatch, slowed):
+    monkeypatch.setattr(chains, "DRAW_BLOCK_BYTES", 1000)
+    spec = ChainSpec(family="rev", k=3, n=5)
+    x = _distinct_starts(5, 3, 0)
+    want = sample_chain(spec, x, 25, make_rng(0))
+    bits = make_rng(0).bit_generator
+    rng = SimpleNamespace(bit_generator=bits)
+    if slowed == "draws":
+        rng.bit_generator = SimpleNamespace(
+            random_raw=lambda size: time.sleep(0.005) or bits.random_raw(size))
+    else:
+        flips = chains.gate_flips
+        monkeypatch.setattr(chains, "gate_flips", lambda *args: time.sleep(0.002) or flips(*args))
+    np.testing.assert_array_equal(sample_chain(spec, x, 25, rng), want)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 12, 64])
@@ -626,7 +728,8 @@ def test_parameter_step_applies_the_enumerated_gate_of_its_draw(n):
     spec = ChainSpec(family="rev", k=3, n=n)
     for seed in range(3):
         x = _distinct_starts(n, 3, seed)
-        v = make_rng(seed).integers(0, len(gates), size=len(x), dtype=np.uint32)
-        want = [[apply_gate_to_int(value, gates[int(vi)]) for value in row]
+        draws = _exact_draws(make_rng(seed), len(gates))
+        v = [next(draws) for _ in range(len(x))]
+        want = [[apply_gate_to_int(value, gates[vi]) for value in row]
                 for row, vi in zip(x.tolist(), v)]
         assert sample_chain(spec, x, 1, make_rng(seed)).tolist() == want

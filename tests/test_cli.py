@@ -760,16 +760,18 @@ def test_hamming_pools_its_sparse_end_bins(capsys):
 # kwise-test --statistic hamming --bins n+1 --gates 20 --samples 6000
 # --seed n --format json, as printed before the end bins could be pooled;
 # re-pinned when the samples stopped being split over eight streams and
-# all came from the one stream of the seed
+# all came from the one stream of the seed, and again (n = 4..10; n = 3
+# drew the same gates) when each gate index became a raw 32-bit word
+# divided by 2^32 // high
 HAMMING_N_PLUS_ONE = {
     3: '"bins": 4, "chi2": 0.9377777777777776, "dof": 3, "p_value": 0.81630290003659312',
-    4: '"bins": 5, "chi2": 7.2297777777777767, "dof": 4, "p_value": 0.12423242194363898',
-    5: '"bins": 6, "chi2": 4.1600000000000001, "dof": 5, "p_value": 0.52661753609405848',
-    6: '"bins": 7, "chi2": 44.419911111111105, "dof": 6, "p_value": 6.1018695728324434e-08',
-    7: '"bins": 8, "chi2": 91.22092698412699, "dof": 7, "p_value": 6.9444368910414066e-17',
-    8: '"bins": 9, "chi2": 277.92320000000001, "dof": 8, "p_value": 2.040263173410995e-55',
-    9: '"bins": 10, "chi2": 438.99462433862436, "dof": 9, "p_value": 6.4540910077374614e-89',
-    10: '"bins": 11, "chi2": 959.52064338624336, "dof": 10, "p_value": 9.7780934707513521e-200',
+    4: '"bins": 5, "chi2": 7.4651111111111108, "dof": 4, "p_value": 0.11325762223651377',
+    5: '"bins": 6, "chi2": 4.1765333333333334, "dof": 5, "p_value": 0.52428968851893976',
+    6: '"bins": 7, "chi2": 43.780088888888884, "dof": 6, "p_value": 8.1727055864908322e-08',
+    7: '"bins": 8, "chi2": 92.27012063492063, "dof": 7, "p_value": 4.226207013472694e-17',
+    8: '"bins": 9, "chi2": 277.61980952380952, "dof": 8, "p_value": 2.3667580602300998e-55',
+    9: '"bins": 10, "chi2": 463.83915343915345, "dof": 9, "p_value": 3.1493394788710745e-94',
+    10: '"bins": 11, "chi2": 952.36435978835982, "dof": 10, "p_value": 3.3981613222293419e-198',
 }
 
 
