@@ -16,17 +16,18 @@ Families:
 ``build_kernel(spec)`` is the one entry point and the one builder body;
 it reads the validated ``ChainSpec``, which refuses a field its family
 does not read. Every kernel is a random walk on a symmetric weighted
-move graph. `_chain_states` gives the family's states, an (S, k) int64
-array kept as ``Kernel.states`` (None for product kernels), and ranks
-successor tuples by their base-N keys (``_StateIndex``: a key -> rank
-table where the keys are dense, a binary search where sparse; it also
-ranks the symmetry images of ``mixing.orbit_starts``). The moves come
-as arrays (src, dst, count), count being the integer weight of the
-draws of one step that move src to dst: for rev and grev from n = 4 on,
-each target wire and set of flipped rows under its gate measure,
-counted from the state's column types (`_flip_moves`), and at n = 3
-each distinct gate table (`_gate_moves`); the tgrev draws grouped by
-the values each kind reads; and every draw for ucc, cc and complete.
+move graph over one state space, the ``_StateIndex`` of `_chain_states`,
+kept with the kernel as ``Kernel.index`` (None for product kernels): the
+(S, k) int64 states, the ranker the kernel was built on (base-N keys; a
+key -> rank table where they are dense, a binary search where sparse),
+and for the gate chains the state space's own symmetry generators, whose
+orbits ``mixing.orbit_starts`` reads. The moves come as arrays (src, dst,
+count), count being the integer weight of the draws of one step that
+move src to dst: for rev and grev from n = 4 on, each target wire and
+set of flipped rows under its gate measure, counted from the state's
+column types (`_flip_moves`), and at n = 3 each distinct gate table
+(`_gate_moves`); the tgrev draws grouped by the values each kind reads;
+and every draw for ucc, cc and complete.
 One helper sums them into a CSR matrix of counts, sorting them by int64
 (src, dst) keys (a drawn family's pieces come sorted and are merged as
 runs); each row is divided once by its own total w(x), and the
@@ -166,7 +167,12 @@ class Kernel:
     matrix: sparse.csr_matrix
     stationary: np.ndarray
     meta: dict = field(default_factory=dict)
-    states: np.ndarray | None = None  # (S, k) int64, row i is state i
+    index: _StateIndex | None = None  # the state space the kernel was built on
+
+    @property
+    def states(self) -> np.ndarray | None:
+        """(S, k) int64 array whose row i is state i; None for product kernels."""
+        return None if self.index is None else self.index.states
 
     @property
     def size(self) -> int:
@@ -425,37 +431,37 @@ def build_kernel(spec: ChainSpec) -> Kernel:
     complete graph), when its N^2 kernel entries are, before enumerating."""
     if spec.ncolors is not None and spec.k == 1:
         check_state_cap(spec.ncolors ** 2, spec.label(), unit="kernel entries")
-    states, index = _chain_states(spec)
+    index = _chain_states(spec)
     if spec.family in ("rev", "grev") and spec.n > 3:
-        moves = _flip_moves(spec, states, index)
+        moves = _flip_moves(spec, index)
     elif spec.family in ("rev", "grev"):
         tables, weights = dedupe_gates(spec.n)
         if spec.gate_mode == "set":
             weights = np.ones_like(weights)
-        moves = _gate_moves(states, tables, weights, index)
+        moves = _gate_moves(index, tables, weights)
     elif spec.family == "tgrev":
-        moves = _tgrev_moves(spec, states, index)
+        moves = _tgrev_moves(spec, index)
     else:
-        moves = _step_moves(spec, states, index, product(*map(range, _draw_bounds(spec))))
-    counts = _count_matrix(moves, len(states))
+        moves = _step_moves(spec, index, product(*map(range, _draw_bounds(spec))))
+    counts = _count_matrix(moves, len(index.states))
     w = np.asarray(counts.sum(axis=1)).ravel()
     matrix = counts.astype(np.float64)
     matrix.data /= np.repeat(w, np.diff(matrix.indptr))
-    kernel = Kernel(matrix, w / w.sum(), spec.meta(), states)
+    kernel = Kernel(matrix, w / w.sum(), spec.meta(), index)
     kernel.validate()
     return kernel
 
 
-def _chain_states(spec: ChainSpec):
-    """The family's states, an (S, k) int64 array, and their
-    `_StateIndex` ranker: distinct tuples over 2^n (rev) or N (ucc, cc,
-    complete), or the generic states of the partition (grev, tgrev)."""
+def _chain_states(spec: ChainSpec) -> _StateIndex:
+    """The family's state space: distinct tuples over N (ucc, cc,
+    complete), with no symmetry, or over 2^n (rev), or the generic states
+    of the partition (grev, tgrev), with the symmetry of n wires."""
     base = spec.ncolors if spec.n is None else 1 << spec.n
     if spec.partition is not None:
-        states = enumerate_generic_states(spec.partition)
+        states, blocks = enumerate_generic_states(spec.partition), spec.partition.blocks
     else:
-        states = _tuple_states(spec.k, base, spec.label())
-    return states, _StateIndex(states, base)
+        states, blocks = _tuple_states(spec.k, base, spec.label()), ()
+    return _StateIndex(states, base, spec.n, blocks)
 
 
 def _count_matrix(moves: Moves, size: int) -> sparse.csr_matrix:
@@ -519,7 +525,8 @@ DIRECT_SPAN = 8
 
 
 class _StateIndex:
-    """Ranker of k-tuples among the rows of an (S, k) state array.
+    """A chain's state space: the rows of an (S, k) int64 array `states`,
+    their ranker, and the generators of their symmetry group.
 
     Tuples are read as base-`base` numbers, `keys[i]` being that of
     state i. Calling the index maps (..., k) tuples to (...) ranks, and
@@ -528,9 +535,13 @@ class _StateIndex:
     keys per state is ranked by direct address, through a table holding
     each key's rank; a sparser one by binary search in the sorted keys of
     the states (`tests/oracles.py` keeps that rule as the reference).
+    Tuples of `wires`-bit strings (the gate chains) are closed under the
+    group of `images`; without `wires` (ucc, cc, complete) none is stated.
     """
 
-    def __init__(self, states: np.ndarray, base: int) -> None:
+    def __init__(self, states: np.ndarray, base: int, wires: int | None = None,
+                 blocks: Sequence[Sequence[int]] = ()) -> None:
+        self.states, self.wires, self.blocks = states, wires, blocks
         self.weights = base ** np.arange(states.shape[1] - 1, -1, -1, dtype=np.int64)
         self.keys = states @ self.weights
         self._span = base ** states.shape[1]
@@ -552,27 +563,73 @@ class _StateIndex:
         pos = np.searchsorted(self._sorted_keys, keys).clip(max=len(self._order) - 1)
         return np.where(self._sorted_keys[pos] == keys, self._order[pos], -1)
 
+    def images(self) -> Iterator[np.ndarray]:
+        """Images of the states under generators of their symmetry group:
+        one-bit XORs, and a swap and a roll of the wires inside each block
+        and inside the remainder, of the whole blocks, and of the rows."""
+        n, x = self.wires, self.states
+        for j in range(n):
+            yield x ^ (1 << j)
+        held = {wire for block in self.blocks for wire in block}
+        # wire groups permuted among themselves: the single wires of each
+        # block, those of the remainder, and the whole blocks
+        families = [[[w] for w in block] for block in self.blocks]
+        families += [[[w] for w in range(n) if w not in held], self.blocks]
+        for groups in families:
+            for order in _swap_and_roll(groups):
+                # wire j of the image is wire perm[j] of each string
+                perm = np.arange(n)
+                perm[np.concatenate(groups)] = np.concatenate(order)
+                image = x.copy()
+                for j in np.flatnonzero(perm != np.arange(n)):
+                    image ^= ((x >> j ^ x >> perm[j]) & 1) << j
+                yield image
+        for order in _swap_and_roll(range(x.shape[1])):
+            yield x[:, order]
+
+    def orbit_labels(self) -> np.ndarray:
+        """Orbit label of each state: the connected components of the
+        graph joining each state to its `images`, ranked by this index."""
+        dst = np.concatenate([self(image) for image in self.images()])
+        if dst.min() < 0:
+            raise InvariantViolation("a symmetry image is not one of the states")
+        size = len(self.states)
+        src = np.arange(len(dst)) % size  # image i of state s is entry i S + s
+        graph = sparse.coo_matrix((np.ones(len(dst), dtype=bool), (src, dst)), shape=(size, size))
+        return connected_components(graph, directed=False)[1]
+
+
+def _swap_and_roll(items: Sequence) -> list[list]:
+    """Orders of `items` that generate all their permutations: the first
+    two swapped, and a roll by one where that is not the same move."""
+    items = list(items)
+    orders = []
+    if len(items) > 1:
+        orders.append(items[1::-1] + items[2:])
+    if len(items) > 2:
+        orders.append(items[1:] + items[:1])
+    return orders
+
 
 def _tuple_states(k: int, N: int, what: str) -> np.ndarray:
     check_state_cap(tuple_space_size(k, N), what)
     return enumerate_tuples(k, N)
 
 
-def _step_moves(spec: ChainSpec, states: np.ndarray, index, draws: Iterable,
+def _step_moves(spec: ChainSpec, index: _StateIndex, draws: Iterable,
                 count: int = 1) -> Moves:
     """One move per (state, draw) to its `_move` successor, counting `count`."""
-    src = np.arange(len(states))
+    src = np.arange(len(index.states))
     for draw in draws:
-        yield src, index(_move(spec, states, draw)), count
+        yield src, index(_move(spec, index.states, draw)), count
 
 
-def _gate_moves(states: np.ndarray, tables: np.ndarray, weights: np.ndarray,
-                index) -> Moves:
+def _gate_moves(index: _StateIndex, tables: np.ndarray, weights: np.ndarray) -> Moves:
     """One move per (state, distinct gate table), counting the table's
     weight. Successors outside the state set (index -1) are dropped."""
-    step = max(1, CHUNK_ENTRIES // (len(tables) * states.shape[1]))
-    for a in range(0, len(states), step):
-        dst = index(tables[:, states[a:a + step]])
+    step = max(1, CHUNK_ENTRIES // (len(tables) * index.states.shape[1]))
+    for a in range(0, len(index.states), step):
+        dst = index(tables[:, index.states[a:a + step]])
         src = np.broadcast_to(np.arange(a, a + dst.shape[1]), dst.shape)
         hit = dst >= 0
         yield src[hit], dst[hit], np.broadcast_to(weights[:, None], dst.shape)[hit]
@@ -598,7 +655,7 @@ def _mask_table(k: int, u1: np.ndarray, u2: np.ndarray, truth_tables,
     return table
 
 
-def _flip_moves(spec: ChainSpec, states: np.ndarray, index) -> Moves:
+def _flip_moves(spec: ChainSpec, index: _StateIndex) -> Moves:
     """The moves of `_gate_moves`, counted from flip sets.
 
     Gate (t, c1, c2, h) flips bit t of exactly the rows whose control
@@ -616,7 +673,7 @@ def _flip_moves(spec: ChainSpec, states: np.ndarray, index) -> Moves:
     are ranked, and those outside the state set (index -1) are dropped.
     Chunks of states come in src order.
     """
-    n, k = spec.n, spec.k
+    n, k, states = spec.n, spec.k, index.states
     full = (1 << k) - 1
     types, masks = np.arange(1 << 2 * k), np.arange(full + 1)  # types: u1 2^k + u2
     if spec.gate_mode == "set":
@@ -685,7 +742,7 @@ def _check_partition_rows(partition: Partition) -> None:
         raise ValueError("more rows than block values; no state is generic")
 
 
-def _tgrev_moves(spec: ChainSpec, states: np.ndarray, index) -> Moves:
+def _tgrev_moves(spec: ChainSpec, index: _StateIndex) -> Moves:
     """The tgrev draws of `_draw_bounds`, grouped by the values each kind
     reads, over the draw total 4 k |C| p (2^w - k + 1), C the remainder:
     the hold counts k |C| p (2^w - k + 1), each (row, remainder bit) flip
@@ -694,10 +751,9 @@ def _tgrev_moves(spec: ChainSpec, states: np.ndarray, index) -> Moves:
     k = spec.k
     _, _, rem, p, avail = _draw_bounds(spec)
     return chain(
-        _step_moves(spec, states, index, [(0, 0, 0, 0, 0)], k * rem * p * avail),
-        _step_moves(spec, states, index, product([1], range(k), range(rem), [0], [0]),
-                    p * avail),
-        _step_moves(spec, states, index, product([2], range(k), [0], range(p), range(avail)),
+        _step_moves(spec, index, [(0, 0, 0, 0, 0)], k * rem * p * avail),
+        _step_moves(spec, index, product([1], range(k), range(rem), [0], [0]), p * avail),
+        _step_moves(spec, index, product([2], range(k), [0], range(p), range(avail)),
                     2 * rem))
 
 

@@ -73,12 +73,13 @@ def congestion_delta(k: int, N: int) -> CongestionResult:
     if not 1 <= k <= N - 1:
         raise ValueError(f"need 1 <= k < N, got k={k}, N={N}")
     cc = ChainSpec(family="cc", k=k, ncolors=N)
-    x, index = _chain_states(cc)
+    index = _chain_states(cc)
+    x = index.states
     src = np.arange(len(x))
     cc_draws = list(product(*map(range, _draw_bounds(cc))))
 
     def loaded_moves() -> Moves:
-        yield from _step_moves(cc, x, index, cc_draws, N - k)
+        yield from _step_moves(cc, index, cc_draws, N - k)
         for free in range(N):  # one piece per detour color
             unused = ~(x == free).any(axis=1)
             tails, heads = [], []
@@ -94,7 +95,7 @@ def congestion_delta(k: int, N: int) -> CongestionResult:
             if tails:  # k = 1 has no swap
                 yield np.concatenate(tails), np.concatenate(heads), 3
 
-    draws = _count_matrix(_step_moves(cc, x, index, cc_draws), len(x))
+    draws = _count_matrix(_step_moves(cc, index, cc_draws), len(x))
     loads = _count_matrix(loaded_moves(), len(x))
     # every standard edge is loaded, so equal patterns mean no other edge is
     if not (np.array_equal(loads.indptr, draws.indptr)

@@ -2,13 +2,13 @@
 
 Exact experiments evolve point masses through a kernel and track total
 variation to stationarity. A gate chain tracks one start per symmetry
-orbit; the orbits are the connected components of the graph joining
-each state to its images under a few generators of the symmetry group,
-ranked against the kernel's (S, k) state array. At sizes where the
-tuple space is out of reach, circuits are sampled instead and a
-projected statistic of the output tuple is tested against its
-closed-form law under the uniform distribution on distinct tuples
-(chi-square goodness of fit). Each statistic is one branch of
+orbit: the kernel keeps the state space it was built on
+(``Kernel.index``), which states its own symmetry generators and ranks
+their images like the kernel's successors. At sizes where the tuple
+space is out of reach, circuits are sampled instead and a projected
+statistic of the output tuple is tested against its closed-form law
+under the uniform distribution on distinct tuples (chi-square goodness
+of fit). Each statistic is one branch of
 `_statistic`: its law, the bin counts it takes, and the binning of
 sampled tuples. The projections keep the null law exactly computable,
 which raw TV over a ~2^(nk)-point support would not be.
@@ -26,19 +26,15 @@ from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 from scipy.special import chdtrc
 
-from .chains import ChainSpec, Kernel, _chain_states, _StateIndex, build_kernel, sample_chain
+from .chains import ChainSpec, Kernel, _chain_states, build_kernel, sample_chain
 from .core import sample_uniform_tuples
 from .errors import InvariantViolation
 from .rng import mc_counts
 
 # chains whose color-permutation symmetry makes every start equivalent
 TRANSITIVE_FAMILIES = {"ucc", "cc", "complete"}
-# gate chains whose starts `orbit_starts` classes into symmetry orbits
-ORBIT_FAMILIES = {"rev", "grev", "tgrev"}
 
 
 def _evolution(kernel: Kernel, starts: Sequence[int]) -> Iterator[np.ndarray]:
@@ -90,91 +86,32 @@ def pointwise_relative_error(kernel: Kernel, start: int, t: int) -> float:
     return float(np.max(np.abs(p - pi) / pi))
 
 
-def _swap_and_roll(items: Sequence) -> list[list]:
-    """Orders of `items` that generate all their permutations: the first
-    two swapped, and a roll by one where that is not the same move."""
-    items = list(items)
-    orders = []
-    if len(items) > 1:
-        orders.append(items[1::-1] + items[2:])
-    if len(items) > 2:
-        orders.append(items[1:] + items[:1])
-    return orders
-
-
-def _permute_wires(states: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Wire j of the image is wire perm[j] of each string."""
-    moved = np.flatnonzero(perm != np.arange(len(perm)))
-    image = states & ~sum(1 << int(j) for j in moved)
-    for j in moved:
-        image |= (states >> perm[j] & 1) << j
-    return image
-
-
-def _symmetry_images(states: np.ndarray, n: int,
-                     blocks: Sequence[Sequence[int]]) -> Iterator[np.ndarray]:
-    """Images of an (S, k) state array under generators of its symmetry
-    group: one-bit XORs, then a swap and a roll of the wires inside each
-    block and inside the remainder, of the whole blocks, and of the rows."""
-    for j in range(n):
-        yield states ^ (1 << j)
-    held = {wire for block in blocks for wire in block}
-    # wire groups permuted among themselves: the single wires of each
-    # block, those of the remainder, and the whole blocks
-    families = [[[w] for w in block] for block in blocks]
-    families += [[[w] for w in range(n) if w not in held], list(blocks)]
-    for groups in families:
-        for order in _swap_and_roll(groups):
-            perm = np.arange(n)
-            perm[np.concatenate(groups)] = np.concatenate(order)
-            yield _permute_wires(states, perm)
-    for order in _swap_and_roll(range(states.shape[1])):
-        yield states[:, order]
-
-
-def _orbit_labels(states: np.ndarray, n: int, blocks: Sequence[Sequence[int]]) -> np.ndarray:
-    """Orbit label of each row of an (S, k) array of n-bit tuples, the
-    array being closed under the symmetries of `_symmetry_images`.
-
-    The orbits are the connected components of the graph that joins each
-    state to its generator images, ranked by the kernels' `_StateIndex`.
-    """
-    index = _StateIndex(states, 1 << n)
-    ranks = [index(image) for image in _symmetry_images(states, n, blocks)]
-    dst = np.concatenate(ranks)
-    if dst.min() < 0:
-        raise InvariantViolation("a symmetry image is not one of the states")
-    src = np.tile(np.arange(len(states)), len(ranks))
-    graph = sparse.coo_matrix((np.ones(len(dst), dtype=bool), (src, dst)),
-                              shape=(len(states), len(states)))
-    return connected_components(graph, directed=False)[1]
-
-
 def orbit_starts(kernel: Kernel) -> np.ndarray:
     """One start state per symmetry orbit of a gate-chain kernel (rev, grev,
     tgrev), the lowest index in each orbit, in increasing order.
 
-    The kernel and its stationary law are invariant under XOR with a
-    constant, row permutations and wire permutations (for grev and tgrev,
-    those keeping the partition's blocks and remainder, whole blocks
-    being exchangeable), so every start in an orbit has the same TV curve
-    (Boyd, Diaconis, Parrilo and Xiao, "Symmetry analysis of reversible
-    Markov chains", 2005). The orbits come from `_orbit_labels`.
+    The orbits are those of the state space the kernel was built on
+    (`Kernel.index.orbit_labels`), whose symmetries leave the kernel and
+    its stationary law unchanged, so every start in an orbit has the same
+    TV curve (Boyd, Diaconis, Parrilo and Xiao, "Symmetry analysis of
+    reversible Markov chains", 2005). Refuses (ValueError) a kernel whose
+    state space states no symmetry, or that keeps none (a product).
     """
-    meta = kernel.meta
-    if meta.get("family") not in ORBIT_FAMILIES:
-        raise ValueError(f"no orbit labels for family {meta.get('family')!r}")
-    blocks = meta["partition"]["blocks"] if "partition" in meta else []
-    labels = _orbit_labels(kernel.states, meta["n"], blocks)
+    if not _has_orbits(kernel):
+        raise ValueError(f"no orbit labels for family {kernel.meta.get('family')!r}")
+    labels = kernel.index.orbit_labels()
     return np.sort(np.unique(labels, return_index=True)[1])
+
+
+def _has_orbits(kernel: Kernel) -> bool:
+    return kernel.index is not None and kernel.index.wires is not None
 
 
 def _starts(kernel: Kernel, all_starts: bool | None) -> np.ndarray:
     if all_starts is None:
-        family = kernel.meta.get("family")
-        if family in ORBIT_FAMILIES:
+        if _has_orbits(kernel):
             return orbit_starts(kernel)
-        all_starts = family not in TRANSITIVE_FAMILIES
+        all_starts = kernel.meta.get("family") not in TRANSITIVE_FAMILIES
     return np.arange(kernel.size if all_starts else 1)
 
 
@@ -322,11 +259,11 @@ def end_state_test(spec: ChainSpec, t: int, samples: int, seed: int = 0) -> EndS
     states by rank. Refused as in `_chi_square`, below MIN_EXPECTED_COUNT
     samples per state.
     """
-    states, index = _chain_states(spec)
-    size = len(states)
+    index = _chain_states(spec)
+    size = len(index.states)
 
     def ranks(rows: int, rng: np.random.Generator) -> np.ndarray:
-        ends = sample_chain(spec, np.tile(states[0], (rows, 1)), t, rng)
+        ends = sample_chain(spec, np.tile(index.states[0], (rows, 1)), t, rng)
         return index(ends.astype(np.int64, copy=False))
 
     counts, chi2, dof, p_value = _chi_square(np.full(size, samples / size), samples, seed,

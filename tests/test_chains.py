@@ -395,8 +395,7 @@ def test_tgrev_grouped_weights_equal_the_full_draw_product(partition):
     bounds = _draw_bounds(spec)
     states = enumerate_generic_states(partition)
     index = _StateIndex(states, 1 << partition.n)
-    full = _count_matrix(_step_moves(spec, states, index, product(*map(range, bounds))),
-                         len(states))
+    full = _count_matrix(_step_moves(spec, index, product(*map(range, bounds))), len(states))
     kernel = build_kernel(spec)
     assert np.array_equal(kernel.matrix.indptr, full.indptr)
     assert np.array_equal(kernel.matrix.indices, full.indices)

@@ -348,7 +348,8 @@ def test_ranks_equal_the_binary_search(name, searched, monkeypatch):
     spec, base, sparse_span = RANK_SPACES[name]
     if searched:
         monkeypatch.setattr(chains, "DIRECT_SPAN", 0)
-    states, index = chains._chain_states(spec)
+    index = chains._chain_states(spec)
+    states = index.states
     assert (index._table is None) == (sparse_span or searched)
     k = states.shape[1]
     span = base ** k
@@ -435,11 +436,11 @@ def test_kernel_assembly_sums_integer_counts_only(monkeypatch):
     assert all(calls and calls <= {"i", "u"} for calls in kinds), kinds
 
 
-def _table_moves(spec: ChainSpec, states: np.ndarray, index):
+def _table_moves(spec: ChainSpec, index):
     tables, weights = dedupe_gates(spec.n)
     if spec.gate_mode == "set":
         weights = np.ones_like(weights)
-    return chains._gate_moves(states, tables, weights, index)
+    return chains._gate_moves(index, tables, weights)
 
 
 FLIP_SPECS = [ChainSpec(family="rev", k=k, n=n, gate_mode=gate_mode)
@@ -454,9 +455,9 @@ FLIP_SPECS += [ChainSpec(family="grev", k=k, n=n, partition=make_partition(n, k,
 
 @pytest.mark.parametrize("spec", FLIP_SPECS, ids=ChainSpec.label)
 def test_flip_sets_count_the_moves_of_the_gate_tables(spec):
-    states, index = chains._chain_states(spec)
-    flips = chains._count_matrix(chains._flip_moves(spec, states, index), len(states))
-    tables = chains._count_matrix(_table_moves(spec, states, index), len(states))
+    index = chains._chain_states(spec)
+    flips = chains._count_matrix(chains._flip_moves(spec, index), len(index.states))
+    tables = chains._count_matrix(_table_moves(spec, index), len(index.states))
     _assert_same_csr(flips, tables)
 
 
@@ -492,7 +493,7 @@ def test_four_wires_take_flip_sets_at_every_k(monkeypatch, family, w, gate_mode)
     # at k = 5 a state's 125 successors come near the 149 gate tables of
     # n = 4, and the source still depends on n alone. The spy stops the
     # build at the source, before its moves are counted.
-    def flip_moves(spec, states, index):
+    def flip_moves(spec, index):
         raise _FlipSource
 
     monkeypatch.setattr(chains, "_flip_moves", flip_moves)

@@ -28,7 +28,6 @@ from kwmix.mixing import (
     MIN_EXPECTED_COUNT,
     SAMPLERS,
     STATISTICS,
-    _orbit_labels,
     _statistic,
     _worst_tv_series,
     end_state_test,
@@ -251,6 +250,10 @@ def test_orbit_start_series_equals_all_starts(spec):
         assert mixing_time_exact(kernel, eps) == tau
 
 
+def _orbit_labels(states: np.ndarray, n: int, blocks) -> np.ndarray:
+    return chains._StateIndex(states, 1 << n, n, blocks).orbit_labels()
+
+
 @pytest.mark.parametrize("k,n,orbits", [
     (2, 5, 5), (3, 4, 6), (2, 6, 6), (2, 7, 7), (3, 5, 10), (5, 3, 3), (6, 3, 3),
     (7, 3, 1)])
@@ -272,6 +275,31 @@ def test_orbit_starts_are_the_first_state_of_each_orbit():
     assert len(starts) == 6 and list(starts) == sorted(starts)
     assert [int(np.flatnonzero(labels == labels[s])[0]) for s in starts] == list(starts)
     assert len(set(labels[starts])) == len(starts)
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(family="rev", k=2, n=5),
+    ChainSpec(family="grev", k=2, n=5, partition=make_partition(5, 2, w=2, p=2)),
+    ChainSpec(family="tgrev", k=2, n=5, partition=make_partition(5, 2, w=2, p=2)),
+], ids=ChainSpec.label)
+def test_orbits_come_from_the_state_space_not_the_header(spec):
+    kernel = build_kernel(spec)
+    headless = dataclasses.replace(kernel, meta={})
+    assert np.array_equal(orbit_starts(headless), orbit_starts(kernel))
+    assert np.array_equal(mixing._starts(headless, None), orbit_starts(kernel))
+
+
+def test_orbit_starts_refuses_kernels_whose_states_have_no_symmetry():
+    ucc = build_kernel(ChainSpec(family="ucc", k=2, ncolors=4))
+    with pytest.raises(ValueError, match="no orbit labels for family 'ucc'"):
+        orbit_starts(ucc)
+    product = EVOLVED["product"]()
+    with pytest.raises(ValueError, match="no orbit labels for family 'product'"):
+        orbit_starts(product)
+    # a product kernel tracks every start by default
+    steps = 30
+    assert (list(itertools.islice(_worst_tv_series(product), steps))
+            == list(itertools.islice(_worst_tv_series(product, all_starts=True), steps)))
 
 
 def _permute_wires(x: np.ndarray, perm) -> np.ndarray:
@@ -512,7 +540,8 @@ def test_monte_carlo_pieces_draw_in_turn_from_one_stream(monkeypatch):
     monkeypatch.setattr(mixing, "mc_counts", lambda *args: (
         counted.append(kwmix.rng.mc_counts(*args)) or counted[-1]))
     end_state_test(ucc, 4, 100, seed=3)
-    states, index = chains._chain_states(ucc)
+    index = chains._chain_states(ucc)
+    states = index.states
     rng = make_rng(3)
     ranks = [index(sample_chain(ucc, np.tile(states[0], (5, 1)), 4, rng)) for _ in range(20)]
     np.testing.assert_array_equal(counted, [np.bincount(np.concatenate(ranks), minlength=6)])
