@@ -45,26 +45,23 @@ of the integers it draws and `_move` applies them, to per-row draws in
 the sampler and to every draw in ``build_kernel`` and
 ``comparison.congestion_delta``; complete steps as ucc with k = 1, whose
 recoloring of its one vertex is the jump to a uniform state. rev draws
-a gate index v and applies gate v through ``core.gate_flips``, the rule
-``core.dedupe_gates`` also builds its tables with (or, in ``set`` mode,
-draws a deduplicated table), stepped on the transposed (k, S) array in
-the narrowest unsigned word holding n bits (uint16 up to n = 16, uint32
-up to 32, uint64 up to 64); its (S, k) uint64 result is that of a loop
-on the (S, k) uint64 array making the same draws. Every row draws from
-the one generator passed to ``sample_chain``; rev reads its gate
-indices off that generator's raw words by exact division
-(`_gate_draws`), on one helper thread that draws the next block of
-steps while the current one is stepped, so the values depend neither on
-the block length nor on timing.
+a gate index v (in ``set`` mode a class of ``core.gate_classes``, read
+as its first index v) and applies gate v through ``core.gate_flips``,
+the rule ``core.dedupe_gates`` builds its tables with, in the narrowest
+unsigned word holding n bits; its (S, k) uint64 result is that of a
+loop on the (S, k) uint64 array making the same draws (`_sample_rev`).
+Every row draws from the one generator passed to ``sample_chain``; rev
+reads its indices off its raw words by exact division, on one helper
+thread (`_gate_draws`), so they depend on neither block length nor timing.
 
 Gate randomness has two documented measures, both weights on the
-distinct permutations the gates induce (the tables of
-``core.dedupe_gates``): ``parameter`` (uniform over the 16 n (n-1)^2
+distinct permutations the gates induce (the classes of
+``core.gate_classes``): ``parameter`` (uniform over the 16 n (n-1)^2
 parameter tuples, the default) weights each distinct permutation by the
 number of tuples that induce it, and ``set`` (uniform over the distinct
-permutations) weights each by 1. Flip sets count both measures without
-a table, so the n <= 12 of ``dedupe_gates`` binds only the set-mode
-sampler, and the state cap alone limits the gate kernels.
+permutations) weights each by 1. Flip sets count both measures with no
+table, so the state cap alone limits the gate kernels; the sampler
+steps both up to n = 64.
 """
 
 from __future__ import annotations
@@ -81,7 +78,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from .core import dedupe_gates, enumerate_tuples, gate_flips, gate_wires, tuple_space_size
+from .core import (READS_BOTH, dedupe_gates, enumerate_tuples, gate_classes,
+                   gate_flips, gate_wires, tuple_space_size)
 from .errors import InvariantViolation, StateCapExceeded, check_state_cap
 from .generic import Partition, count_generic_states, extract_block, insert_block
 
@@ -298,16 +296,13 @@ def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
 
     The state is stepped transposed, as a C-contiguous (k, S) array in the
     narrowest unsigned word holding n bits, so each per-sample gate vector
-    broadcasts along the long axis. In parameter mode each step draws per
-    row one gate index v, exactly uniform on [0, 16 n (n-1)^2), and XORs
-    in the `core.gate_flips` of gate v: the truth table is v & 15 and
-    v >> 4 indexes the `core.gate_wires` tables of target and controls, so
-    each gate is drawn with probability exactly 1 / (16 n (n-1)^2). In
-    set mode each step draws one deduplicated table per row. The indices
-    come from `_gate_draws`: raw 32-bit words u, each giving u // L with
-    L = 2^32 // high unless u >= L high, so every index has exactly L
-    preimages. Its helper thread draws the next block of steps while this
-    one is stepped, and is joined before this returns, also when a step
+    broadcasts along the long axis. Each step draws per row one exactly
+    uniform index of `_gate_draws`: in parameter mode a gate index v in
+    [0, 16 n (n-1)^2), in set mode one of the D classes of
+    `core.gate_classes`, read as its first index v. It XORs in the
+    `core.gate_flips` of gate v: the truth table is v & 15 and v >> 4
+    indexes the `core.gate_wires` tables of target and controls. The
+    draws' helper thread is joined before this returns, also when a step
     raises. This rule fixes the seeded values that ``kwise-test`` (circuit
     sampler) and ``mix-mc --chain rev`` print.
     """
@@ -315,16 +310,14 @@ def _sample_rev(n: int, gate_mode: str, x: np.ndarray, t: int,
         raise ValueError(f"rev states are {n}-bit strings")
     word = next(w for w in (np.uint16, np.uint32, np.uint64) if n <= np.iinfo(w).bits)
     x = np.ascontiguousarray(x.T, dtype=word)
-    if gate_mode == "set":
-        tables = dedupe_gates(n)[0]
-        with closing(_gate_draws(rng, t, x.shape[1], len(tables), np.int64)) as draws:
-            for v in draws:
-                x = tables[v, x]
-        return np.ascontiguousarray(x.T, dtype=np.uint64)
     targets, controls1, controls2 = (w.astype(word) for w in gate_wires(n))
+    first = gate_classes(n)[0] if gate_mode == "set" else None
+    high = 16 * len(targets) if first is None else len(first)
     flips, scratch = np.empty_like(x), np.empty_like(x)
-    with closing(_gate_draws(rng, t, x.shape[1], 16 * len(targets), np.uint32)) as draws:
+    with closing(_gate_draws(rng, t, x.shape[1], high, np.uint32)) as draws:
         for v in draws:
+            if first is not None:
+                v = first.take(v)
             h = (v & 15).astype(word)
             q = (v >> 4).astype(np.intp)
             x ^= gate_flips(x, targets.take(q), controls1.take(q), controls2.take(q), h,
@@ -635,10 +628,6 @@ def _gate_moves(index: _StateIndex, tables: np.ndarray, weights: np.ndarray) -> 
         yield src[hit], dst[hit], np.broadcast_to(weights[:, None], dst.shape)[hit]
 
 
-# Truth tables h of controls c1 != c2 that read both control bits: 10 of 16.
-READS_BOTH = [h for h in range(16) if (h ^ h >> 2) & 3 and (h ^ h >> 1) & 5]
-
-
 def _mask_table(k: int, u1: np.ndarray, u2: np.ndarray, truth_tables,
                 weight: int) -> np.ndarray:
     """(len(u1), 2^k) int64 counts: entry [i, M] is `weight` times the
@@ -665,8 +654,8 @@ def _flip_moves(spec: ChainSpec, index: _StateIndex) -> Moves:
     per pair of column types, once per measure: in parameter mode all 16
     truth tables, twice over for controls c1 < c2 (swapping the controls
     permutes the 16 tables, so both orders count alike) and once for
-    c1 = c2; in set mode one of each distinct permutation,
-    the 10 `READS_BOTH` tables of each pair c1 < c2, x_c and not x_c of
+    c1 = c2; in set mode one of each class of `core.gate_classes`: the 10
+    `core.READS_BOTH` tables of each pair c1 < c2, x_c and not x_c of
     each control c, NOT once per target and the identity once. A target
     counts every control pair avoiding it: all pairs less those touching
     it. M = {} adds to the hold count. Only successors of nonzero count

@@ -5,12 +5,10 @@ Gate v of n wires, 0 <= v < 16 n (n-1)^2, is v = 16 q + h: entry q of
 truth table. On an n-bit string x the gate flips bit t by bit (2 a + b)
 of h, a and b being bits c1 and c2 of x (`gate_flips`, the one statement
 of that rule). Every gate is an involution and therefore a permutation
-of {0,1}^n. `dedupe_gates` lists the distinct permutation tables
-(n <= 12) in first-seen v order with the number of indices v inducing
-each. The parameter-mode rev sampler draws v and the set-mode sampler a
-table; the exact kernels map states through the tables only at n = 3,
-and from n = 4 on count the rows each gate flips
-(`chains._flip_moves`), with no table and no bound on n.
+of {0,1}^n. `gate_classes` names the distinct permutations by their
+first indices, with no table, and `dedupe_gates` tables them (n <= 12)
+for the exact kernels at n = 3; from n = 4 on the kernels count the rows
+each gate flips (`chains._flip_moves`). The rev sampler steps indices.
 
 Tuples of k pairwise-distinct values from a ground set of size N (the
 common state space of the coloring chains, and of circuit states with
@@ -25,9 +23,6 @@ import itertools
 import math
 
 import numpy as np
-
-NUM_TRUTH_TABLES = 16
-
 
 def gate_wires(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Target, first control and second control of each of the n (n-1)^2
@@ -63,34 +58,50 @@ def gate_flips(x: np.ndarray, target, control1, control2, h,
     return out
 
 
-MAX_DEDUPE_WIRES = 12
+# Truth tables h of controls c1 != c2 that read both control bits: 10 of 16.
+READS_BOTH = [h for h in range(16) if (h ^ h >> 2) & 3 and (h ^ h >> 1) & 5]
+
+
+def gate_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct permutations the 16 n (n-1)^2 gates induce, with no
+    table: the first index v of each, increasing, and how many induce it.
+
+    Gate (t, c1, c2, h) XORs f(x_c1, x_c2) into x_t: the identity if f = 0,
+    else fixed by t and f as a function of x, which is NOT, x_c or not x_c
+    of one wire c, or a `READS_BOTH` table of two wires. Target t's gates
+    are target 0's with the wires rotated by t: the same classes, t blocks
+    of indices on, and targets share only the identity.
+    """
+    _, c1, c2 = (w[:(n - 1) ** 2, None] for w in gate_wires(n))  # target 0's
+    h = np.arange(16)
+    # f as the table of (x_lo, x_hi), lo <= hi; with c1 = c2, of x_lo alone
+    lo, hi = np.minimum(c1, c2), np.maximum(c1, c2)
+    f = np.where(c1 < c2, h, h & 9 | h << 1 & 4 | h >> 1 & 2)
+    f = np.where(c1 == c2, (h & 1) * 3 | (h >> 3) * 12, f)
+    # f of at most one wire c as the table of (x_c, x_c), c = 0 (the target) if constant
+    reads_hi = (f ^ f >> 1) & 5 > 0
+    c = np.where(reads_hi, hi, np.where((f ^ f >> 2) & 3 > 0, lo, 0))
+    one = (f & 1) * 3 | np.where(reads_hi, f >> 1, f >> 2) % 2 * 12
+    key = np.where(np.isin(f, READS_BOTH), (lo * n + hi) * 16 + f, c * (n + 1) * 16 + one)
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)[1:]  # all but the identity: key 0, first at v = 0
+    blocks = first[order] + 16 * (n - 1) ** 2 * np.arange(n)[:, None]
+    return np.append(0, blocks), np.append(n * counts[0], np.tile(counts[order], n))
 
 
 def dedupe_gates(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The gate measure: distinct permutations of {0,1}^n induced by the
-    16 n (n-1)^2 gates, with how many gates induce each.
-
-    Returns (tables, counts): a (count, 2^n) uint16 array of permutation
-    tables in first-seen index order, and the int64 multiplicity of each,
-    summing to 16 n (n-1)^2. The gates of each target are built in one
-    broadcast. Requires n <= 12 so the tables fit in uint16 and in memory.
-    """
-    if n > MAX_DEDUPE_WIRES:
-        raise ValueError(f"dedupe_gates needs n <= {MAX_DEDUPE_WIRES}, got {n}")
+    """The `gate_classes` as a (count, 2^n) uint16 array of permutation
+    tables, one `gate_flips` broadcast of their first indices, and their
+    int64 multiplicities; n <= 12, so the tables fit in uint16 and memory."""
+    if n > 12:
+        raise ValueError(f"dedupe_gates needs n <= 12, got {n}")
+    first, counts = gate_classes(n)
     values = np.arange(1 << n, dtype=np.uint16)
-    h = np.arange(NUM_TRUTH_TABLES, dtype=np.uint16)[:, None]
-    # per target, its (n-1)^2 wire choices along the first axis
-    wires = [w.astype(np.uint16).reshape(n, -1, 1, 1) for w in gate_wires(n)]
-    flips = np.empty(((n - 1) ** 2, NUM_TRUTH_TABLES, 1 << n), np.uint16)
-    scratch = np.empty(((n - 1) ** 2, 1, 1 << n), np.uint16)
-    counts: dict[bytes, int] = {}
-    for target, control1, control2 in zip(*wires):
-        rows = values ^ gate_flips(values, target, control1, control2, h, flips, scratch)
-        for row in rows.reshape(-1, 1 << n):
-            key = row.tobytes()
-            counts[key] = counts.get(key, 0) + 1
-    tables = np.frombuffer(b"".join(counts), dtype=np.uint16).reshape(len(counts), -1)
-    return tables, np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+    gate = [w[first >> 4, None] for w in gate_wires(n)] + [first[:, None] & 15]  # t, c1, c2, h
+    tables = np.empty((len(first), 1 << n), np.uint16)
+    gate_flips(values, *(g.astype(np.uint16) for g in gate), tables, np.empty_like(tables))
+    tables ^= values
+    return tables, counts
 
 
 # ---------------------------------------------------------------------------

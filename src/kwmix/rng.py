@@ -9,14 +9,14 @@ of each piece (`mc_counts`), for `kwise_stat_mc`, `end_state_test` and
 starts from it in restart order.
 
 The rev circuit sampler (`chains._gate_draws`) reads the stream's raw
-64-bit words, each split into two 32-bit words u, low half first. A
-gate index in [0, high) is u // L with L = 2^32 // high, and a word
-u >= L high is skipped: each index has exactly L preimages, so the draw
-is exactly uniform. One helper thread draws the next block of words
-while the caller steps the current one, and is joined before the call
-returns. The seeded values of ``kwise-test --sampler circuit`` and
-``mix-mc --chain rev`` follow from this rule; every other command draws
-through numpy's ``Generator`` methods.
+64-bit words, each split into two 32-bit words u, low half first. An
+index in [0, high), a gate or a `core.gate_classes` class, is u // L
+with L = 2^32 // high, and a word u >= L high is skipped: each index has
+exactly L preimages, so the draw is exactly uniform. A helper thread
+draws the next block of words while the caller steps this one, and is
+joined before the call returns. The seeded values of
+``kwise-test --sampler circuit`` and ``mix-mc --chain rev`` follow from
+this rule; other commands draw through numpy's ``Generator`` methods.
 """
 
 from __future__ import annotations

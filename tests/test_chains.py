@@ -26,7 +26,7 @@ from kwmix.chains import (
     product_kernel,
     sample_chain,
 )
-from kwmix.core import dedupe_gates, enumerate_tuples, gate_wires
+from kwmix.core import enumerate_tuples, gate_classes, gate_wires
 from kwmix.errors import StateCapExceeded
 from kwmix.generic import Partition, make_partition
 from kwmix.rng import make_rng
@@ -545,20 +545,19 @@ def _exact_draws(rng, high):
                 yield u // span
 
 
-def _reference_rev_steps(x, t, rng, n, tables=None):
+def _reference_rev_steps(x, t, rng, n, first=None):
     """rev steps on an (S, k) uint64 array, drawing per step and row one
     index v of `_exact_draws`: in parameter mode v in [0, 16 n (n-1)^2),
     read as truth table v & 15 and wire choice q = v >> 4 =
     (target (n-1) + j1) (n-1) + j2, control i being the wire
-    target + 1 + ji (mod n); in set mode the index of one deduplicated
-    table."""
+    target + 1 + ji (mod n); in set mode an index i in [0, len(first)),
+    stepped as gate v = first[i] alike."""
     x = np.array(x, dtype=np.uint64)
-    draws = _exact_draws(rng, 16 * n * (n - 1) ** 2 if tables is None else len(tables))
+    draws = _exact_draws(rng, 16 * n * (n - 1) ** 2 if first is None else len(first))
     for _ in range(t):
         v = np.array([next(draws) for _ in range(len(x))], dtype=np.uint64)
-        if tables is not None:
-            x = tables[v[:, None], x]
-            continue
+        if first is not None:
+            v = first[v].astype(np.uint64)
         h = v & 15
         q = v >> 4
         target = q // (n - 1) ** 2
@@ -590,9 +589,9 @@ def test_rev_sampler_equals_the_uint64_loop(n, k):
         np.testing.assert_array_equal(got, _reference_rev_steps(x, 25, make_rng(seed), n))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 12, 13, 16, 17, 32, 33, 63, 64])
 def test_rev_set_sampler_equals_the_uint64_loop(n):
-    tables = dedupe_gates(n)[0].astype(np.uint64)
+    first = gate_classes(n)[0]
     for k in (1, 2, 3, 5):
         spec = ChainSpec(family="rev", k=k, n=n, gate_mode="set")
         for seed in range(3):
@@ -600,7 +599,7 @@ def test_rev_set_sampler_equals_the_uint64_loop(n):
             got = sample_chain(spec, x, 25, make_rng(seed))
             assert got.dtype == np.uint64 and got.shape == x.shape
             np.testing.assert_array_equal(
-                got, _reference_rev_steps(x, 25, make_rng(seed), n, tables))
+                got, _reference_rev_steps(x, 25, make_rng(seed), n, first))
 
 
 @pytest.mark.parametrize("block_bytes", [1, 100, 1000])
@@ -613,13 +612,13 @@ def test_rev_draw_blocks_do_not_change_the_draws(monkeypatch, block_bytes, rows,
     monkeypatch.setattr(chains, "DRAW_BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(chains, "RAW_DRAW_WORDS", -(-block_bytes // 8))
     n = 5
-    tables = dedupe_gates(n)[0].astype(np.uint64) if gate_mode == "set" else None
+    first = gate_classes(n)[0] if gate_mode == "set" else None
     spec = ChainSpec(family="rev", k=3, n=n, gate_mode=gate_mode)
     for seed in range(3):
         x = _distinct_starts(n, 3, seed, rows)
         rng, reference = make_rng(seed), make_rng(seed)
         np.testing.assert_array_equal(sample_chain(spec, x, t, rng),
-                                      _reference_rev_steps(x, t, reference, n, tables))
+                                      _reference_rev_steps(x, t, reference, n, first))
         # the call drew the fewest raw words holding its draws
         assert rng.bit_generator.random_raw() == reference.bit_generator.random_raw()
 

@@ -705,17 +705,15 @@ def test_gate_kernels_above_twelve_wires_build_exactly(capsys, chain):
             assert gap == pytest.approx(_k1_gate_gap(n, gate_mode), abs=1e-12), (n, gate_mode)
 
 
-def test_only_set_mode_rev_sampling_stops_at_twelve_wires(capsys):
-    # the 8192-state kernel builds (above), and parameter-mode sampling
-    # draws gate indices without a table; set mode draws a deduplicated one
+def test_rev_sampling_runs_past_twelve_wires_in_both_gate_modes(capsys):
+    # the 8192-state kernel builds (above), and both modes step gate
+    # indices without a table: set mode a class's first index
     argv = ["mix-mc", "--chain", "rev", "--n", "13", "--k", "1", "--t", "1",
             "--samples", "50000"]
-    code, out, err = run_cli(capsys, *argv, "--gate-mode", "set")
-    assert code == 2 and out == ""
-    assert err == "kwmix: invalid configuration: dedupe_gates needs n <= 12, got 13\n"
-    code, out, err = run_cli(capsys, *argv, "--gate-mode", "parameter")
-    assert code == 0 and err == ""
-    assert out.splitlines()[1].startswith('"rev(k=1,n=13,parameter)",1,50000,8192,')
+    for gate_mode in ("set", "parameter"):
+        code, out, err = run_cli(capsys, *argv, "--gate-mode", gate_mode)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].startswith(f'"rev(k=1,n=13,{gate_mode})",1,50000,8192,')
 
 
 def test_uniform_sampler_with_k_equal_to_two_to_the_n(capsys):

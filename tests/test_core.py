@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kwmix.core import (
     dedupe_gates,
     enumerate_tuples,
+    gate_classes,
     gate_flips,
     gate_wires,
     tuple_space_size,
@@ -20,6 +21,7 @@ from oracles import (
     H_ZERO,
     Gate,
     apply_gate_to_int,
+    distinct_gates,
     enumerate_gates,
     recolor,
 )
@@ -130,23 +132,44 @@ def test_dedupe_contains_identity_exactly_once():
 
 
 def _dedupe_by_loop(n):
-    # reference: one pointwise table per parameter tuple, keyed by its bytes
-    tables, counts = {}, {}
-    for g in enumerate_gates(n):
-        table = np.array([apply_gate_to_int(v, g) for v in range(1 << n)])
+    # reference: one pointwise table per parameter tuple, keyed by its
+    # bytes; returns the tables, the first v of each, and their counts
+    tables, first, counts = {}, {}, {}
+    for v, g in enumerate(enumerate_gates(n)):
+        table = np.array([apply_gate_to_int(x, g) for x in range(1 << n)])
         key = table.astype(np.uint16).tobytes()
         tables.setdefault(key, table)
+        first.setdefault(key, v)
         counts[key] = counts.get(key, 0) + 1
-    return np.stack(list(tables.values())), np.array(list(counts.values()))
+    return (np.stack(list(tables.values())), np.array(list(first.values())),
+            np.array(list(counts.values())))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_dedupe_gates_matches_the_per_gate_loop(n):
     tables, counts = dedupe_gates(n)
-    want_tables, want_counts = _dedupe_by_loop(n)
+    want_tables, _, want_counts = _dedupe_by_loop(n)
     assert np.array_equal(tables, want_tables)  # same tables, first-seen order
     assert np.array_equal(counts, want_counts)
     assert counts.sum() == 16 * n * (n - 1) ** 2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_gate_classes_match_the_per_gate_loop(n):
+    first, counts = gate_classes(n)
+    _, want_first, want_counts = _dedupe_by_loop(n)
+    assert first.dtype == counts.dtype == np.int64
+    assert np.array_equal(first, want_first)  # first-seen v, in increasing order
+    assert np.array_equal(counts, want_counts)
+
+
+@pytest.mark.parametrize("n", [*range(3, 17), 32, 64])
+def test_gate_classes_count_the_distinct_gates(n):
+    first, counts = gate_classes(n)
+    assert len(first) == len(counts) == distinct_gates(n)
+    assert counts.sum() == 16 * n * (n - 1) ** 2
+    assert first[0] == 0 and (np.diff(first) > 0).all() and first[-1] < 16 * n * (n - 1) ** 2
+    assert counts.min() >= 1
 
 
 @pytest.mark.parametrize("n, word", [(3, np.uint16), (5, np.uint32), (6, np.uint64)])
